@@ -15,7 +15,8 @@
        generous.  The plan_cache hit/miss counts are a pure function of
        the harness's call sequence, so they are diffed exactly.
      - self-relative speedup floors are enforced from the current run
-       alone: a plan-cache-warm prepare >= 1.3x cold always; the
+       alone: a plan-cache-warm prepare >= 1.3x cold and a warm full
+       evaluate >= 10x cold always; the
        widest-domains campaign leg >= 2x the domains=1 leg only when the
        run recorded >= 4 cores (skipped with a stderr note below that —
        an exactly-2-core machine sits right at the floor, and a
@@ -88,6 +89,7 @@ let banded_leaves =
        campaign_injections, plan_cache hits/misses, block_rows) stay exact *)
     "campaign_s"; "injections_per_s"; "encode_s"; "bits_per_s";
     "cold_s"; "warm_s"; "warm_speedup";
+    "evaluate_cold_s"; "evaluate_warm_s"; "evaluate_warm_speedup";
     "before_minor_words_per_block"; "after_minor_words_per_block";
     "reduction_factor";
     (* schema /7: the observability section's figures are scheduling- and
@@ -237,13 +239,16 @@ let num_member doc key =
        note on stderr (and never on single-core CI, where it is
        physically unattainable).
      - a plan-cache-warm prepare must be >= 1.3x faster than cold.  The
-       cache serves the profiling and planning work from a lookup, so
-       this holds on any core count and is always enforced.  (Full
-       evaluates are not floored: their counting pass is uncached and
-       dominates, so a whole-evaluate ratio would gate on noise.) *)
+       cache serves the recorded run and the planning work from a lookup,
+       so this holds on any core count and is always enforced.
+     - a warm full evaluate must be >= 10x faster than a cold one: it
+       replays the cached recording over the pc pairs instead of running
+       the program, so what is left is decode-system builds and work
+       linear in the static program.  Always enforced. *)
 let campaign_floor = 2.0
 let campaign_floor_min_cores = 4.0
 let warm_floor = 1.3
+let evaluate_warm_floor = 10.0
 
 let check_speedup_floors cur =
   let cores =
@@ -294,23 +299,25 @@ let check_speedup_floors cur =
       Printf.eprintf
         "note: campaign speedup floor skipped (recorded cores < %.0f)\n"
         campaign_floor_min_cores);
-  match
-    num_member
-      (Option.value (Json_min.member "plan_cache" cur) ~default:Json_min.Null)
-      "warm_speedup"
-  with
-  | Some s ->
-      if s < warm_floor then
-        fail ~kind:"floor"
-          [ "warm_speedup"; "plan_cache" ]
-          (Printf.sprintf "%.2fx < required %.1fx" s warm_floor)
-      else
-        Printf.eprintf "floor: plan-cache warm speedup %.2fx (>= %.1fx)\n" s
-          warm_floor
-  | None ->
-      fail ~kind:"floor"
-        [ "warm_speedup"; "plan_cache" ]
-        "plan_cache.warm_speedup missing"
+  let plan_cache =
+    Option.value (Json_min.member "plan_cache" cur) ~default:Json_min.Null
+  in
+  List.iter
+    (fun (leaf, what, floor) ->
+      match num_member plan_cache leaf with
+      | Some s ->
+          if s < floor then
+            fail ~kind:"floor" [ leaf; "plan_cache" ]
+              (Printf.sprintf "%.2fx < required %.1fx" s floor)
+          else
+            Printf.eprintf "floor: plan-cache warm %s speedup %.2fx (>= %.1fx)\n"
+              what s floor
+      | None ->
+          fail ~kind:"floor" [ leaf; "plan_cache" ] ("plan_cache." ^ leaf ^ " missing"))
+    [
+      ("warm_speedup", "prepare", warm_floor);
+      ("evaluate_warm_speedup", "evaluate", evaluate_warm_floor);
+    ]
 
 (* ---- trend summary ----------------------------------------------------- *)
 

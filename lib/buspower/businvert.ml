@@ -18,24 +18,28 @@ let create ?(width = 32) () =
     total = 0;
   }
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
+(* widths never exceed Width.max_width = 32, so the shared 16-bit table
+   covers every word *)
+let popcount = Bitutil.Popcount.count32
 
-let encode t word =
+let step t word =
   if word < 0 || word land lnot t.mask <> 0 then
     invalid_arg "Businvert.encode: word wider than bus";
   let flips = popcount (word lxor t.prev_bus) in
   let invert = 2 * flips > t.width in
-  let bus = if invert then lnot word land t.mask else word in
   if t.started then begin
-    t.total <- t.total + popcount (bus lxor t.prev_bus);
+    (* the driven word differs from the previous bus in [flips] lines, or
+       in the other [width - flips] when it is the complement *)
+    t.total <- t.total + (if invert then t.width - flips else flips);
     if invert <> t.prev_invert then t.total <- t.total + 1
   end;
-  t.prev_bus <- bus;
+  t.prev_bus <- (if invert then lnot word land t.mask else word);
   t.prev_invert <- invert;
-  t.started <- true;
-  (bus, invert)
+  t.started <- true
+
+let encode t word =
+  step t word;
+  (t.prev_bus, t.prev_invert)
 
 let decode ~width (bus, invert) =
   let mask = (1 lsl width) - 1 in
@@ -51,5 +55,5 @@ let reset t =
 
 let count_stream ?width words =
   let t = create ?width () in
-  Array.iter (fun w -> ignore (encode t w)) words;
+  Array.iter (step t) words;
   t.total

@@ -16,6 +16,10 @@ val create : ?width:int -> unit -> t
 (** [encode t word] is [(bus_word, invert)] actually driven. *)
 val encode : t -> int -> int * bool
 
+(** [step t word] drives [word] like {!encode} and only updates the running
+    total: the allocation-free form for callers that count. *)
+val step : t -> int -> unit
+
 (** [decode ~width (bus_word, invert)] restores the original word. *)
 val decode : width:int -> int * bool -> int
 

@@ -65,6 +65,42 @@ let record t ~pc ~baseline ~encoded =
   t.primed <- true;
   t.fetches <- t.fetches + 1
 
+let record_pairs t ~first_pc ~pairs ~baseline ~encoded =
+  let n = Array.length t.ks in
+  if Array.length encoded <> n then
+    invalid_arg "Ledger.Meter.record_pairs: encoded image count <> ks";
+  if t.fetches > 0 then
+    invalid_arg "Ledger.Meter.record_pairs: meter already fed";
+  (* the first fetch primes: a BBIT probe, and a TT read inside a region *)
+  if first_pc >= 0 then begin
+    t.fetches <- 1;
+    t.branches <- 1;
+    for v = 0 to n - 1 do
+      if t.encoded_region ~image:v ~pc:first_pc then
+        t.tt_reads.(v) <- t.tt_reads.(v) + 1
+    done
+  end;
+  pairs (fun ~src ~dst ~count ->
+      t.fetches <- t.fetches + count;
+      if dst <> src + 1 then t.branches <- t.branches + count;
+      let base_flips = popcount32 (baseline.(src) lxor baseline.(dst)) in
+      t.baseline_trans <- t.baseline_trans + (count * base_flips);
+      for v = 0 to n - 1 do
+        let image = encoded.(v) in
+        t.enc_trans.(v) <-
+          t.enc_trans.(v) + (count * popcount32 (image.(src) lxor image.(dst)));
+        if t.encoded_region ~image:v ~pc:dst then begin
+          t.tt_reads.(v) <- t.tt_reads.(v) + count;
+          t.gate_toggles.(v) <- t.gate_toggles.(v) + (count * base_flips)
+        end
+      done)
+
+let same_counts a b =
+  a.fetches = b.fetches && a.branches = b.branches
+  && a.baseline_trans = b.baseline_trans
+  && a.enc_trans = b.enc_trans && a.tt_reads = b.tt_reads
+  && a.gate_toggles = b.gate_toggles
+
 let fetches t = t.fetches
 let baseline_transitions t = t.baseline_trans
 let encoded_transitions t i = t.enc_trans.(i)

@@ -1,14 +1,15 @@
-(** Streaming per-component energy accounting over one counting run.
+(** Per-component energy accounting over one fetch stream.
 
-    Fed one call per dynamic instruction fetch — exactly like
-    {!Trace.Attribution}, and deliberately independent of it — a meter
-    maintains integer event counters for every ledger component:
+    Fed one call per dynamic instruction fetch ({!record}) — or the whole
+    stream at once from its pair profile ({!record_pairs}), exactly like
+    {!Trace.Attribution} — a meter maintains integer event counters for
+    every ledger component:
 
     - bus transitions, baseline and per encoded image
       (first fetch primes, then [popcount (prev lxor cur)] per fetch, the
       {!Buspower} convention — so the totals must agree bit-exactly with
-      [Pipeline.Evaluate] and [Trace.Attribution], which the finalizing
-      caller and [test/test_ledger.ml] both assert);
+      [Pipeline.Evaluate] and [Trace.Attribution], which
+      [test/test_ledger.ml] asserts);
     - TT SRAM reads: one per fetch whose pc lies inside an encoded region
       of that image;
     - BBIT probes: one per non-sequential fetch (the first fetch and every
@@ -37,6 +38,28 @@ val create :
 (** [record t ~pc ~baseline ~encoded] accounts one fetch.  [encoded] must
     have one word per entry of [ks] (raises [Invalid_argument]). *)
 val record : t -> pc:int -> baseline:int -> encoded:int array -> unit
+
+(** [record_pairs t ~first_pc ~pairs ~baseline ~encoded] books a whole
+    fetch stream from its pair profile, on a fresh meter — the same inputs
+    as {!Trace.Attribution.record_pairs}: the first fetch's pc ([-1] for an
+    empty stream), a pair iterator calling [f ~src ~dst ~count] once per
+    distinct consecutive pc pair, and the per-pc words of the baseline and
+    of each image.  Every counter then equals {!record}ing the stream fetch
+    by fetch: BBIT probes are 1 + the non-sequential pairs, TT reads the
+    pairs (and first fetch) landing in an encoded region, gate toggles the
+    baseline flips of those pairs.  Raises [Invalid_argument] when the
+    meter already recorded fetches or [encoded] has the wrong length. *)
+val record_pairs :
+  t ->
+  first_pc:int ->
+  pairs:((src:int -> dst:int -> count:int -> unit) -> unit) ->
+  baseline:int array ->
+  encoded:int array array ->
+  unit
+
+(** [same_counts a b] — whether two meters hold identical event counters
+    (how a per-fetch meter is checked against a replayed one). *)
+val same_counts : t -> t -> bool
 
 (** [fetches t] — fetches recorded so far. *)
 val fetches : t -> int

@@ -48,10 +48,10 @@ type report = {
 }
 
 exception Verification_failed of { pc : int; expected : int; got : int }
+exception Replay_mismatch of string
 
-(* The counting run touches every fetch for every image, so this is the hot
-   path of the whole harness; the 16-bit table lives in Bitutil.Popcount,
-   shared with the bit-vector word operations. *)
+(* A live run touches every fetch for every image; the 16-bit table lives
+   in Bitutil.Popcount, shared with the bit-vector word operations. *)
 let popcount32 = Bitutil.Popcount.count32
 
 let candidate_of_block words profile (b : Cfg.Block.t) =
@@ -116,10 +116,17 @@ let gc_count_phase =
       gc_count_minor_collections,
       gc_count_major_collections )
 
-(* Everything block selection produces that both [evaluate] and the system
-   preparation below need. *)
+(* Everything the one run of the program records and block selection
+   produces, which both [evaluate] and the system preparation below need.
+   Besides the profile, the run records every figure of a report that does
+   not depend on an encoded image; bus-invert is stateful, so it rides the
+   run instead of being summed over pc pairs afterwards. *)
 type context = {
   profile : Cfg.Profile.t;
+  run : Machine.Cpu.result;
+  output : string;
+  baseline_transitions : int;
+  businvert_transitions : int;
   blocks : Cfg.Block.t array;
   hot_blocks : Cfg.Block.t list;
   candidates : Powercode.Program_encoder.candidate list;
@@ -136,10 +143,14 @@ let context ?subset_mask ?(selection = `Hot_blocks) program =
   in
   let words = Isa.Program.words program in
   let blocks = Cfg.Block.partition (Isa.Program.insns program) in
-  (* pass 1: profile *)
-  let profile, _ =
+  let businvert = Buspower.Businvert.create ~width:32 () in
+  let profile, run, state =
     Metrics.with_span Tel.span_profile (fun () ->
-        gc_phase gc_profile_phase (fun () -> Cfg.Profile.collect program))
+        gc_phase gc_profile_phase (fun () ->
+            Cfg.Profile.run
+              ~on_fetch:(fun ~pc ->
+                Buspower.Businvert.step businvert (Array.unsafe_get words pc))
+              program))
   in
   let hot_blocks =
     Array.to_list blocks
@@ -167,8 +178,19 @@ let context ?subset_mask ?(selection = `Hot_blocks) program =
   (* the hardware's gate set must match the subset the encoder drew from *)
   let functions = Array.of_list (Powercode.Boolfun.list_of_mask subset_mask) in
   let bbit_capacity = max 16 (List.length candidates) in
-  { profile; blocks; hot_blocks; candidates; functions; bbit_capacity;
-    subset_mask }
+  {
+    profile;
+    run;
+    output = Machine.Cpu.output state;
+    baseline_transitions = Cfg.Profile.pair_transitions profile words;
+    businvert_transitions = Buspower.Businvert.transitions businvert;
+    blocks;
+    hot_blocks;
+    candidates;
+    functions;
+    bbit_capacity;
+    subset_mask;
+  }
 
 type prepared = {
   prep_k : int;
@@ -203,14 +225,15 @@ let plan_only ~tt_capacity ~optimal_chain ctx ks =
       ];
   plans
 
-(* Content-addressed cache of the expensive front half (profile + plan).
-   The cached context and plans are immutable once built: decode systems
-   are always rebuilt fresh (they are mutated by reprogramming and by
-   fault injection), so sharing plans across evaluations is safe.  Keys
+(* Content-addressed cache of the expensive front half (the recorded run +
+   plan).  The cached context and plans are immutable once built: decode
+   systems are always rebuilt fresh (they are mutated by reprogramming and
+   by fault injection), so sharing plans across evaluations is safe.  Keys
    hold the full program image plus every option that feeds block
-   selection or encoding; the FNV fingerprint only short-circuits
-   comparisons — a lookup succeeds on full structural equality, never on
-   hash alone. *)
+   selection or encoding — and nothing else: the scheme only acts after
+   planning, so every scheme shares one entry.  The FNV fingerprint only
+   short-circuits comparisons — a lookup succeeds on full structural
+   equality, never on hash alone. *)
 module Plan_cache = struct
   type key = {
     key_words : int array;
@@ -219,7 +242,6 @@ module Plan_cache = struct
     key_subset_mask : int option;
     key_optimal_chain : bool;
     key_selection : selection;
-    key_scheme : scheme;
   }
 
   type entry = {
@@ -244,12 +266,6 @@ module Plan_cache = struct
     h :=
       fnv_step !h
         (match k.key_selection with `Hot_blocks -> 0 | `Hot_loops -> 1);
-    (match k.key_scheme with
-    | `Tt -> h := fnv_step !h 0
-    | `Auto -> h := fnv_step !h 1
-    | `Fixed name ->
-        h := fnv_step !h 2;
-        String.iter (fun c -> h := fnv_step !h (Char.code c)) name);
     !h
 
   let key_equal a b =
@@ -258,7 +274,6 @@ module Plan_cache = struct
     && a.key_subset_mask = b.key_subset_mask
     && a.key_optimal_chain = b.key_optimal_chain
     && a.key_selection = b.key_selection
-    && a.key_scheme = b.key_scheme
     && (a.key_words == b.key_words || a.key_words = b.key_words)
 
   (* Enough for every workload in the bench suite plus a campaign's bench
@@ -318,11 +333,11 @@ module Plan_cache = struct
     Mutex.unlock mutex
 end
 
-(* The shared front half of [prepare] and [evaluate]: context (profile +
-   block selection) and one plan per block size, through the cache when it
-   is enabled. *)
+(* The shared front half of [prepare] and [evaluate]: context (the recorded
+   run + block selection) and one plan per block size, through the cache
+   when it is enabled. *)
 let context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
-    ~scheme program =
+    program =
   let compute () =
     let ctx = context ?subset_mask ?selection:(Some selection) program in
     (ctx, plan_only ~tt_capacity ~optimal_chain ctx ks)
@@ -337,7 +352,6 @@ let context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
         key_subset_mask = subset_mask;
         key_optimal_chain = optimal_chain;
         key_selection = selection;
-        key_scheme = scheme;
       }
     in
     let hash = Plan_cache.hash_key key in
@@ -363,7 +377,7 @@ let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
     ?(optimal_chain = false) ?(selection = `Hot_blocks) program =
   let ctx, plans =
     context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
-      ~scheme:`Tt program
+      program
   in
   systems_of_plans ~tt_capacity ctx program plans
 
@@ -435,7 +449,8 @@ type alt_runtime = {
   mutable art_fetches : int;
 }
 
-(* Per-evaluation auto-selector state, one slot per k-image. *)
+(* The auto selector's per-fetch bus state, one slot per k-image, kept by a
+   live run. *)
 type auto_state = {
   as_region_of_pc : int array array;  (* pc -> encoded-region index or -1 *)
   as_alt : alt_runtime option array array;  (* region -> non-TT choice *)
@@ -485,19 +500,22 @@ let choose_backend ~alts ~model ~per_t ~words (rg : region) =
     alts;
   (!best, List.rev !scores)
 
+(* [f pc] for every pc of [rg] inside the program *)
+let region_pcs npc rg f =
+  for pc = rg.rg_start to min (npc - 1) (rg.rg_start + rg.rg_len - 1) do
+    f pc
+  done
+
 let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
     ?(optimal_chain = false) ?(selection = `Hot_blocks) ?(scheme = `Tt)
     ?(verify = false) ?(attribution = false) ?ledger ~name program =
   Metrics.with_span Tel.span_evaluate @@ fun () ->
   Metrics.incr Tel.pipeline_evaluations;
   let words = Isa.Program.words program in
-  (* [`Fixed "tt"] is [`Tt] spelled through the CLI flag; normalise before
-     the plan-cache key so both share an entry *)
-  let scheme = match scheme with `Fixed "tt" -> `Tt | s -> s in
   let scheme_alts = resolve_scheme scheme in
   let ctx, plans =
     context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
-      ~scheme program
+      program
   in
   let { profile; blocks; hot_blocks; _ } = ctx in
   (* plans and decode systems, one per block size *)
@@ -525,36 +543,31 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
         in
         100.0 *. Cfg.Profile.coverage profile subset
   in
-  (* pass 2: one counting run over all images at once *)
   let images =
     Array.of_list
       (List.map (fun (_, _, s) -> s.Hardware.Reprogram.image) systems)
   in
   let nimg = Array.length images in
-  let totals = Array.make nimg 0 in
-  let prevs = Array.make nimg 0 in
-  let baseline_total = ref 0 in
-  let baseline_prev = ref 0 in
-  let businvert = Buspower.Businvert.create ~width:32 () in
-  let decoders =
-    if verify then
-      Array.of_list
-        (List.map (fun (_, _, s) -> Hardware.Reprogram.decoder s) systems)
-    else [||]
-  in
-  let verified = Array.make nimg 0 in
-  (* pc -> basic-block index and block-entry flag, for attribution and for
-     Block_entry trace events (O(1) per fetch) *)
+  let k_of_image = Array.of_list (List.map (fun (k, _, _) -> k) systems) in
   let npc = Array.length words in
-  let pc_block = Array.make npc (-1) in
-  let pc_is_start = Array.make npc false in
-  Array.iteri
-    (fun bi (b : Cfg.Block.t) ->
-      if b.Cfg.Block.start < npc then pc_is_start.(b.Cfg.Block.start) <- true;
-      for pc = b.Cfg.Block.start to min (npc - 1) (b.Cfg.Block.start + b.Cfg.Block.len - 1) do
-        pc_block.(pc) <- bi
-      done)
-    blocks;
+  (* pc -> basic-block index and block-entry flag, for attribution and for
+     Block_entry trace events *)
+  let block_map =
+    lazy
+      (let pc_block = Array.make npc (-1) in
+       let pc_is_start = Array.make npc false in
+       Array.iteri
+         (fun bi (b : Cfg.Block.t) ->
+           if b.start < npc then pc_is_start.(b.start) <- true;
+           for pc = b.start to min (npc - 1) (b.start + b.len - 1) do
+             pc_block.(pc) <- bi
+           done)
+         blocks;
+       (pc_block, pc_is_start))
+  in
+  let block_of_pc pc =
+    if pc >= 0 && pc < npc then (fst (Lazy.force block_map)).(pc) else -1
+  in
   (* per-image map of pcs stored encoded (a block's head may be covered
      only partially when the TT ran short, so extents come from the
      encoding actually patched into the image, not the candidate body);
@@ -586,35 +599,31 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
          (fun rgs ->
            let map = Array.make npc false in
            List.iter
-             (fun rg ->
-               for pc = rg.rg_start to min (npc - 1) (rg.rg_start + rg.rg_len - 1)
-               do
-                 map.(pc) <- true
-               done)
+             (fun rg -> region_pcs npc rg (fun pc -> map.(pc) <- true))
              rgs;
            map)
          regions)
   in
-  let meter =
-    match ledger with
-    | None -> None
-    | Some model ->
-        let encoded_pc = Lazy.force encoded_pc in
-        Some
-          (Ledger.Meter.create ~name ~model
-             ~ks:(Array.of_list (List.map (fun (k, _, _) -> k) systems))
-             ~encoded_region:(fun ~image ~pc ->
-               pc >= 0 && pc < npc && encoded_pc.(image).(pc)))
+  let new_attribution () =
+    Trace.Attribution.create
+      ~labels:(Array.of_list (List.map (fun k -> "k" ^ string_of_int k) ks))
+      ~block_starts:(Array.map (fun (b : Cfg.Block.t) -> b.start) blocks)
+      ~block_of_pc
+  in
+  let new_meter model =
+    let encoded_pc = Lazy.force encoded_pc in
+    Ledger.Meter.create ~name ~model ~ks:k_of_image
+      ~encoded_region:(fun ~image ~pc ->
+        pc >= 0 && pc < npc && encoded_pc.(image).(pc))
   in
   (* Scheme auto-selection: score each encoded region against the
-     fetch-path alternatives, then account the chosen mixed bus exactly
-     during the same counting run (per-image previous data and aux lines;
-     TT/unencoded fetches drive the stored image while aux lines hold). *)
+     fetch-path alternatives.  The choice is static, a pure function of
+     the plan and the model. *)
   let scoring_model =
     match ledger with Some m -> m | None -> Ledger.Model.on_chip
   in
   let per_t = Buspower.Energy.per_transition scoring_model.Ledger.Model.bus in
-  let auto =
+  let alt_of_region =
     match scheme_alts with
     | None -> None
     | Some sel ->
@@ -656,167 +665,235 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
               end;
               winner
         in
-        let k_of_image =
-          Array.of_list (List.map (fun (k, _, _) -> k) systems)
-        in
-        let region_of_pc =
-          Array.map
-            (fun rgs ->
-              let map = Array.make npc (-1) in
-              List.iteri
-                (fun ri rg ->
-                  for pc = rg.rg_start to min (npc - 1) (rg.rg_start + rg.rg_len - 1)
-                  do
-                    map.(pc) <- ri
-                  done)
-                rgs;
-              map)
-            regions
-        in
-        let alt_of_region =
-          Array.mapi
-            (fun v rgs ->
-              Array.of_list
-                (List.map
-                   (fun rg ->
-                     match pick ~k:k_of_image.(v) rg with
-                     | None -> None
-                     | Some b ->
-                         let module B = (val b : Buspower.Encoder.S) in
-                         let e = B.encoder ~width:32 in
-                         let c = B.cost ~width:32 in
-                         Some
-                           {
-                             art_scheme = B.scheme;
-                             art_step =
-                               (fun w ->
-                                 match B.encode e w with
-                                 | [ cw ] -> cw
-                                 | _ ->
-                                     failwith
-                                       "Pipeline.Evaluate: latency-0 backend \
-                                        emitted <> 1 codeword");
-                             art_reads_per_fetch =
-                               c.Buspower.Encoder.reads_per_fetch;
-                             art_table_words =
-                               (c.Buspower.Encoder.table_bits + 31) / 32;
-                             art_fetches = 0;
-                           })
-                   rgs))
-            regions
-        in
         Some
-          {
-            as_region_of_pc = region_of_pc;
-            as_alt = alt_of_region;
-            as_totals = Array.make nimg 0;
-            as_prev_data = Array.make nimg 0;
-            as_prev_aux = Array.make nimg 0;
-            as_tt_fetches = Array.make nimg 0;
-            as_first = true;
-          }
+          (Array.mapi
+             (fun v rgs ->
+               Array.of_list
+                 (List.map
+                    (fun rg ->
+                      match pick ~k:k_of_image.(v) rg with
+                      | None -> None
+                      | Some b ->
+                          let module B = (val b : Buspower.Encoder.S) in
+                          let e = B.encoder ~width:32 in
+                          let c = B.cost ~width:32 in
+                          Some
+                            {
+                              art_scheme = B.scheme;
+                              art_step =
+                                (fun w ->
+                                  match B.encode e w with
+                                  | [ cw ] -> cw
+                                  | _ ->
+                                      failwith
+                                        "Pipeline.Evaluate: latency-0 backend \
+                                         emitted <> 1 codeword");
+                              art_reads_per_fetch =
+                                c.Buspower.Encoder.reads_per_fetch;
+                              art_table_words =
+                                (c.Buspower.Encoder.table_bits + 31) / 32;
+                              art_fetches = 0;
+                            })
+                    rgs))
+             regions)
   in
-  let attr =
-    if attribution then
-      Some
-        (Trace.Attribution.create
-           ~labels:(Array.of_list (List.map (fun k -> "k" ^ string_of_int k) ks))
-           ~block_starts:(Array.map (fun (b : Cfg.Block.t) -> b.Cfg.Block.start) blocks)
-           ~block_of_pc:(fun pc -> if pc >= 0 && pc < npc then pc_block.(pc) else -1))
-    else None
+  (* A region that left TT drives a stateful encoder: only a live run can
+     count its bus.  So can only a live run feed the trace collector or the
+     per-fetch decoders of [verify]. *)
+  let stateful =
+    match alt_of_region with
+    | None -> false
+    | Some alts -> Array.exists (Array.exists Option.is_some) alts
   in
-  let first = ref true in
-  let on_fetch ~pc =
-    let w = Array.unsafe_get words pc in
-    if !first then begin
-      first := false;
-      baseline_prev := w;
-      for v = 0 to nimg - 1 do
-        prevs.(v) <- (Array.unsafe_get images v).(pc)
-      done
-    end
-    else begin
-      baseline_total := !baseline_total + popcount32 (w lxor !baseline_prev);
-      baseline_prev := w;
-      for v = 0 to nimg - 1 do
-        let e = Array.unsafe_get (Array.unsafe_get images v) pc in
-        Array.unsafe_set totals v
-          (Array.unsafe_get totals v
-          + popcount32 (e lxor Array.unsafe_get prevs v));
-        Array.unsafe_set prevs v e
-      done
-    end;
-    (* Attribution and trace events share one fresh per-fetch word array;
-       the ring retains it, so it must not be a reused scratch buffer. *)
-    let tracing = Trace.Collector.enabled () in
-    if tracing || attr <> None || meter <> None then begin
-      let enc = Array.init nimg (fun v -> (Array.unsafe_get images v).(pc)) in
-      (match attr with
-      | Some a -> Trace.Attribution.record a ~pc ~baseline:w ~encoded:enc
-      | None -> ());
-      (match meter with
-      | Some m -> Ledger.Meter.record m ~pc ~baseline:w ~encoded:enc
-      | None -> ());
-      if tracing then begin
-        let time = Trace.Collector.now () in
-        Trace.Collector.emit (Trace.Event.Bus { time; pc; encoded = enc });
-        if pc < npc && pc_is_start.(pc) then
-          Trace.Collector.emit
-            (Trace.Event.Block_entry { time; pc; block = pc_block.(pc) })
-      end
-    end;
-    (match auto with
+  let tracing = Trace.Collector.enabled () in
+  let first_pc = Cfg.Profile.first_pc profile in
+  let pairs f = Cfg.Profile.iter_pairs profile f in
+  (* One live run over the program: the per-fetch consumers, and under
+     [verify] a recount of every replayed figure that raises on the first
+     difference.  Returns the auto selector's per-fetch state, if any, and
+     the per-image verified fetch counts. *)
+  let live_run ~totals ~attr ~meter =
+    let decoders =
+      if verify then
+        Array.of_list
+          (List.map (fun (_, _, s) -> Hardware.Reprogram.decoder s) systems)
+      else [||]
+    in
+    let verified = Array.make nimg 0 in
+    (* the per-fetch recounts: attribution totals cover the baseline and
+       every image, whether or not the caller asked for attribution *)
+    let live_businvert = Buspower.Businvert.create ~width:32 () in
+    let live_attr = if verify then Some (new_attribution ()) else None in
+    let live_meter = if verify then Option.map new_meter ledger else None in
+    let auto =
+      match alt_of_region with
+      | Some alts when stateful || verify ->
+          Some
+            {
+              as_region_of_pc =
+                Array.map
+                  (fun rgs ->
+                    let map = Array.make npc (-1) in
+                    List.iteri
+                      (fun ri rg ->
+                        region_pcs npc rg (fun pc -> map.(pc) <- ri))
+                      rgs;
+                    map)
+                  regions;
+              as_alt = alts;
+              as_totals = Array.make nimg 0;
+              as_prev_data = Array.make nimg 0;
+              as_prev_aux = Array.make nimg 0;
+              as_tt_fetches = Array.make nimg 0;
+              as_first = true;
+            }
+      | _ -> None
+    in
+    let on_fetch ~pc =
+      let w = Array.unsafe_get words pc in
+      if verify then begin
+        Buspower.Businvert.step live_businvert w;
+        Array.iteri
+          (fun v dec ->
+            let _bus, decoded = Hardware.Fetch_decoder.fetch dec ~pc in
+            if decoded <> w then
+              raise (Verification_failed { pc; expected = w; got = decoded });
+            verified.(v) <- verified.(v) + 1)
+          decoders
+      end;
+      (* Attribution and trace events share one fresh per-fetch word array;
+         the ring retains it, so it must not be a reused scratch buffer. *)
+      if tracing || live_attr <> None || live_meter <> None then begin
+        let enc = Array.init nimg (fun v -> (Array.unsafe_get images v).(pc)) in
+        (match live_attr with
+        | Some a -> Trace.Attribution.record a ~pc ~baseline:w ~encoded:enc
+        | None -> ());
+        (match live_meter with
+        | Some m -> Ledger.Meter.record m ~pc ~baseline:w ~encoded:enc
+        | None -> ());
+        if tracing then begin
+          let time = Trace.Collector.now () in
+          Trace.Collector.emit (Trace.Event.Bus { time; pc; encoded = enc });
+          let pc_block, pc_is_start = Lazy.force block_map in
+          if pc_is_start.(pc) then
+            Trace.Collector.emit
+              (Trace.Event.Block_entry { time; pc; block = pc_block.(pc) })
+        end
+      end;
+      (* the chosen mixed bus: regions left TT and unencoded fetches drive
+         the stored image while the aux lines hold *)
+      match auto with
+      | None -> ()
+      | Some a ->
+          let first_auto = a.as_first in
+          a.as_first <- false;
+          for v = 0 to nimg - 1 do
+            let r = a.as_region_of_pc.(v).(pc) in
+            let data, aux =
+              if r >= 0 then
+                match a.as_alt.(v).(r) with
+                | Some art ->
+                    art.art_fetches <- art.art_fetches + 1;
+                    let cw = art.art_step w in
+                    (cw.Buspower.Encoder.data, cw.Buspower.Encoder.aux)
+                | None ->
+                    a.as_tt_fetches.(v) <- a.as_tt_fetches.(v) + 1;
+                    ((Array.unsafe_get images v).(pc), a.as_prev_aux.(v))
+              else ((Array.unsafe_get images v).(pc), a.as_prev_aux.(v))
+            in
+            if not first_auto then
+              a.as_totals.(v) <-
+                a.as_totals.(v)
+                + popcount32 (data lxor a.as_prev_data.(v))
+                + popcount32 (aux lxor a.as_prev_aux.(v));
+            a.as_prev_data.(v) <- data;
+            a.as_prev_aux.(v) <- aux
+          done
+    in
+    let state = Machine.Cpu.create_state () in
+    let result = Machine.Cpu.run ~on_fetch program state in
+    (match live_attr with
     | None -> ()
-    | Some a ->
-        let first_auto = a.as_first in
-        a.as_first <- false;
-        for v = 0 to nimg - 1 do
-          let r = if pc < npc then a.as_region_of_pc.(v).(pc) else -1 in
-          let data, aux =
-            if r >= 0 then
-              match a.as_alt.(v).(r) with
-              | Some art ->
-                  art.art_fetches <- art.art_fetches + 1;
-                  let cw = art.art_step w in
-                  (cw.Buspower.Encoder.data, cw.Buspower.Encoder.aux)
-              | None ->
-                  a.as_tt_fetches.(v) <- a.as_tt_fetches.(v) + 1;
-                  ((Array.unsafe_get images v).(pc), a.as_prev_aux.(v))
-            else ((Array.unsafe_get images v).(pc), a.as_prev_aux.(v))
-          in
-          if not first_auto then
-            a.as_totals.(v) <-
-              a.as_totals.(v)
-              + popcount32 (data lxor a.as_prev_data.(v))
-              + popcount32 (aux lxor a.as_prev_aux.(v));
-          a.as_prev_data.(v) <- data;
-          a.as_prev_aux.(v) <- aux
-        done);
-    ignore (Buspower.Businvert.encode businvert w);
-    if verify then
-      Array.iteri
-        (fun v dec ->
-          let _bus, decoded = Hardware.Fetch_decoder.fetch dec ~pc in
-          if decoded <> w then
-            raise (Verification_failed { pc; expected = w; got = decoded });
-          verified.(v) <- verified.(v) + 1)
-        decoders
+    | Some live_attr ->
+        let check figure ~replay ~live =
+          if replay <> live then
+            raise
+              (Replay_mismatch
+                 (Printf.sprintf "%s: replay %d, live %d" figure replay live))
+        in
+        check "instructions" ~replay:ctx.run.Machine.Cpu.instructions
+          ~live:result.Machine.Cpu.instructions;
+        check "exit code" ~replay:ctx.run.Machine.Cpu.exit_code
+          ~live:result.Machine.Cpu.exit_code;
+        if not (String.equal ctx.output (Machine.Cpu.output state)) then
+          raise (Replay_mismatch "program output");
+        check "bus-invert transitions" ~replay:ctx.businvert_transitions
+          ~live:(Buspower.Businvert.transitions live_businvert);
+        let live = Trace.Attribution.summarize live_attr in
+        check "baseline transitions" ~replay:ctx.baseline_transitions
+          ~live:live.total_baseline;
+        Array.iteri
+          (fun v live ->
+            check (Printf.sprintf "k=%d transitions" k_of_image.(v))
+              ~replay:totals.(v) ~live)
+          live.total_encoded;
+        Option.iter
+          (fun a ->
+            if Trace.Attribution.summarize a <> live then
+              raise (Replay_mismatch "attribution summary"))
+          attr;
+        match (meter, live_meter) with
+        | Some a, Some b when not (Ledger.Meter.same_counts a b) ->
+            raise (Replay_mismatch "ledger counts")
+        | _ -> ());
+    (auto, verified)
   in
-  let state = Machine.Cpu.create_state () in
-  let result =
-    Metrics.with_span Tel.span_count (fun () ->
-        gc_phase gc_count_phase (fun () ->
-            Machine.Cpu.run ~on_fetch program state))
+  let totals, attr, meter, auto, verified =
+    Metrics.with_span Tel.span_count @@ fun () ->
+    gc_phase gc_count_phase @@ fun () ->
+    (* every stateless figure is a sum over the recorded pc pairs *)
+    let totals = Array.map (Cfg.Profile.pair_transitions profile) images in
+    let attr =
+      if attribution then begin
+        let a = new_attribution () in
+        Trace.Attribution.record_pairs a ~first_pc ~pairs ~baseline:words
+          ~encoded:images;
+        Some a
+      end
+      else None
+    in
+    let meter =
+      Option.map
+        (fun model ->
+          let m = new_meter model in
+          Ledger.Meter.record_pairs m ~first_pc ~pairs ~baseline:words
+            ~encoded:images;
+          m)
+        ledger
+    in
+    if verify || tracing || stateful then begin
+      let auto, verified = live_run ~totals ~attr ~meter in
+      (totals, attr, meter, auto, verified)
+    end
+    else (totals, attr, meter, None, [||])
   in
-  Metrics.add Tel.pipeline_fetches result.Machine.Cpu.instructions;
+  let instructions = ctx.run.Machine.Cpu.instructions in
+  Metrics.add Tel.pipeline_fetches instructions;
   Metrics.add Tel.pipeline_images nimg;
   if Log.enabled () then
     Log.info "pipeline.phase"
       [
         ("phase", Log.Str "count");
-        ("instructions", Log.Int result.Machine.Cpu.instructions);
+        ("instructions", Log.Int instructions);
         ("images", Log.Int nimg);
       ];
+  let baseline_total = ctx.baseline_transitions in
+  let reduction_pct transitions =
+    if baseline_total = 0 then 0.0
+    else
+      100.0
+      *. (1.0 -. (float_of_int transitions /. float_of_int baseline_total))
+  in
   let runs =
     List.mapi
       (fun v (k, plan, _system) ->
@@ -829,26 +906,46 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
         {
           k;
           transitions = totals.(v);
-          reduction_pct =
-            (if !baseline_total = 0 then 0.0
-             else
-               100.0
-               *. (1.0
-                  -. (float_of_int totals.(v) /. float_of_int !baseline_total)));
+          reduction_pct = reduction_pct totals.(v);
           tt_used = plan.Powercode.Program_encoder.tt_used;
           blocks_encoded = encoded_blocks;
           verified_fetches = (if verify then verified.(v) else 0);
         })
       systems
   in
-  let scheme_runs =
+  (* The auto selector's bus per image: transitions over data and aux lines
+     and the fetches served by regions left TT.  With every region TT the
+     mixed bus is the TT bus, so the replay gives both; otherwise the live
+     run counted them, and under [verify] it recounted the replay's. *)
+  let mixed_bus v =
+    let replayed () =
+      ( totals.(v),
+        List.fold_left
+          (fun acc rg ->
+            let n = ref acc in
+            region_pcs npc rg (fun pc ->
+                n := !n + Cfg.Profile.instruction_count profile pc);
+            !n)
+          0 regions.(v) )
+    in
     match auto with
-    | None -> []
+    | None -> replayed ()
     | Some a ->
+        let live = (a.as_totals.(v), a.as_tt_fetches.(v)) in
+        if (not stateful) && live <> replayed () then
+          raise
+            (Replay_mismatch (Printf.sprintf "k=%d mixed bus" k_of_image.(v)));
+        live
+  in
+  let scheme_runs =
+    match alt_of_region with
+    | None -> []
+    | Some alts ->
         List.mapi
           (fun v (k, _plan, _system) ->
             let rgs = Array.of_list regions.(v) in
-            let alts_v = a.as_alt.(v) in
+            let alts_v = alts.(v) in
+            let mixed_transitions, tt_fetches = mixed_bus v in
             let fl = float_of_int in
             let alt_fetches = ref 0 and alt_read_j = ref 0.0 in
             Array.iter
@@ -863,15 +960,14 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
                          *. scoring_model.Ledger.Model.table_write_j)
                 | None -> ())
               alts_v;
-            let enc_fetches = a.as_tt_fetches.(v) + !alt_fetches in
+            let enc_fetches = tt_fetches + !alt_fetches in
             let tt_energy_j =
               (fl totals.(v) *. per_t)
               +. (fl enc_fetches *. scoring_model.Ledger.Model.tt_read_j)
             in
             let auto_energy_j =
-              (fl a.as_totals.(v) *. per_t)
-              +. (fl a.as_tt_fetches.(v)
-                 *. scoring_model.Ledger.Model.tt_read_j)
+              (fl mixed_transitions *. per_t)
+              +. (fl tt_fetches *. scoring_model.Ledger.Model.tt_read_j)
               +. !alt_read_j
             in
             (* Commit rule: an [`Auto] selection that measured worse than
@@ -935,20 +1031,14 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
                 order
             in
             let auto_transitions =
-              if reverted then totals.(v) else a.as_totals.(v)
+              if reverted then totals.(v) else mixed_transitions
             in
             {
               srun_k = k;
               choices;
               scheme_counts = counts;
               auto_transitions;
-              auto_reduction_pct =
-                (if !baseline_total = 0 then 0.0
-                 else
-                   100.0
-                   *. (1.0
-                      -. float_of_int auto_transitions
-                         /. float_of_int !baseline_total));
+              auto_reduction_pct = reduction_pct auto_transitions;
               auto_energy_j = (if reverted then tt_energy_j else auto_energy_j);
               tt_energy_j;
               reverted;
@@ -956,46 +1046,25 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
           systems
   in
   let ledger_sheet =
-    match meter with
-    | None -> None
-    | Some m ->
-        (* Conservation: the meter accumulates bus transitions independently
-           of the aggregate counting run above; any disagreement means one
-           side is broken, and a ledger built on it would lie. *)
-        if Ledger.Meter.baseline_transitions m <> !baseline_total then
-          failwith
-            (Printf.sprintf
-               "Pipeline.Evaluate: ledger baseline transitions %d <> counting \
-                run %d"
-               (Ledger.Meter.baseline_transitions m)
-               !baseline_total);
-        List.iteri
-          (fun v _ ->
-            if Ledger.Meter.encoded_transitions m v <> totals.(v) then
-              failwith
-                (Printf.sprintf
-                   "Pipeline.Evaluate: ledger image %d transitions %d <> \
-                    counting run %d"
-                   v
-                   (Ledger.Meter.encoded_transitions m v)
-                   totals.(v)))
-          systems;
+    Option.map
+      (fun m ->
         let reprogram_writes =
           Array.of_list
             (List.map
                (fun (_, _, s) -> Hardware.Reprogram.programming_writes s)
                systems)
         in
-        Some (Ledger.Meter.finalize m ~reprogram_writes)
+        Ledger.Meter.finalize m ~reprogram_writes)
+      meter
   in
   {
     name;
-    instructions = result.Machine.Cpu.instructions;
-    baseline_transitions = !baseline_total;
-    businvert_transitions = Buspower.Businvert.transitions businvert;
+    instructions;
+    baseline_transitions = baseline_total;
+    businvert_transitions = ctx.businvert_transitions;
     runs;
     coverage_pct;
-    output = Machine.Cpu.output state;
+    output = ctx.output;
     attribution = Option.map Trace.Attribution.summarize attr;
     ledger = ledger_sheet;
     schemes = scheme_runs;

@@ -1,17 +1,33 @@
 (** End-to-end evaluation of the power encoding on a program — the engine
     behind the Figure 6 / Figure 7 reproduction.
 
-    Flow: run once to profile; plan the encoding for each block size
-    (hottest basic blocks first, within the Transformation Table budget);
-    build the stored image for each plan; then run once more, counting bus
-    transitions simultaneously for the baseline image, every encoded image,
-    and the bus-invert baseline.  The dynamic PC sequence is identical for
-    every image, so a single counting run suffices.
+    Flow: record once, replay many.  One run of the program records its
+    profile and pair profile ({!Cfg.Profile}: per-pc fetch counts and how
+    often each consecutive [(pc, next_pc)] pair occurred), its instruction
+    count, exit code and output, and the image-independent baseline and
+    bus-invert totals.  Then plan the encoding for each block size (hottest
+    basic blocks first, within the Transformation Table budget) and build
+    the stored image for each plan.  Every TT image drives one fixed word
+    per pc, so its bus transitions are
+    [Σ pairs count × popcount (image.(src) lxor image.(dst))], O(static pcs
+    + jumps) with no second run; the attribution and ledger figures come
+    from the same pair sums ({!Trace.Attribution.record_pairs},
+    {!Ledger.Meter.record_pairs}).  The recording is cached with the plan
+    in {!Plan_cache}, so a warm evaluate never executes the program.
 
-    With [verify = true] every fetch is additionally pushed through the
-    {!Hardware.Fetch_decoder} model for each block size and the restored
-    word is compared against the true program — the full hardware
-    equivalence check (slower; used by tests and small runs). *)
+    A live run of the program remains only for the consumers that are
+    truly per-fetch:
+    - [verify = true]: every fetch is pushed through the
+      {!Hardware.Fetch_decoder} model for each block size and the restored
+      word is compared against the true program — the full hardware
+      equivalence check (slower; used by tests and small runs).  The same
+      run recounts every replayed figure fetch by fetch and raises
+      {!Replay_mismatch} on any difference, so [verify] is also the
+      per-fetch reference for the replay;
+    - a recording {!Trace.Collector}, which gets [Bus] and [Block_entry]
+      events;
+    - a [scheme] under which some region left TT: those backends are
+      stateful encoders, so only a live run can count their bus. *)
 
 type encoded_run = {
   k : int;
@@ -30,9 +46,10 @@ type encoded_run = {
     {!Buspower.Encoder} backend through the energy model (the [ledger]
     model when one is passed, {!Ledger.Model.on_chip} otherwise) and takes
     the cheapest, TT winning ties; the mixed bus (data plus the chosen
-    backends' redundant lines) is then accounted {e exactly} during the
-    counting run, and a selection that measured worse than all-TT is
-    discarded ([reverted]), so auto never reports higher energy than TT.
+    backends' redundant lines) is then accounted {e exactly} — by a live
+    run when some region left TT, and as the TT bus itself when none did —
+    and a selection that measured worse than all-TT is discarded
+    ([reverted]), so auto never reports higher energy than TT.
     [`Fixed name]: force every encoded region to backend [name] (["tt"]
     included), bypassing the scoring and the commit rule — the report
     carries honest numbers even when the override measures worse than TT;
@@ -78,18 +95,22 @@ type report = {
       (** per-bitline / per-block transition breakdown; [Some] iff the
           [attribution] flag was set.  Its totals equal
           [baseline_transitions] and each run's [transitions] bit-exactly
-          (streaming accumulators over the same fetch stream). *)
+          (all three are sums over the same recorded pc pairs). *)
   ledger : Ledger.Sheet.t option;
       (** itemized energy account; [Some] iff a [ledger] model was passed.
-          Its bus-transition counts are accumulated independently by
-          {!Ledger.Meter} and checked against the aggregate counting run
-          before the report is returned — a mismatch raises rather than
+          Its counts come from the same pair sums as the transition
+          totals; under [verify] a per-fetch {!Ledger.Meter} recounts
+          them, and a mismatch raises {!Replay_mismatch} rather than
           returning an inconsistent ledger. *)
   schemes : scheme_run list;
       (** one per [k], empty under the default [`Tt] scheme *)
 }
 
 exception Verification_failed of { pc : int; expected : int; got : int }
+
+(** Raised under [verify] when a figure recounted fetch by fetch differs
+    from its replay; the message names the figure and both values. *)
+exception Replay_mismatch of string
 
 (** Which basic blocks compete for the Transformation Table:
     [`Hot_blocks] (default) ranks every executed block by dynamic fetches;
@@ -108,17 +129,20 @@ type prepared = {
   rebuild : unit -> Hardware.Reprogram.system;
 }
 
-(** Content-addressed cache of the profiling + planning front half shared
+(** Content-addressed cache of the recording + planning front half shared
     by {!prepare} and {!evaluate}.
 
-    Entries are keyed on the full content that determines a plan: the
+    Entries are keyed on exactly the content that determines a plan: the
     program image words, [ks], [tt_capacity], [subset_mask],
-    [optimal_chain], [selection], and [scheme] — an FNV-1a fingerprint
+    [optimal_chain] and [selection] — an FNV-1a fingerprint
     short-circuits comparisons, but a hit requires full structural key
-    equality.  Cached plans and contexts are immutable; decode systems are
-    always rebuilt fresh, so repeated evaluations of the same program
-    (bench loops, fault campaigns, multi-benchmark CLI runs) skip the
-    profile run and the encoding entirely without observable difference.
+    equality.  [scheme] is not part of the key: it only acts after
+    planning, so [`Tt], [`Auto] and every [`Fixed] backend share one
+    entry.  Cached recordings, plans and contexts are immutable; decode
+    systems are always rebuilt fresh, so repeated evaluations of the same
+    program (bench loops, fault campaigns, multi-benchmark CLI runs) skip
+    the program run and the encoding entirely without observable
+    difference.
     Hits and misses are counted in the stable [plan.cache_hits] /
     [plan.cache_misses] telemetry; the CLI's [--no-plan-cache] flag maps
     to {!Plan_cache.set_enabled}[ false]. *)
@@ -130,7 +154,8 @@ module Plan_cache : sig
 
   val enabled : unit -> bool
 
-  (** [clear ()] drops every entry and zeroes the {!stats} counters. *)
+  (** [clear ()] drops every entry — recordings included — and zeroes the
+      {!stats} counters. *)
   val clear : unit -> unit
 
   (** [stats ()] is [(hits, misses)] since the last {!clear}. *)
@@ -138,9 +163,9 @@ module Plan_cache : sig
 end
 
 (** [prepare ?ks ?tt_capacity ?subset_mask ?optimal_chain ?selection
-    program] runs the profiling and planning front half of {!evaluate}
+    program] runs the recording and planning front half of {!evaluate}
     (same defaults, same block selection) and returns the per-[k] systems
-    without the counting run.  The front half is served from
+    without counting anything.  The front half is served from
     {!Plan_cache} when enabled. *)
 val prepare :
   ?ks:int list ->
@@ -155,14 +180,14 @@ val prepare :
     ?verify ?attribution ~name program] — defaults: [ks = [4;5;6;7]],
     [tt_capacity = 16], the paper's eight transformations, greedy chaining,
     [`Hot_blocks], no per-fetch verification, no attribution, no ledger.
-    [attribution = true] additionally maintains
-    {!Trace.Attribution} accumulators over the counting run and returns
-    their summary in the report.  [ledger = model] runs a {!Ledger.Meter}
-    over the same fetch stream (TT reads, BBIT probes, gate toggles, bus
-    transitions), charges the reprogramming writes of each built decode
-    system, and returns the priced {!Ledger.Sheet}.  Independently of
-    these flags, the counting run emits [Bus] and [Block_entry] events
-    into {!Trace.Collector} whenever that collector is recording. *)
+    [attribution = true] additionally fills {!Trace.Attribution}
+    accumulators from the recorded pairs and returns their summary in the
+    report.  [ledger = model] books a {!Ledger.Meter} from the same pairs
+    (TT reads, BBIT probes, gate toggles, bus transitions), charges the
+    reprogramming writes of each built decode system, and returns the
+    priced {!Ledger.Sheet}.  Independently of these flags, whenever
+    {!Trace.Collector} is recording, a live run emits [Bus] and
+    [Block_entry] events into it. *)
 val evaluate :
   ?ks:int list ->
   ?tt_capacity:int ->

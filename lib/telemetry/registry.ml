@@ -84,7 +84,10 @@ let block_bits =
 (* ---- machine (stable) ------------------------------------------------- *)
 
 let cpu_instructions =
-  counter ~doc:"Instructions executed (= fetch bus words) by Machine.Cpu.run"
+  counter
+    ~doc:
+      "Instructions executed (= fetch bus words) by Machine.Cpu.run; real \
+       runs only, so a warm evaluate (replayed, no run) adds none"
     "cpu.instructions"
 
 let icache_accesses =
@@ -295,19 +298,19 @@ let gc_plan_major_collections =
 
 let gc_count_minor_words =
   gc_counter "count" "minor_words"
-    "Minor-heap words allocated during counting runs"
+    "Minor-heap words allocated during count phases (replay and any live run)"
 
 let gc_count_major_words =
   gc_counter "count" "major_words"
-    "Major-heap words allocated during counting runs"
+    "Major-heap words allocated during count phases (replay and any live run)"
 
 let gc_count_minor_collections =
   gc_counter "count" "minor_collections"
-    "Minor collections during counting runs"
+    "Minor collections during count phases (replay and any live run)"
 
 let gc_count_major_collections =
   gc_counter "count" "major_collections"
-    "Major collections during counting runs"
+    "Major collections during count phases (replay and any live run)"
 
 let gc_heap_words =
   Metrics.gauge ~doc:"Major heap size in words at the last phase boundary"
@@ -326,14 +329,16 @@ let span_evaluate =
     "pipeline.evaluate"
 
 let span_profile =
-  Metrics.span ~doc:"Profiling pass (Cfg.Profile.collect)" "pipeline.profile"
+  Metrics.span
+    ~doc:"The recording run (Cfg.Profile.run): profile, pc pairs, bus-invert"
+    "pipeline.profile"
 
 let span_plan =
   Metrics.span ~doc:"Planning + encoding + hardware build, all block sizes"
     "pipeline.plan"
 
 let span_count =
-  Metrics.span ~doc:"Counting run over all images (Machine.Cpu.run)"
+  Metrics.span ~doc:"Counting over all images: pair replay, plus any live run"
     "pipeline.count"
 
 let span_encode_plan =

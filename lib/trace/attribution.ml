@@ -43,14 +43,15 @@ let create ~labels ~block_starts ~block_of_pc =
     fetches = 0;
   }
 
-let account ~lines ~blocks ~blk ~prev ~cur =
+(* [count] occurrences of the step [prev] -> [cur] *)
+let account ~count ~lines ~blocks ~blk ~prev ~cur =
   let d = prev lxor cur in
   if d <> 0 then begin
     for bit = 0 to 31 do
-      if (d lsr bit) land 1 = 1 then lines.(bit) <- lines.(bit) + 1
+      if (d lsr bit) land 1 = 1 then lines.(bit) <- lines.(bit) + count
     done;
     if blk >= 0 && blk < Array.length blocks then
-      blocks.(blk) <- blocks.(blk) + Bitutil.Popcount.count32 d
+      blocks.(blk) <- blocks.(blk) + (count * Bitutil.Popcount.count32 d)
   end
 
 let record (t : t) ~pc ~baseline ~encoded =
@@ -58,19 +59,36 @@ let record (t : t) ~pc ~baseline ~encoded =
     invalid_arg "Trace.Attribution.record: encoded word count <> labels";
   let blk = t.block_of_pc pc in
   if t.primed then
-    account ~lines:t.line_baseline ~blocks:t.block_baseline ~blk
+    account ~count:1 ~lines:t.line_baseline ~blocks:t.block_baseline ~blk
       ~prev:t.prev_base ~cur:baseline;
   t.prev_base <- baseline;
   t.primed <- true;
   Array.iteri
     (fun i w ->
       if t.enc_primed.(i) then
-        account ~lines:t.line_encoded.(i) ~blocks:t.block_encoded.(i) ~blk
-          ~prev:t.prev_enc.(i) ~cur:w;
+        account ~count:1 ~lines:t.line_encoded.(i)
+          ~blocks:t.block_encoded.(i) ~blk ~prev:t.prev_enc.(i) ~cur:w;
       t.prev_enc.(i) <- w;
       t.enc_primed.(i) <- true)
     encoded;
   t.fetches <- t.fetches + 1
+
+let record_pairs (t : t) ~first_pc ~pairs ~baseline ~encoded =
+  if Array.length encoded <> Array.length t.labels then
+    invalid_arg "Trace.Attribution.record_pairs: encoded image count <> labels";
+  if t.fetches > 0 then
+    invalid_arg "Trace.Attribution.record_pairs: accumulator already fed";
+  if first_pc >= 0 then t.fetches <- 1;
+  pairs (fun ~src ~dst ~count ->
+      let blk = t.block_of_pc dst in
+      account ~count ~lines:t.line_baseline ~blocks:t.block_baseline ~blk
+        ~prev:baseline.(src) ~cur:baseline.(dst);
+      Array.iteri
+        (fun i image ->
+          account ~count ~lines:t.line_encoded.(i) ~blocks:t.block_encoded.(i)
+            ~blk ~prev:image.(src) ~cur:image.(dst))
+        encoded;
+      t.fetches <- t.fetches + count)
 
 let sum = Array.fold_left ( + ) 0
 

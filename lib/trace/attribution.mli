@@ -1,7 +1,8 @@
 (** Exact per-bitline and per-basic-block attribution of bus transitions.
 
     Fed one call per dynamic instruction fetch with the baseline bus word
-    and the corresponding word of each encoded image, it maintains streaming
+    and the corresponding word of each encoded image (or the whole stream
+    at once from its pair profile, {!record_pairs}), it maintains
     accumulators — unlike the trace ring buffer it never drops data, so the
     per-line counts sum {e bit-exactly} to the aggregate transition counts
     reported by [Pipeline.Evaluate] (the test suite asserts this for every
@@ -28,6 +29,23 @@ val create :
 (** [record t ~pc ~baseline ~encoded] accounts one fetch.  [encoded] must
     have one word per label (raises [Invalid_argument] otherwise). *)
 val record : t -> pc:int -> baseline:int -> encoded:int array -> unit
+
+(** [record_pairs t ~first_pc ~pairs ~baseline ~encoded] accounts a whole
+    fetch stream from its pair profile, on a fresh [t]: [first_pc] is the
+    pc of the first fetch ([-1] for an empty stream), [pairs f] calls
+    [f ~src ~dst ~count] once per distinct consecutive pc pair, and pc [p]
+    drives [baseline.(p)] and [encoded.(i).(p)] — one image per label.
+    Because each image drives a fixed word per pc, the summary equals
+    {!record}ing the stream fetch by fetch; the accumulator is then
+    finished (only {!summarize} it).  Raises [Invalid_argument] when [t]
+    already recorded fetches or [encoded] has the wrong length. *)
+val record_pairs :
+  t ->
+  first_pc:int ->
+  pairs:((src:int -> dst:int -> count:int -> unit) -> unit) ->
+  baseline:int array ->
+  encoded:int array array ->
+  unit
 
 type summary = {
   labels : string array;

@@ -213,6 +213,94 @@ let test_hot_blocks_order () =
         blocks
   | [] -> Alcotest.fail "no hot blocks"
 
+(* ---- pair profile ------------------------------------------------------------ *)
+
+(* a counted loop around a call: sequential pairs, a taken back edge, and
+   the call and return jumps *)
+let loop_with_call =
+  {|
+    li $t0, 3
+  loop:
+    jal f
+    addiu $t0, $t0, -1
+    bgtz $t0, loop
+    li $v0, 10
+    syscall
+  f:
+    addiu $t1, $t1, 1
+    jr $ra
+  |}
+
+let pairs_of profile =
+  let acc = ref [] in
+  Profile.iter_pairs profile (fun ~src ~dst ~count ->
+      acc := (src, dst, count) :: !acc);
+  List.rev !acc
+
+let test_pair_profile_sums () =
+  List.iter
+    (fun src ->
+      let p = Asm.assemble src in
+      let profile, result = Profile.collect p in
+      let n = result.Machine.Cpu.instructions in
+      let seq = ref 0 and jumps = ref 0 in
+      for pc = 0 to Program.length p - 1 do
+        seq := !seq + Profile.sequential_count profile pc
+      done;
+      Profile.iter_jumps profile (fun ~src ~dst ~count ->
+          check_bool "a jump is non-sequential" true (dst <> src + 1);
+          jumps := !jumps + count);
+      check_int "sequential + jumps = instructions - 1" (n - 1) (!seq + !jumps);
+      (* every fetch but the first enters its pc through exactly one pair *)
+      let pairs = pairs_of profile in
+      for pc = 0 to Program.length p - 1 do
+        let into =
+          List.fold_left (fun s (_, d, c) -> if d = pc then s + c else s) 0 pairs
+        in
+        check_int
+          (Printf.sprintf "in-degree of pc %d" pc)
+          (Profile.instruction_count profile pc)
+          (into + if pc = Profile.first_pc profile then 1 else 0)
+      done;
+      (* the pair sum is the per-fetch count of the stream *)
+      let words = Program.words p in
+      let live = ref 0 and prev = ref None in
+      ignore
+        (Machine.Cpu.run
+           ~on_fetch:(fun ~pc ->
+             Option.iter
+               (fun w -> live := !live + Bitutil.Popcount.count32 (w lxor words.(pc)))
+               !prev;
+             prev := Some words.(pc))
+           p (Machine.Cpu.create_state ()));
+      check_int "pair transitions = per-fetch transitions" !live
+        (Profile.pair_transitions profile words))
+    [ straight_line; diamond; simple_loop; nested_loops; loop_with_call ]
+
+let test_pair_profile_pinned () =
+  let p = Asm.assemble loop_with_call in
+  let profile, result = Profile.collect p in
+  (* 0 (1 6 7 2 3)x3 4 5 *)
+  check_int "fetches" 18 result.Machine.Cpu.instructions;
+  check_int "first pc" 0 (Profile.first_pc profile);
+  Alcotest.(check (list (pair int int)))
+    "sequential counts" [ (0, 1); (2, 3); (3, 1); (4, 1); (6, 3) ]
+    (List.filter_map
+       (fun pc ->
+         match Profile.sequential_count profile pc with
+         | 0 -> None
+         | c -> Some (pc, c))
+       (List.init (Program.length p) Fun.id));
+  let jumps = ref [] in
+  Profile.iter_jumps profile (fun ~src ~dst ~count ->
+      jumps := (src, dst, count) :: !jumps);
+  Alcotest.(check (list (triple int int int)))
+    "call, return and back edge" [ (1, 6, 3); (3, 1, 2); (7, 2, 3) ]
+    (List.rev !jumps);
+  (* with pc p driving the word p: 1+3+3+1+3 sequential, 9+2+6 jumps *)
+  check_int "pair transitions" 28
+    (Profile.pair_transitions profile (Array.init (Program.length p) Fun.id))
+
 let test_coverage () =
   let p = Asm.assemble simple_loop in
   let profile, _ = Profile.collect p in
@@ -251,5 +339,8 @@ let () =
           Alcotest.test_case "counts" `Quick test_profile_counts;
           Alcotest.test_case "hot order" `Quick test_hot_blocks_order;
           Alcotest.test_case "coverage" `Quick test_coverage;
+          Alcotest.test_case "pair sums" `Quick test_pair_profile_sums;
+          Alcotest.test_case "pairs of a loop with a call" `Quick
+            test_pair_profile_pinned;
         ] );
     ]

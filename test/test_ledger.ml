@@ -147,6 +147,38 @@ let test_meter_synthetic () =
   check_float "write joules" 77.0 (Sheet.energy e.Sheet.reprogram_writes);
   check_float "overhead" 110.0 (Sheet.overhead_j e)
 
+(* The synthetic stream's pcs, each driving one fixed word, with the loop
+   2 -> 5 -> 2 taken twice: booked fetch by fetch and from its pair
+   profile, every counter must agree. *)
+let test_meter_pairs_equal_stream () =
+  let create () =
+    Meter.create ~name:"pairs" ~model:Model.on_chip ~ks:[| 5 |]
+      ~encoded_region:(fun ~image:_ ~pc -> pc >= 2 && pc <= 3)
+  in
+  let baseline = [| 0b0000; 0b0011; 0b0111; 0; 0; 0b0000 |] in
+  let encoded = [| [| 0b0000; 0b0001; 0b0011; 0; 0; 0b0000 |] |] in
+  let stream = create () in
+  List.iter
+    (fun pc ->
+      Meter.record stream ~pc ~baseline:baseline.(pc)
+        ~encoded:[| encoded.(0).(pc) |])
+    [ 0; 1; 2; 5; 2; 5; 2 ];
+  let replayed = create () in
+  Meter.record_pairs replayed ~first_pc:0
+    ~pairs:(fun f ->
+      List.iter
+        (fun (src, dst, count) -> f ~src ~dst ~count)
+        [ (0, 1, 1); (1, 2, 1); (2, 5, 2); (5, 2, 2) ])
+    ~baseline ~encoded;
+  check_bool "same counters" true (Meter.same_counts stream replayed);
+  check_int "fetches" 7 (Meter.fetches replayed);
+  check_int "baseline transitions" 15 (Meter.baseline_transitions replayed);
+  Alcotest.check_raises "a fed meter refuses a replay"
+    (Invalid_argument "Ledger.Meter.record_pairs: meter already fed")
+    (fun () ->
+      Meter.record_pairs replayed ~first_pc:0 ~pairs:(fun _ -> ()) ~baseline
+        ~encoded)
+
 let test_meter_rejects_arity_mismatch () =
   let m =
     Meter.create ~name:"arity" ~model:Model.on_chip ~ks:[| 4; 5 |]
@@ -308,6 +340,8 @@ let () =
       ( "meter",
         [
           Alcotest.test_case "synthetic stream" `Quick test_meter_synthetic;
+          Alcotest.test_case "pairs equal the stream" `Quick
+            test_meter_pairs_equal_stream;
           Alcotest.test_case "arity mismatch" `Quick
             test_meter_rejects_arity_mismatch;
         ] );

@@ -235,7 +235,8 @@ let scheme_summary (r : Evaluate.report) =
         s.Evaluate.reverted ))
     r.Evaluate.schemes
 
-let test_cache_scheme_key () =
+(* planning never reads the scheme, so every scheme shares one entry *)
+let test_cache_schemes_share_entry () =
   with_fresh_cache (fun () ->
       let program = (Workloads.compile (scaled "sor")).Minic.Compile.program in
       let expect label hits misses =
@@ -244,19 +245,17 @@ let test_cache_scheme_key () =
       in
       ignore (Evaluate.evaluate ~ks:[ 4; 5 ] ~name:"sor" program);
       expect "cold default (tt)" 0 1;
-      ignore (Evaluate.evaluate ~ks:[ 4; 5 ] ~name:"sor" program);
-      expect "default hits before a scheme change" 1 1;
       ignore (Evaluate.evaluate ~ks:[ 4; 5 ] ~scheme:`Auto ~name:"sor" program);
-      expect "auto misses: scheme is part of the key" 1 2;
+      expect "auto hits the tt entry" 1 1;
       ignore
         (Evaluate.evaluate ~ks:[ 4; 5 ] ~scheme:(`Fixed "businvert")
            ~name:"sor" program);
-      expect "fixed backend misses again" 1 3;
-      ignore (Evaluate.evaluate ~ks:[ 4; 5 ] ~scheme:`Auto ~name:"sor" program);
-      expect "auto key now cached" 2 3;
+      expect "a fixed backend hits it too" 2 1;
       ignore (Evaluate.evaluate ~ks:[ 4; 5 ] ~scheme:(`Fixed "tt") ~name:"sor"
                 program);
-      expect "`Fixed tt shares the tt key" 3 3)
+      expect "`Fixed tt hits it too" 3 1;
+      ignore (Evaluate.prepare ~ks:[ 4; 5 ] program);
+      expect "prepare shares the entry" 4 1)
 
 let test_cache_disabled_scheme_equivalence () =
   (* a cached scheme run and an uncached one must agree on every region
@@ -358,8 +357,8 @@ let () =
             test_cache_key_sensitivity;
           Alcotest.test_case "disabled equivalence" `Quick
             test_cache_disabled_equivalence;
-          Alcotest.test_case "scheme is part of the key" `Quick
-            test_cache_scheme_key;
+          Alcotest.test_case "schemes share one entry" `Quick
+            test_cache_schemes_share_entry;
           Alcotest.test_case "disabled equivalence with schemes" `Quick
             test_cache_disabled_scheme_equivalence;
         ] );

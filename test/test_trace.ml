@@ -147,7 +147,7 @@ let test_vcd_from_real_run () =
     with_collector ~capacity:200_000 @@ fun () ->
     let r = Evaluate.evaluate_workload w in
     check_int "nothing dropped at this capacity" 0 (Collector.dropped ());
-    (* profile pass + counting pass both tick the clock *)
+    (* the recording run + the live run a recording collector asks for *)
     check_int "fetch ticks = 2 runs of the program"
       (2 * r.Evaluate.instructions)
       (Collector.fetches ());
@@ -440,6 +440,37 @@ let test_attribution_json_embeds () =
   check_bool "object shaped" true
     (json.[0] = '{' && json.[String.length json - 1] = '}')
 
+(* A stream where each pc drives one fixed word, accounted fetch by fetch
+   and from its pair profile: the two summaries must be equal. *)
+let test_attribution_pairs_equal_stream () =
+  let create () =
+    Attribution.create ~labels:[| "k5" |] ~block_starts:[| 0; 2 |]
+      ~block_of_pc:(fun pc -> if pc < 2 then 0 else 1)
+  in
+  let baseline = [| 0b0000; 0b0011; 0b0111; 0; 0; 0b1000 |] in
+  let encoded = [| [| 0b0000; 0b0001; 0b0011; 0; 0; 0b1001 |] |] in
+  let stream = create () in
+  List.iter
+    (fun pc ->
+      Attribution.record stream ~pc ~baseline:baseline.(pc)
+        ~encoded:[| encoded.(0).(pc) |])
+    [ 0; 1; 2; 5; 2; 5; 2 ];
+  let replayed = create () in
+  Attribution.record_pairs replayed ~first_pc:0
+    ~pairs:(fun f ->
+      List.iter
+        (fun (src, dst, count) -> f ~src ~dst ~count)
+        [ (0, 1, 1); (1, 2, 1); (2, 5, 2); (5, 2, 2) ])
+    ~baseline ~encoded;
+  check_bool "same summary" true
+    (Attribution.summarize stream = Attribution.summarize replayed);
+  check_int "fetches" 7 (Attribution.summarize replayed).Attribution.fetches;
+  Alcotest.check_raises "a fed accumulator refuses a replay"
+    (Invalid_argument "Trace.Attribution.record_pairs: accumulator already fed")
+    (fun () ->
+      Attribution.record_pairs replayed ~first_pc:0 ~pairs:(fun _ -> ())
+        ~baseline ~encoded)
+
 (* ---- evaluate emits trace events ---------------------------------------- *)
 
 let test_evaluate_emits_events () =
@@ -530,6 +561,8 @@ let () =
           Alcotest.test_case "sums exact on every benchmark and k" `Quick
             test_attribution_sums_exact;
           Alcotest.test_case "json embeds" `Quick test_attribution_json_embeds;
+          Alcotest.test_case "pairs equal the stream" `Quick
+            test_attribution_pairs_equal_stream;
         ] );
       ( "evaluate",
         [
