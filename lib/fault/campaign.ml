@@ -79,8 +79,6 @@ let prepare_pairs config =
     (fun w ->
       let compiled = Workloads.compile w in
       let program = compiled.Minic.Compile.program in
-      let state = Machine.Cpu.create_state () in
-      let result = Machine.Cpu.run program state in
       let preps = Pipeline.Evaluate.prepare ~ks:config.ks program in
       List.map
         (fun (p : Pipeline.Evaluate.prepared) ->
@@ -98,10 +96,10 @@ let prepare_pairs config =
             pair_space =
               Model.space p.Pipeline.Evaluate.prep_system
                 ~regions:recovery.Hardware.Fetch_decoder.regions
-                ~fetches:result.Machine.Cpu.instructions;
-            baseline_output = Machine.Cpu.output state;
-            baseline_exit = result.Machine.Cpu.exit_code;
-            baseline_instructions = result.Machine.Cpu.instructions;
+                ~fetches:p.Pipeline.Evaluate.prep_instructions;
+            baseline_output = p.Pipeline.Evaluate.prep_output;
+            baseline_exit = p.Pipeline.Evaluate.prep_exit_code;
+            baseline_instructions = p.Pipeline.Evaluate.prep_instructions;
           })
         preps)
     config.benches
@@ -169,10 +167,40 @@ let static_corruption (pair : pair) system =
       }
   end
 
+(* The machine states of one campaign's injections.  An injection takes a
+   free state and resets it, or makes one when none is free, and hands it
+   back when done: a campaign allocates one 4 MiB state per domain that
+   runs its injections instead of one per injection.  The states die with
+   the campaign: kept per domain for the life of the process instead, they
+   stay live between campaigns, and the collector then lets other work's
+   garbage pile up higher (see README, Performance). *)
+type states = { lock : Mutex.t; mutable free : Machine.Cpu.state list }
+
+let with_state states f =
+  let state =
+    match
+      Mutex.protect states.lock (fun () ->
+          match states.free with
+          | s :: rest ->
+              states.free <- rest;
+              Some s
+          | [] -> None)
+    with
+    | Some s ->
+        Machine.Cpu.reset_state s;
+        s
+    | None -> Machine.Cpu.create_state ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect states.lock (fun () -> states.free <- state :: states.free))
+    (fun () -> f state)
+
 (* Run one pre-sampled injection.  Touches nothing shared mutably — the
-   rebuilt system, decoder, and CPU state are all local — so injections
-   fan out over the domain pool; [pair.recovery] is shared read-only. *)
-let inject_target ~id (pair : pair) target =
+   rebuilt system and decoder are local, the CPU state is the injection's
+   own until it hands it back — so injections fan out over the domain
+   pool; [pair.recovery] is shared read-only. *)
+let inject_target ~states ~id (pair : pair) target =
   let system = pair.rebuild () in
   Model.apply system target;
   let dec = Hardware.Reprogram.decoder ~recovery:pair.recovery system in
@@ -196,9 +224,9 @@ let inject_target ~id (pair : pair) target =
           (fun () -> snd (Hardware.Fetch_decoder.fetch dec ~pc))
     | _ -> snd (Hardware.Fetch_decoder.fetch dec ~pc)
   in
-  let state = Machine.Cpu.create_state () in
   let cap = (pair.baseline_instructions * 4) + 10_000 in
   let outcome =
+    with_state states @@ fun state ->
     match Machine.Cpu.run ~max_cycles:cap ~fetch_word pair.program state with
     | result ->
         let detections =
@@ -268,6 +296,7 @@ let run config =
      sample-inside-each-injection order — which is what lets phase B
      reorder execution freely. *)
   let rng = Random.State.make [| config.seed |] in
+  let states = { lock = Mutex.create (); free = [] } in
   let targets =
     Array.init config.injections (fun id ->
         Model.sample rng pairs.(id mod npairs).pair_space)
@@ -278,7 +307,7 @@ let run config =
   let records =
     Array.to_list
       (Powercode.Parpool.parallel_init config.injections (fun id ->
-           inject_target ~id pairs.(id mod npairs) targets.(id)))
+           inject_target ~states ~id pairs.(id mod npairs) targets.(id)))
   in
   let totals =
     List.map
@@ -343,13 +372,14 @@ let to_json (r : report) =
     (String.concat ", "
        (List.map (fun (c, n) -> Printf.sprintf "\"%s\": %d" c n) r.totals));
   Buffer.add_string b "  \"records\": [\n";
+  let last = List.length r.records - 1 in
   List.iteri
     (fun i rec_ ->
       Printf.bprintf b
         {|    {"id":%d,"bench":"%s","k":%d,"target":"%s","outcome":%s}|}
         rec_.id (json_escape rec_.bench) rec_.k (json_escape rec_.target)
         (outcome_json rec_.outcome);
-      if i < List.length r.records - 1 then Buffer.add_string b ",";
+      if i < last then Buffer.add_string b ",";
       Buffer.add_string b "\n")
     r.records;
   Buffer.add_string b "  ]\n}\n";

@@ -5,15 +5,42 @@
    trading the region's power savings for architecturally-correct fetches. *)
 type recovery = { raw : int array; regions : (int * int) array }
 
+(* One TT entry lowered for the fetch path.  The 32 per-line gates become
+   four minterm masks: line [l] is set in [m_xy] when its gate outputs 1 at
+   stored bit [x] and history bit [y], so a decode is four word-wide ANDs
+   ORed together.  An entry the gates cannot decode keeps the reason, so
+   the fault is raised at decode time exactly as a line-by-line walk would
+   raise it. *)
+type lowering =
+  | Gates of { m00 : int; m01 : int; m10 : int; m11 : int }
+  | Bad_gate  (* a line's index addresses no gate *)
+  | Narrow  (* [tau_indices] is shorter than the bus *)
+
+type compiled = { entry : Tt.entry; parity_ok : bool; lowering : lowering }
+
+(* The BBIT's associative match at one pc, [(slot, entry)] on a hit. *)
+type probe = Unprobed | Probed of (int * Bbit.entry) option
+
 type t = {
   tt : Tt.t;
   bbit : Bbit.t;
   k : int;
   image : int array;
   width : int;
+  (* the TT's gate set; fixed when the table is created *)
+  gates : Powercode.Boolfun.t array;
   recovery : recovery option;
   (* per BBIT slot: true once the slot's region fell back to identity *)
   degraded : bool array;
+  mutable degraded_count : int;
+  (* per TT index, filled on first read; valid while [Tt.version] equals
+     [tt_version] *)
+  compiled : compiled option array;
+  mutable tt_version : int;
+  (* per image pc, filled on first fetch; valid while [Bbit.version]
+     equals [bbit_version] *)
+  probes : probe array;
+  mutable bbit_version : int;
   mutable tt_detections : int;
   mutable bbit_detections : int;
   mutable fallbacks : int;
@@ -48,8 +75,14 @@ let create ~tt ~bbit ~k ~image ?recovery () =
     k;
     image;
     width = 32;
+    gates = Tt.functions tt;
     recovery;
     degraded = Array.make (Bbit.capacity bbit) false;
+    degraded_count = 0;
+    compiled = Array.make (Tt.capacity tt) None;
+    tt_version = Tt.version tt;
+    probes = Array.make (Array.length image) Unprobed;
+    bbit_version = Bbit.version bbit;
     tt_detections = 0;
     bbit_detections = 0;
     fallbacks = 0;
@@ -92,6 +125,7 @@ let region_start t slot =
 let degrade t slot =
   if slot >= 0 && slot < Array.length t.degraded && not t.degraded.(slot) then begin
     t.degraded.(slot) <- true;
+    t.degraded_count <- t.degraded_count + 1;
     if Trace.Collector.enabled () then
       Trace.Collector.emit
         (Trace.Event.Fault_fallback
@@ -115,17 +149,75 @@ let detect_bbit t slot =
       (Trace.Event.Fault_detect
          { time = Trace.Collector.now (); where = "bbit"; index = slot })
 
+let lower t (entry : Tt.entry) =
+  let taus = entry.Tt.tau_indices in
+  let lines = min (Array.length taus) t.width in
+  let ngates = Array.length t.gates in
+  let rec go line m00 m01 m10 m11 =
+    if line = lines then
+      if lines < t.width then Narrow else Gates { m00; m01; m10; m11 }
+    else
+      let gi = taus.(line) in
+      if gi < 0 || gi >= ngates then Bad_gate
+      else
+        (* truth-table bit [2x + y] is the gate's value at (x, y) *)
+        let truth = Powercode.Boolfun.index t.gates.(gi) and b = 1 lsl line in
+        let on i m = if truth land (1 lsl i) <> 0 then m lor b else m in
+        go (line + 1) (on 0 m00) (on 1 m01) (on 2 m10) (on 3 m11)
+  in
+  go 0 0 0 0 0
+
+(* The compiled entry at [index], or [None] when no entry is readable
+   there.  Any TT write or upset since the last read drops the cache. *)
+let compiled_entry t index =
+  let v = Tt.version t.tt in
+  if v <> t.tt_version then begin
+    Array.fill t.compiled 0 (Array.length t.compiled) None;
+    t.tt_version <- v
+  end;
+  if index < 0 || index >= Array.length t.compiled then None
+  else
+    match t.compiled.(index) with
+    | Some _ as c -> c
+    | None -> (
+        match Tt.read_opt t.tt index with
+        | None -> None
+        | Some entry ->
+            let c =
+              Some
+                {
+                  entry;
+                  parity_ok = Tt.parity_ok t.tt index;
+                  lowering = lower t entry;
+                }
+            in
+            t.compiled.(index) <- c;
+            c)
+
+let bbit_lookup t pc =
+  let v = Bbit.version t.bbit in
+  if v <> t.bbit_version then begin
+    Array.fill t.probes 0 (Array.length t.probes) Unprobed;
+    t.bbit_version <- v
+  end;
+  match t.probes.(pc) with
+  | Probed p -> p
+  | Unprobed ->
+      let p = Bbit.lookup_slot t.bbit ~pc in
+      t.probes.(pc) <- Probed p;
+      p
+
 (* The fetch path's TT read: never [Invalid_argument].  An unreadable
    entry is a typed fault; a parity mismatch degrades the current region
    (hardened) or raises the typed parity fault (strict). *)
 let tt_entry_checked t index =
-  match Tt.read_opt t.tt index with
+  match compiled_entry t index with
   | None ->
       fault
         (Machine.Fault.Tt_read_invalid
            { index; reason = "entry never programmed or out of capacity" })
-  | Some e ->
-      if Tt.parity_ok t.tt index then e
+  | Some c ->
+      if c.parity_ok then c
       else begin
         detect_tt t index;
         match t.recovery with
@@ -153,6 +245,7 @@ let scrub_bbit t =
 let degraded_region_of t pc =
   match t.recovery with
   | None -> None
+  | Some _ when t.degraded_count = 0 -> None
   | Some r ->
       let found = ref (-1) in
       Array.iteri
@@ -174,51 +267,51 @@ let serve_raw t ~pc =
       let w = r.raw.(pc) in
       (w, w)
 
-(* Apply the per-line gates of [entry] (the current TT entry). *)
-let decode_word t entry stored =
-  let history_word =
-    if t.first_of_entry then t.prev_stored else t.prev_decoded
-  in
-  let out = ref 0 in
-  let fns = Tt.functions t.tt in
-  let nfns = Array.length fns in
-  for line = 0 to t.width - 1 do
-    let fi = entry.Tt.tau_indices.(line) in
-    if fi < 0 || fi >= nfns then
+(* All 32 gates of the current entry at once; the masks hold lines 0..31
+   only, so the word stays 32 bits wide.  A short [tau_indices] array
+   aborts: no upset of a stored index field can produce one. *)
+let decode_word t c stored =
+  match c.lowering with
+  | Bad_gate ->
       fault
         (Machine.Fault.Tt_read_invalid
-           { index = t.entry_idx; reason = "gate index addresses no gate" });
-    let s = stored lsr line land 1 = 1 in
-    let h = history_word lsr line land 1 = 1 in
-    if Powercode.Boolfun.apply fns.(fi) s h then out := !out lor (1 lsl line)
-  done;
-  !out
+           { index = t.entry_idx; reason = "gate index addresses no gate" })
+  | Narrow -> invalid_arg "Fetch_decoder: TT entry narrower than the bus"
+  | Gates { m00; m01; m10; m11 } ->
+      let h = if t.first_of_entry then t.prev_stored else t.prev_decoded in
+      let s = stored and ns = lnot stored and nh = lnot h in
+      s land h land m11
+      lor (s land nh land m10)
+      lor (ns land h land m01)
+      lor (ns land nh land m00)
 
-let advance_entry t entry =
-  t.decodes_left <- t.decodes_left - 1;
-  if t.decodes_left = 0 then begin
-    if entry.Tt.e_bit then deactivate t
-    else begin
-      t.entry_idx <- t.entry_idx + 1;
-      let next = tt_entry_checked t t.entry_idx in
-      t.decodes_left <- next.Tt.ct;
-      t.first_of_entry <- true
-    end
+(* The current entry's CT count is used up: end the block, or move on to
+   the next entry. *)
+let end_of_entry t (e : Tt.entry) =
+  if e.Tt.e_bit then deactivate t
+  else begin
+    t.entry_idx <- t.entry_idx + 1;
+    t.decodes_left <- (tt_entry_checked t t.entry_idx).entry.Tt.ct;
+    t.first_of_entry <- true
   end
+
+let advance_entry t c =
+  t.decodes_left <- t.decodes_left - 1;
+  if t.decodes_left = 0 then end_of_entry t c.entry
   else t.first_of_entry <- false
 
 let fetch t ~pc =
   if pc < 0 || pc >= Array.length t.image then
     fault
       (Machine.Fault.Image_out_of_range { pc; limit = Array.length t.image });
-  if t.recovery <> None then scrub_bbit t;
+  (match t.recovery with Some _ -> scrub_bbit t | None -> ());
   match degraded_region_of t pc with
   | Some _slot -> serve_raw t ~pc
   | None -> (
       let stored = t.image.(pc) in
       try
         let probe =
-          match Bbit.lookup_slot t.bbit ~pc with
+          match bbit_lookup t pc with
           | Some (slot, _) when t.degraded.(slot) -> None
           | probe -> probe
         in
@@ -245,24 +338,16 @@ let fetch t ~pc =
             (* Head instruction: stored verbatim; prime the sequencing
                state. *)
             t.current_slot <- slot;
-            let head_entry = tt_entry_checked t entry.Bbit.tt_base in
+            let head = (tt_entry_checked t entry.Bbit.tt_base).entry in
             t.is_active <- true;
             t.entry_idx <- entry.Bbit.tt_base;
             (* The head consumes one of entry 0's CT count. *)
-            t.decodes_left <- head_entry.Tt.ct - 1;
+            t.decodes_left <- head.Tt.ct - 1;
             t.first_of_entry <- true;
             t.expected_pc <- pc + 1;
             t.prev_stored <- stored;
             t.prev_decoded <- stored;
-            if t.decodes_left = 0 then begin
-              if head_entry.Tt.e_bit then deactivate t
-              else begin
-                t.entry_idx <- t.entry_idx + 1;
-                let next = tt_entry_checked t t.entry_idx in
-                t.decodes_left <- next.Tt.ct;
-                t.first_of_entry <- true
-              end
-            end;
+            if t.decodes_left = 0 then end_of_entry t head;
             (stored, stored)
         | None ->
             if not t.is_active then (stored, stored)
@@ -278,8 +363,8 @@ let fetch t ~pc =
                             (expected %d)"
                            t.expected_pc;
                      });
-              let entry = tt_entry_checked t t.entry_idx in
-              let decoded = decode_word t entry stored in
+              let c = tt_entry_checked t t.entry_idx in
+              let decoded = decode_word t c stored in
               if Trace.Collector.enabled () then
                 Trace.Collector.emit
                   (Trace.Event.Decode
@@ -287,11 +372,11 @@ let fetch t ~pc =
                        time = Trace.Collector.now ();
                        pc;
                        entry = t.entry_idx;
-                       taus = Array.copy entry.Tt.tau_indices;
+                       taus = Array.copy c.entry.Tt.tau_indices;
                      });
               t.expected_pc <- pc + 1;
               let prev_stored = stored and prev_decoded = decoded in
-              advance_entry t entry;
+              advance_entry t c;
               t.prev_stored <- prev_stored;
               t.prev_decoded <- prev_decoded;
               (stored, decoded)

@@ -16,7 +16,26 @@
     gracefully instead of faulting on parity detections: the corrupted
     entry's whole region falls back to identity decode of the raw words,
     trading that region's power savings for architecturally-correct
-    fetches. *)
+    fetches.
+
+    {2 Compiled entries}
+
+    As in the hardware, all 32 decode gates fire at once.  The first read
+    of a TT entry lowers its per-line gate indices into four minterm masks
+    (which lines output 1 for stored/history bits 00, 01, 10 and 11), so a
+    decode is four word-wide ANDs ORed together.  The same read records
+    the entry's parity result and whether it can be decoded at all (a gate
+    index that addresses no gate, or [tau_indices] shorter than the bus).
+    The BBIT match at each pc is cached the same way.  Every fault fires
+    at the fetch and with the payload a line-by-line walk would give, and
+    every detection is counted on each read that sees it.
+
+    The caches follow the tables through {!Tt.version} and
+    {!Bbit.version}: any write or upset bumps the version, and the next
+    fetch drops everything derived from the older one, so an upset made
+    mid-run is seen on the very next fetch.  Changing a table by any other
+    route (mutating an entry's [tau_indices] array in place) is not
+    seen. *)
 
 type t
 

@@ -8,6 +8,7 @@ type t = {
      stored fields without refreshing it, exactly as an SEU would *)
   parities : int array;
   mutable writes : int;
+  mutable version : int;
 }
 
 let int_parity v =
@@ -39,6 +40,7 @@ let create ?(capacity = 16) ?functions () =
     slots = Array.make capacity None;
     parities = Array.make capacity 0;
     writes = 0;
+    version = 0;
   }
 
 let capacity t = t.capacity
@@ -61,6 +63,7 @@ let write t ~index entry =
   t.slots.(index) <- Some entry;
   t.parities.(index) <- entry_parity entry;
   t.writes <- t.writes + 1;
+  t.version <- t.version + 1;
   if Trace.Collector.enabled () then
     Trace.Collector.emit
       (Trace.Event.Tt_program { time = Trace.Collector.now (); index })
@@ -106,7 +109,8 @@ let corrupt t ~index upset =
             { e with ct = e.ct lxor (1 lsl bit) }
       in
       (* the stored cell changed underneath the parity bit: no refresh *)
-      t.slots.(index) <- Some e'
+      t.slots.(index) <- Some e';
+      t.version <- t.version + 1
 
 let index_of_function t f =
   let found = ref (-1) in
@@ -132,6 +136,7 @@ let tau t ~index ~line =
   t.functions.(e.tau_indices.(line))
 
 let writes_performed t = t.writes
+let version t = t.version
 
 let programmed t =
   let out = ref [] in

@@ -70,6 +70,14 @@ val tau : t -> index:int -> line:int -> Powercode.Boolfun.t
     volume of the software reprogramming traffic. *)
 val writes_performed : t -> int
 
+(** [version t] counts changes to the stored entries: every {!write} and
+    every {!corrupt} bumps it.  A reader that caches anything derived from
+    an entry (the fetch decoder's compiled gates and parity results) keeps
+    the version it saw and drops the cache when it moves.  Entries change
+    only through these two calls; mutating a [tau_indices] array obtained
+    from {!read} in place is outside the contract. *)
+val version : t -> int
+
 (** [programmed t] lists the written entries as [(index, entry)], in index
     order. *)
 val programmed : t -> (int * entry) list

@@ -16,6 +16,15 @@ exception Trap of string
     [$sp] at the top of a [mem_bytes] (default 4 MiB) data memory. *)
 val create_state : ?mem_bytes:int -> unit -> state
 
+(** [reset_state s] puts [s] back to what [create_state] made it, keeping
+    its memory size: integer and FP registers zero, [hi], [lo], the FP
+    condition flag and the pc cleared, [$sp] at the top of memory, the
+    output empty and every memory byte zero.  A run on a reset state gives
+    the same result, output and memory as on a fresh one, without
+    allocating a new memory (4 MiB by default).  Fault campaigns reuse
+    their states across injections this way. *)
+val reset_state : state -> unit
+
 val memory : state -> Memory.t
 
 (** [reg s r] reads an integer register (always 0 for [$zero]). *)

@@ -7,6 +7,7 @@ let create ~bytes =
   Bytes.make ((bytes + 3) land lnot 3) '\000'
 
 let size m = Bytes.length m
+let clear m = Bytes.fill m 0 (Bytes.length m) '\000'
 
 let check_word m addr =
   if addr land 3 <> 0 then raise (Fault { address = addr; message = "unaligned word access" });

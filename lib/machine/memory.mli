@@ -13,6 +13,9 @@ val create : bytes:int -> t
 (** [size m] is the capacity in bytes. *)
 val size : t -> int
 
+(** [clear m] zeroes every byte, leaving [m] as {!create} made it. *)
+val clear : t -> unit
+
 (** [load_word m addr] reads 4 little-endian bytes as a signed 32-bit
     value.  Raises {!Fault} when unaligned or out of bounds. *)
 val load_word : t -> int -> int

@@ -197,6 +197,9 @@ type prepared = {
   prep_plan : Powercode.Program_encoder.plan;
   prep_system : Hardware.Reprogram.system;
   rebuild : unit -> Hardware.Reprogram.system;
+  prep_instructions : int;
+  prep_exit_code : int;
+  prep_output : string;
 }
 
 let plan_only ~tt_capacity ~optimal_chain ctx ks =
@@ -370,7 +373,15 @@ let systems_of_plans ~tt_capacity ctx program plans =
         Hardware.Reprogram.build ~tt_capacity ~bbit_capacity:ctx.bbit_capacity
           ~functions:ctx.functions program plan
       in
-      { prep_k = k; prep_plan = plan; prep_system = build (); rebuild = build })
+      {
+        prep_k = k;
+        prep_plan = plan;
+        prep_system = build ();
+        rebuild = build;
+        prep_instructions = ctx.run.Machine.Cpu.instructions;
+        prep_exit_code = ctx.run.Machine.Cpu.exit_code;
+        prep_output = ctx.output;
+      })
     plans
 
 let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask

@@ -121,12 +121,19 @@ type selection = [ `Hot_blocks | `Hot_loops ]
 (** One planned block size with its built decode system.  [rebuild]
     assembles a {e fresh} system from the same plan — fault campaigns
     corrupt a rebuilt copy per injection so upsets never leak between
-    experiments (the plan itself, the expensive part, is shared). *)
+    experiments (the plan itself, the expensive part, is shared).  The
+    [prep_instructions], [prep_exit_code] and [prep_output] fields are the
+    recording run's dynamic instruction count, exit code and printed
+    output: the fault-free reference a campaign judges injections
+    against, the same for every [k] of one program. *)
 type prepared = {
   prep_k : int;
   prep_plan : Powercode.Program_encoder.plan;
   prep_system : Hardware.Reprogram.system;
   rebuild : unit -> Hardware.Reprogram.system;
+  prep_instructions : int;
+  prep_exit_code : int;
+  prep_output : string;
 }
 
 (** Content-addressed cache of the recording + planning front half shared

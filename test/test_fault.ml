@@ -53,6 +53,17 @@ let test_campaign_deterministic () =
   let b = Campaign.run small_config in
   check_string "bit-identical JSON" (Campaign.to_json a) (Campaign.to_json b)
 
+(* Injections reuse machine states, reset before each run: campaigns back
+   to back, and a switch of seed and back, must each render what the first
+   campaign at that seed rendered. *)
+let test_campaign_state_reuse () =
+  let run seed = Campaign.to_json (Campaign.run { small_config with seed }) in
+  let first_9 = run 9 in
+  check_string "seed 9 again" first_9 (run 9);
+  let first_10 = run 10 in
+  check_string "back to seed 9" first_9 (run 9);
+  check_string "seed 10 again" first_10 (run 10)
+
 let test_campaign_seed_matters () =
   let a = Campaign.run small_config in
   let b = Campaign.run { small_config with Campaign.seed = 10 } in
@@ -225,6 +236,8 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
           Alcotest.test_case "seed matters" `Quick test_campaign_seed_matters;
+          Alcotest.test_case "state reuse leaks nothing" `Quick
+            test_campaign_state_reuse;
           Alcotest.test_case "exactly one class" `Quick test_exactly_one_class;
           Alcotest.test_case "render stability" `Quick test_render_stability;
         ] );

@@ -397,6 +397,314 @@ let prop_synthetic_block_through_hardware =
         words;
       !ok)
 
+(* ---- compiled decoder vs a line-by-line reference --------------------------- *)
+
+(* The strict fetch path walked the slow way: every TT read checks the
+   entry's parity afresh, and every decode applies each line's gate
+   through [Boolfun.apply], line 0 first.  An independent oracle for the
+   decoder's compiled entries. *)
+type reference = {
+  r_tt : Tt.t;
+  r_bbit : Bbit.t;
+  r_image : int array;
+  mutable r_active : bool;
+  mutable r_entry : int;
+  mutable r_left : int;
+  mutable r_first : bool;
+  mutable r_expected : int;
+  mutable r_prev_stored : int;
+  mutable r_prev_decoded : int;
+}
+
+let reference ~tt ~bbit ~image =
+  {
+    r_tt = tt;
+    r_bbit = bbit;
+    r_image = image;
+    r_active = false;
+    r_entry = 0;
+    r_left = 0;
+    r_first = false;
+    r_expected = -1;
+    r_prev_stored = 0;
+    r_prev_decoded = 0;
+  }
+
+let ref_fault c = raise (Machine.Fault.Fault c)
+
+let ref_read r index =
+  match Tt.read_opt r.r_tt index with
+  | None ->
+      ref_fault
+        (Machine.Fault.Tt_read_invalid
+           { index; reason = "entry never programmed or out of capacity" })
+  | Some e ->
+      if Tt.parity_ok r.r_tt index then e
+      else ref_fault (Machine.Fault.Tt_parity { index })
+
+let ref_decode r (e : Tt.entry) stored =
+  let gates = Tt.functions r.r_tt in
+  let history = if r.r_first then r.r_prev_stored else r.r_prev_decoded in
+  let out = ref 0 in
+  for line = 0 to 31 do
+    (* a short array raises Invalid_argument here *)
+    let gi = e.Tt.tau_indices.(line) in
+    if gi < 0 || gi >= Array.length gates then
+      ref_fault
+        (Machine.Fault.Tt_read_invalid
+           { index = r.r_entry; reason = "gate index addresses no gate" });
+    let bit w = w lsr line land 1 = 1 in
+    if Boolfun.apply gates.(gi) (bit stored) (bit history) then
+      out := !out lor (1 lsl line)
+  done;
+  !out
+
+(* the entry's CT count is used up: end the block or move to the next *)
+let ref_next_entry r (e : Tt.entry) =
+  if e.Tt.e_bit then r.r_active <- false
+  else begin
+    r.r_entry <- r.r_entry + 1;
+    r.r_left <- (ref_read r r.r_entry).Tt.ct;
+    r.r_first <- true
+  end
+
+let ref_fetch r ~pc =
+  let limit = Array.length r.r_image in
+  if pc < 0 || pc >= limit then
+    ref_fault (Machine.Fault.Image_out_of_range { pc; limit });
+  let stored = r.r_image.(pc) in
+  match Bbit.lookup_slot r.r_bbit ~pc with
+  | Some (slot, b) ->
+      if not (Bbit.parity_ok r.r_bbit slot) then
+        ref_fault (Machine.Fault.Bbit_parity { slot });
+      if r.r_active then
+        ref_fault
+          (Machine.Fault.Decode_sequence
+             { pc; detail = "entered an encoded block while decoding another" });
+      let head = ref_read r b.Bbit.tt_base in
+      r.r_active <- true;
+      r.r_entry <- b.Bbit.tt_base;
+      r.r_left <- head.Tt.ct - 1;
+      r.r_first <- true;
+      r.r_expected <- pc + 1;
+      r.r_prev_stored <- stored;
+      r.r_prev_decoded <- stored;
+      if r.r_left = 0 then ref_next_entry r head;
+      (stored, stored)
+  | None when not r.r_active -> (stored, stored)
+  | None ->
+      if pc <> r.r_expected then
+        ref_fault
+          (Machine.Fault.Decode_sequence
+             {
+               pc;
+               detail =
+                 Printf.sprintf
+                   "non-sequential fetch inside encoded block (expected %d)"
+                   r.r_expected;
+             });
+      let e = ref_read r r.r_entry in
+      let decoded = ref_decode r e stored in
+      r.r_expected <- pc + 1;
+      r.r_left <- r.r_left - 1;
+      if r.r_left = 0 then ref_next_entry r e else r.r_first <- false;
+      r.r_prev_stored <- stored;
+      r.r_prev_decoded <- decoded;
+      (stored, decoded)
+
+type fetched = Words of int * int | Fault of Machine.Fault.cause | Abort
+
+let fetched f =
+  match f () with
+  | bus, decoded -> Words (bus, decoded)
+  | exception Machine.Fault.Fault c -> Fault c
+  | exception Invalid_argument _ -> Abort
+
+(* A random table state: a gate set with the identity (often not a power
+   of two in size, so a flipped index bit can address no gate), a chain of
+   entries (some narrower than the bus), stored upsets of any field, and a
+   fetch sequence that mostly runs on but sometimes jumps, also out of the
+   image.  Two BBIT slots enter the same chain at pcs 1 and 8. *)
+type scenario = {
+  gates : Boolfun.t array;
+  entries : Tt.entry list;
+  upsets : (int * Tt.upset) list;
+  image : int array;
+  pcs : int list;
+}
+
+let image_len = 16
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let* others = list_size (int_range 0 7) (map Boolfun.of_index (int_bound 15)) in
+  let gates =
+    Array.of_list
+      (Boolfun.identity
+      :: List.sort_uniq Boolfun.compare
+           (List.filter (fun f -> not (Boolfun.equal f Boolfun.identity)) others))
+  in
+  let ngates = Array.length gates in
+  let index_bits = Tt.fn_index_bits (Tt.create ~functions:gates ()) in
+  let* count = int_range 1 3 in
+  let* entries =
+    flatten_l
+      (List.init count (fun j ->
+           let* width = frequency [ (9, return 32); (1, int_range 0 31) ] in
+           let* taus = array_size (return width) (int_bound (ngates - 1)) in
+           let* flip_end = frequency [ (4, return false); (1, return true) ] in
+           let+ ct = int_range 0 4 in
+           { Tt.tau_indices = taus; e_bit = (j = count - 1) <> flip_end; ct }))
+  in
+  let upset (e : Tt.entry) =
+    let lines = Array.length e.Tt.tau_indices in
+    frequency
+      ((if lines = 0 then []
+        else
+          [
+            ( 6,
+              map2
+                (fun line bit -> Tt.Tau { line; bit })
+                (int_bound (lines - 1))
+                (int_bound (index_bits - 1)) );
+          ])
+      @ [ (1, return Tt.E); (1, map (fun bit -> Tt.Ct { bit }) (int_bound 3)) ])
+  in
+  let* upsets =
+    list_size (int_range 0 4)
+      (let* i = int_bound (count - 1) in
+       let+ u = upset (List.nth entries i) in
+       (i, u))
+  in
+  let* image =
+    array_size (return image_len)
+      (map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff))
+  in
+  let+ steps =
+    list_size (int_range 8 40)
+      (frequency
+         [ (8, return None); (1, map Option.some (int_bound image_len)) ])
+  in
+  let pcs =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (pc, acc) step ->
+              let next =
+                match step with Some jump -> jump | None -> (pc + 1) mod image_len
+              in
+              (next, next :: acc))
+            (-1, []) steps))
+  in
+  { gates; entries; upsets; image; pcs }
+
+let print_scenario s =
+  Printf.sprintf "gates=[%s] entries=[%s] upsets=%d pcs=[%s]"
+    (String.concat ";" (Array.to_list (Array.map Boolfun.name s.gates)))
+    (String.concat "; "
+       (List.map
+          (fun (e : Tt.entry) ->
+            Printf.sprintf "%d lines e=%b ct=%d" (Array.length e.Tt.tau_indices)
+              e.Tt.e_bit e.Tt.ct)
+          s.entries))
+    (List.length s.upsets)
+    (String.concat ";" (List.map string_of_int s.pcs))
+
+let build_scenario s =
+  let tt = Tt.create ~capacity:4 ~functions:s.gates () in
+  List.iteri (fun index e -> Tt.write tt ~index e) s.entries;
+  List.iter (fun (index, u) -> Tt.corrupt tt ~index u) s.upsets;
+  let bbit = Bbit.create ~capacity:2 () in
+  Bbit.load bbit [ { Bbit.pc = 1; tt_base = 0 }; { Bbit.pc = 8; tt_base = 0 } ];
+  (tt, bbit)
+
+let prop_compiled_matches_reference =
+  QCheck.Test.make ~name:"compiled decoder = line-by-line reference" ~count:500
+    (QCheck.make ~print:print_scenario gen_scenario)
+    (fun s ->
+      let tt, bbit = build_scenario s in
+      let dec = Fetch_decoder.create ~tt ~bbit ~k:4 ~image:s.image () in
+      let r = reference ~tt ~bbit ~image:s.image in
+      (* stop at the first fault: both must raise the same one *)
+      let rec go = function
+        | [] -> true
+        | pc :: rest -> (
+            let got = fetched (fun () -> Fetch_decoder.fetch dec ~pc) in
+            let want = fetched (fun () -> ref_fetch r ~pc) in
+            got = want && match got with Words _ -> go rest | _ -> true)
+      in
+      go s.pcs)
+
+(* The dynamic pc sequence of the tiny program. *)
+let fetch_trace program =
+  let pcs = ref [] in
+  ignore
+    (Machine.Cpu.run
+       ~on_fetch:(fun ~pc -> pcs := pc :: !pcs)
+       program
+       (Machine.Cpu.create_state ~mem_bytes:(64 * 1024) ()));
+  List.rev !pcs
+
+(* Every fetch of [pcs], up to and including the first fault. *)
+let serve dec pcs =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | pc :: rest -> (
+        match fetched (fun () -> Fetch_decoder.fetch dec ~pc) with
+        | Words _ as w -> go (w :: acc) rest
+        | other -> List.rev (other :: acc))
+  in
+  go [] pcs
+
+let counters dec =
+  ( Fetch_decoder.tt_detections dec,
+    Fetch_decoder.bbit_detections dec,
+    Fetch_decoder.fallback_fetches dec,
+    Fetch_decoder.degraded_slots dec )
+
+(* A decoder that already served the whole run from its compiled entries
+   sees an upset made afterwards on its next fetch: from there on it
+   fetches, detects and falls back exactly as a decoder created after the
+   upset does. *)
+let upset_after_serving ~hardened upset () =
+  let program, system = tiny_system () in
+  let recovery = if hardened then Some (Reprogram.recovery system) else None in
+  let pcs = fetch_trace program in
+  let warm = Reprogram.decoder ?recovery system in
+  let words = Isa.Program.words program in
+  List.iter2
+    (fun pc w ->
+      match w with
+      | Words (_, d) -> check_int "pristine decode" words.(pc) d
+      | _ -> Alcotest.fail "pristine system faulted")
+    pcs (serve warm pcs);
+  Fetch_decoder.reset warm;
+  upset system;
+  let fresh = Reprogram.decoder ?recovery system in
+  let after = serve warm pcs in
+  check_bool "same fetches as a fresh decoder" true (after = serve fresh pcs);
+  check_bool "same detections and fallbacks" true
+    (counters warm = counters fresh);
+  let tt_d, bbit_d, _, _ = counters warm in
+  check_bool "upset detected" true (tt_d + bbit_d > 0);
+  if hardened then
+    List.iter2
+      (fun pc w ->
+        match w with
+        | Words (_, d) -> check_int "degraded fetch is the raw word" words.(pc) d
+        | _ -> Alcotest.fail "hardened decoder faulted")
+      pcs after
+
+let corrupt_tt system =
+  Tt.corrupt system.Reprogram.tt ~index:0 (Tt.Tau { line = 5; bit = 1 })
+
+(* moves the loop head's tag from pc 1 to pc 0 *)
+let corrupt_bbit_pc system =
+  Bbit.corrupt system.Reprogram.bbit ~slot:0 (Bbit.Pc { bit = 0 })
+
+let corrupt_bbit_base system =
+  Bbit.corrupt system.Reprogram.bbit ~slot:0 (Bbit.Base { bit = 0 })
+
 let () =
   Alcotest.run "hardware"
     [
@@ -455,7 +763,22 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick
             test_firmware_rejects_garbage;
         ] );
+      ( "compiled",
+        [
+          Alcotest.test_case "TT upset after use (hardened)" `Quick
+            (upset_after_serving ~hardened:true corrupt_tt);
+          Alcotest.test_case "TT upset after use (strict)" `Quick
+            (upset_after_serving ~hardened:false corrupt_tt);
+          Alcotest.test_case "BBIT tag upset after use (hardened)" `Quick
+            (upset_after_serving ~hardened:true corrupt_bbit_pc);
+          Alcotest.test_case "BBIT tag upset after use (strict)" `Quick
+            (upset_after_serving ~hardened:false corrupt_bbit_pc);
+          Alcotest.test_case "BBIT base upset after use (hardened)" `Quick
+            (upset_after_serving ~hardened:true corrupt_bbit_base);
+          Alcotest.test_case "BBIT base upset after use (strict)" `Quick
+            (upset_after_serving ~hardened:false corrupt_bbit_base);
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_synthetic_block_through_hardware ] );
+          [ prop_synthetic_block_through_hardware; prop_compiled_matches_reference ] );
     ]

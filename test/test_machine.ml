@@ -248,6 +248,104 @@ let test_fetch_hook_counts () =
   check_int "instruction count" 5 r.Cpu.instructions;
   Alcotest.(check (list int)) "fetch order" [ 0; 1; 2; 3; 4 ] (List.rev !seen)
 
+(* ---- state reuse ------------------------------------------------------------ *)
+
+(* Writes a word and a byte, prints, leaves values in hi/lo, an FP
+   register and the FP flag, and exits with code 3. *)
+let dirty_exit =
+  {|
+    li $t0, 1234
+    sw $t0, 256($zero)
+    li $t1, 77
+    sb $t1, 1000($zero)
+    mult $t0, $t1
+    mtc1 $t0, $f2
+    c.eq.s $f2, $f2
+    addiu $sp, $sp, -64
+    li $a0, 42
+    li $v0, 1
+    syscall
+    li $a0, 3
+    li $v0, 10
+    syscall
+  |}
+
+(* Stores, prints, then divides by zero before reaching its exit. *)
+let dirty_trap =
+  {|
+    li $t0, 99
+    sw $t0, 512($zero)
+    li $a0, 7
+    li $v0, 1
+    syscall
+    li $t1, 0
+    div $t0, $t1
+    li $v0, 10
+    syscall
+  |}
+
+(* Prints what the earlier programs could have left behind: memory,
+   registers, hi/lo, the FP register and flag, and $sp; then writes and
+   exits with a code read from memory. *)
+let probe_state =
+  {|
+    li $v0, 1
+    lw $a0, 256($zero)
+    syscall
+    lb $a0, 1000($zero)
+    syscall
+    lw $a0, 512($zero)
+    syscall
+    move $a0, $t0
+    syscall
+    mfhi $a0
+    syscall
+    mflo $a0
+    syscall
+    mfc1 $a0, $f2
+    syscall
+    move $a0, $sp
+    syscall
+    bc1t flagged
+    li $a0, 5
+    syscall
+  flagged:
+    sw $sp, 2048($zero)
+    lw $a0, 512($zero)
+    li $v0, 10
+    syscall
+  |}
+
+let memory_words state =
+  let m = Cpu.memory state in
+  List.init (Memory.size m / 4) (fun i -> Memory.load_word m (i * 4))
+
+let test_reset_state_matches_fresh () =
+  let mem_bytes = 64 * 1024 in
+  let reused = Cpu.create_state ~mem_bytes () in
+  let exit_run = Cpu.run (Asm.assemble dirty_exit) reused in
+  check_int "first program exits non-zero" 3 exit_run.Cpu.exit_code;
+  (match Cpu.run (Asm.assemble dirty_trap) reused with
+  | _ -> Alcotest.fail "expected a trap"
+  | exception Cpu.Trap _ -> ());
+  check_string "both programs printed" "427" (Cpu.output reused);
+  Cpu.reset_state reused;
+  let fresh = Cpu.create_state ~mem_bytes () in
+  let probe = Asm.assemble probe_state in
+  let r_reused = Cpu.run probe reused and r_fresh = Cpu.run probe fresh in
+  Alcotest.(check bool) "same result" true (r_reused = r_fresh);
+  check_string "same output" (Cpu.output fresh) (Cpu.output reused);
+  Alcotest.(check (list int)) "same memory" (memory_words fresh)
+    (memory_words reused);
+  List.iter
+    (fun i ->
+      let r = Reg.of_int i in
+      check_int (Reg.name r) (Cpu.reg fresh r) (Cpu.reg reused r);
+      let f = Reg.f_of_int i in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "$f%d" i) (Cpu.freg fresh f) (Cpu.freg reused f))
+    (List.init 32 Fun.id)
+
 (* ---- instruction cache ------------------------------------------------------ *)
 
 let test_icache_hit_miss () =
@@ -346,6 +444,8 @@ let () =
           Alcotest.test_case "fuzz fetched words" `Quick
             test_fuzz_fetched_words;
           Alcotest.test_case "fetch hook" `Quick test_fetch_hook_counts;
+          Alcotest.test_case "reset state = fresh state" `Quick
+            test_reset_state_matches_fresh;
         ] );
       ( "icache",
         [
