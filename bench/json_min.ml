@@ -1,10 +1,7 @@
-(* A minimal recursive-descent JSON reader — just enough for
-   bench/compare.ml to diff BENCH_encoding.json against the committed
-   baseline without pulling a JSON dependency into the repo.
-
-   Accepts the standard grammar (objects, arrays, strings with the usual
-   escapes, numbers, booleans, null); numbers land as floats, which is
-   exact for every integer the bench emits (all well under 2^53). *)
+(* The bench's view of a JSON document: [Telemetry.Json]'s tree with both
+   number kinds as one [Num] float, which is exact for every integer the
+   bench emits (all well under 2^53).  compare.ml, trend.ml and the
+   performance benchmark's golden files read through it. *)
 
 type t =
   | Null
@@ -14,156 +11,18 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
+exception Parse_error = Telemetry.Json.Parse_error
 
-type state = { s : string; mutable pos : int }
+let rec of_json : Telemetry.Json.t -> t = function
+  | Null -> Null
+  | Bool b -> Bool b
+  | Int i -> Num (float_of_int i)
+  | Float f -> Num f
+  | Str s -> Str s
+  | Arr l -> Arr (List.map of_json l)
+  | Obj fields -> Obj (List.map (fun (k, v) -> (k, of_json v)) fields)
 
-let error st msg =
-  raise (Parse_error (Printf.sprintf "%s at byte %d" msg st.pos))
-
-let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
-
-let expect st c =
-  match peek st with
-  | Some d when d = c -> advance st
-  | _ -> error st (Printf.sprintf "expected '%c'" c)
-
-let parse_literal st word value =
-  if
-    st.pos + String.length word <= String.length st.s
-    && String.sub st.s st.pos (String.length word) = word
-  then begin
-    st.pos <- st.pos + String.length word;
-    value
-  end
-  else error st ("expected " ^ word)
-
-let parse_string st =
-  expect st '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some 'n' -> advance st; Buffer.add_char b '\n'; go ()
-        | Some 't' -> advance st; Buffer.add_char b '\t'; go ()
-        | Some 'r' -> advance st; Buffer.add_char b '\r'; go ()
-        | Some 'b' -> advance st; Buffer.add_char b '\b'; go ()
-        | Some 'f' -> advance st; Buffer.add_char b '\012'; go ()
-        | Some ('"' | '\\' | '/') ->
-            Buffer.add_char b st.s.[st.pos];
-            advance st;
-            go ()
-        | Some 'u' ->
-            advance st;
-            if st.pos + 4 > String.length st.s then error st "short \\u escape";
-            let hex = String.sub st.s st.pos 4 in
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> error st "bad \\u escape"
-            in
-            st.pos <- st.pos + 4;
-            (* sub-BMP only; enough for the ASCII the bench writes *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else Buffer.add_string b (Printf.sprintf "\\u%04x" code);
-            go ()
-        | _ -> error st "bad escape")
-    | Some c ->
-        advance st;
-        Buffer.add_char b c;
-        go ()
-  in
-  go ();
-  Buffer.contents b
-
-let parse_number st =
-  let start = st.pos in
-  let numchar = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while (match peek st with Some c -> numchar c | None -> false) do
-    advance st
-  done;
-  let text = String.sub st.s start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> Num f
-  | None -> error st ("bad number " ^ text)
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> error st "unexpected end of input"
-  | Some '{' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        advance st;
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws st;
-          let key = parse_string st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          fields := (key, v) :: !fields;
-          skip_ws st;
-          match peek st with
-          | Some ',' -> advance st; members ()
-          | Some '}' -> advance st
-          | _ -> error st "expected ',' or '}'"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-  | Some '[' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        advance st;
-        Arr []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value st in
-          items := v :: !items;
-          skip_ws st;
-          match peek st with
-          | Some ',' -> advance st; elements ()
-          | Some ']' -> advance st
-          | _ -> error st "expected ',' or ']'"
-        in
-        elements ();
-        Arr (List.rev !items)
-      end
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some 'n' -> parse_literal st "null" Null
-  | Some _ -> parse_number st
-
-let of_string s =
-  let st = { s; pos = 0 } in
-  let v = parse_value st in
-  skip_ws st;
-  if st.pos <> String.length s then error st "trailing content";
-  v
+let of_string s = of_json (Telemetry.Json.of_string s)
 
 (* ---- accessors -------------------------------------------------------- *)
 

@@ -135,12 +135,7 @@ type context = {
   subset_mask : int;
 }
 
-let context ?subset_mask ?(selection = `Hot_blocks) program =
-  let subset_mask =
-    match subset_mask with
-    | Some m -> m
-    | None -> Powercode.Subset.paper_eight_mask
-  in
+let context ~subset_mask ~selection program =
   let words = Isa.Program.words program in
   let blocks = Cfg.Block.partition (Isa.Program.insns program) in
   let businvert = Buspower.Businvert.create ~width:32 () in
@@ -242,7 +237,7 @@ module Plan_cache = struct
     key_words : int array;
     key_ks : int list;
     key_tt_capacity : int;
-    key_subset_mask : int option;
+    key_subset_mask : int;
     key_optimal_chain : bool;
     key_selection : selection;
   }
@@ -262,9 +257,7 @@ module Plan_cache = struct
     Array.iter (fun w -> h := fnv_step !h w) k.key_words;
     List.iter (fun x -> h := fnv_step !h x) k.key_ks;
     h := fnv_step !h k.key_tt_capacity;
-    h :=
-      fnv_step !h
-        (match k.key_subset_mask with None -> -1 | Some m -> m);
+    h := fnv_step !h k.key_subset_mask;
     h := fnv_step !h (Bool.to_int k.key_optimal_chain);
     h :=
       fnv_step !h
@@ -342,7 +335,7 @@ end
 let context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
     program =
   let compute () =
-    let ctx = context ?subset_mask ?selection:(Some selection) program in
+    let ctx = context ~subset_mask ~selection program in
     (ctx, plan_only ~tt_capacity ~optimal_chain ctx ks)
   in
   if not (Plan_cache.enabled ()) then compute ()
@@ -384,7 +377,8 @@ let systems_of_plans ~tt_capacity ctx program plans =
       })
     plans
 
-let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
+let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
+    ?(subset_mask = Powercode.Subset.paper_eight_mask)
     ?(optimal_chain = false) ?(selection = `Hot_blocks) program =
   let ctx, plans =
     context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
@@ -517,7 +511,8 @@ let region_pcs npc rg f =
     f pc
   done
 
-let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
+let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
+    ?(subset_mask = Powercode.Subset.paper_eight_mask)
     ?(optimal_chain = false) ?(selection = `Hot_blocks) ?(scheme = `Tt)
     ?(verify = false) ?(attribution = false) ?ledger ~name program =
   Metrics.with_span Tel.span_evaluate @@ fun () ->

@@ -140,8 +140,9 @@ type prepared = {
     by {!prepare} and {!evaluate}.
 
     Entries are keyed on exactly the content that determines a plan: the
-    program image words, [ks], [tt_capacity], [subset_mask],
-    [optimal_chain] and [selection] — an FNV-1a fingerprint
+    program image words, [ks], [tt_capacity], the resolved [subset_mask]
+    (omitting it and passing {!Powercode.Subset.paper_eight_mask} share
+    one entry), [optimal_chain] and [selection] — an FNV-1a fingerprint
     short-circuits comparisons, but a hit requires full structural key
     equality.  [scheme] is not part of the key: it only acts after
     planning, so [`Tt], [`Auto] and every [`Fixed] backend share one

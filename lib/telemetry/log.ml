@@ -1,11 +1,11 @@
 (* Leveled structured event log over per-domain bounded rings.
 
-   Domain-safety model: each of the [shards] rings is owned by the domains
-   that hash to it ([Metrics] uses the same sharding for counters), and
-   every ring carries its own mutex.  Distinct domains normally land on
-   distinct rings, so the lock is uncontended in practice; a shard
+   Domain-safety model: each of the [shards] is owned by the domains that
+   hash to it ([Metrics] uses the same sharding for counters), and every
+   shard carries its own mutex and [Ring].  Distinct domains normally land
+   on distinct shards, so the lock is uncontended in practice; a shard
    collision costs contention, never correctness.  [events] locks each
-   ring in turn and merge-sorts, exactly as [Metrics.freeze] sums shards. *)
+   shard in turn and merge-sorts, exactly as [Metrics.freeze] sums shards. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -53,47 +53,43 @@ let min_level () =
   | 2 -> Warn
   | _ -> Error
 
-let shards = 16
-let shard () = (Domain.self () :> int) land (shards - 1)
+let shard_count = 16
+let shard_index () = (Domain.self () :> int) land (shard_count - 1)
 let default_capacity = 8192
 
-type ring = {
+(* The rings hold [event option] so an unfilled slot is an immediate
+   [None], which the major GC skips without a pointer to follow. *)
+type shard = {
   mutex : Mutex.t;
-  mutable buf : event option array;
-  mutable next : int;  (* write cursor; also the shard's emission seq *)
-  mutable dropped : int;
+  mutable ring : event option Ring.t;  (* [Ring.pushed] is the next seq *)
   levels : int array;  (* cumulative per-level emission counts *)
   slugs : (string, int) Hashtbl.t;  (* cumulative per-slug counts *)
 }
 
 let capacity = ref default_capacity
+let fresh_ring () = Ring.create ~capacity:!capacity ~dummy:None
 
-let fresh_ring () =
-  {
-    mutex = Mutex.create ();
-    buf = Array.make !capacity None;
-    next = 0;
-    dropped = 0;
-    levels = Array.make 4 0;
-    slugs = Hashtbl.create 16;
-  }
+let shards =
+  Array.init shard_count (fun _ ->
+      {
+        mutex = Mutex.create ();
+        ring = fresh_ring ();
+        levels = Array.make 4 0;
+        slugs = Hashtbl.create 16;
+      })
 
-let rings = Array.init shards (fun _ -> fresh_ring ())
-
-let with_ring r f =
-  Mutex.lock r.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.mutex) f
+let with_shard s f =
+  Mutex.lock s.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
 
 let clear () =
   Array.iter
-    (fun r ->
-      with_ring r (fun () ->
-          r.buf <- Array.make !capacity None;
-          r.next <- 0;
-          r.dropped <- 0;
-          Array.fill r.levels 0 4 0;
-          Hashtbl.reset r.slugs))
-    rings
+    (fun s ->
+      with_shard s (fun () ->
+          s.ring <- fresh_ring ();
+          Array.fill s.levels 0 4 0;
+          Hashtbl.reset s.slugs))
+    shards
 
 let set_capacity n =
   if n < 1 then invalid_arg "Telemetry.Log.set_capacity: capacity must be >= 1";
@@ -139,29 +135,24 @@ let emit ?(stability = Metrics.Stable) level slug fields =
     Atomic.get enabled_flag
     && level_rank level >= Atomic.get min_level_rank
   then begin
-    let e =
-      {
-        seq = 0;
-        t_ns = Metrics.now_ns ();
-        domain = (Domain.self () :> int);
-        level;
-        stability;
-        event = slug;
-        span = Metrics.current_span_path ();
-        fields;
-      }
-    in
-    let r = rings.(shard ()) in
-    with_ring r (fun () ->
-        let cap = Array.length r.buf in
-        let slot = r.next mod cap in
-        if r.next >= cap && r.buf.(slot) <> None then
-          r.dropped <- r.dropped + 1;
-        r.buf.(slot) <- Some { e with seq = r.next };
-        r.next <- r.next + 1;
-        r.levels.(level_rank level) <- r.levels.(level_rank level) + 1;
-        Hashtbl.replace r.slugs slug
-          (1 + Option.value ~default:0 (Hashtbl.find_opt r.slugs slug)))
+    let t_ns = Metrics.now_ns () and span = Metrics.current_span_path () in
+    let s = shards.(shard_index ()) in
+    with_shard s (fun () ->
+        Ring.push s.ring
+          (Some
+             {
+               seq = Ring.pushed s.ring;
+               t_ns;
+               domain = (Domain.self () :> int);
+               level;
+               stability;
+               event = slug;
+               span;
+               fields;
+             });
+        s.levels.(level_rank level) <- s.levels.(level_rank level) + 1;
+        Hashtbl.replace s.slugs slug
+          (1 + Option.value ~default:0 (Hashtbl.find_opt s.slugs slug)))
   end
 
 let debug ?stability slug fields = emit ?stability Debug slug fields
@@ -172,12 +163,12 @@ let error ?stability slug fields = emit ?stability Error slug fields
 let events () =
   let all =
     Array.fold_left
-      (fun acc r ->
-        with_ring r (fun () ->
-            Array.fold_left
+      (fun acc s ->
+        with_shard s (fun () ->
+            List.fold_left
               (fun acc -> function Some e -> e :: acc | None -> acc)
-              acc r.buf))
-      [] rings
+              acc (Ring.to_list s.ring)))
+      [] shards
   in
   List.sort
     (fun a b ->
@@ -189,22 +180,19 @@ let events () =
       | c -> c)
     all
 
-let emitted () =
-  Array.fold_left
-    (fun acc r ->
-      with_ring r (fun () -> acc + Array.fold_left ( + ) 0 r.levels))
-    0 rings
+let sum_shards f =
+  Array.fold_left (fun acc s -> with_shard s (fun () -> acc + f s)) 0 shards
 
-let dropped () =
-  Array.fold_left (fun acc r -> with_ring r (fun () -> acc + r.dropped)) 0 rings
+let emitted () = sum_shards (fun s -> Array.fold_left ( + ) 0 s.levels)
+let dropped () = sum_shards (fun s -> Ring.dropped s.ring)
 
 let by_level () =
   let totals = Array.make 4 0 in
   Array.iter
-    (fun r ->
-      with_ring r (fun () ->
-          Array.iteri (fun i n -> totals.(i) <- totals.(i) + n) r.levels))
-    rings;
+    (fun s ->
+      with_shard s (fun () ->
+          Array.iteri (fun i n -> totals.(i) <- totals.(i) + n) s.levels))
+    shards;
   [
     ("debug", totals.(0)); ("error", totals.(3)); ("info", totals.(1));
     ("warn", totals.(2));
@@ -213,32 +201,18 @@ let by_level () =
 let by_event () =
   let tally = Hashtbl.create 32 in
   Array.iter
-    (fun r ->
-      with_ring r (fun () ->
+    (fun s ->
+      with_shard s (fun () ->
           Hashtbl.iter
             (fun slug n ->
               Hashtbl.replace tally slug
                 (n + Option.value ~default:0 (Hashtbl.find_opt tally slug)))
-            r.slugs))
-    rings;
+            s.slugs))
+    shards;
   Hashtbl.fold (fun slug n acc -> (slug, n) :: acc) tally []
   |> List.sort compare
 
 (* ---- JSON line codec -------------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* Floats always carry '.' or an exponent so the parser can give the
    constructor back; %.17g round-trips every finite double exactly. *)
@@ -253,7 +227,7 @@ let json_float f =
 let value_json = function
   | Int i -> string_of_int i
   | Float f -> json_float f
-  | Str s -> "\"" ^ json_escape s ^ "\""
+  | Str s -> "\"" ^ Json.escape s ^ "\""
   | Bool b -> string_of_bool b
 
 let stability_name = function
@@ -264,227 +238,78 @@ let to_json e =
   let b = Buffer.create 192 in
   Printf.bprintf b
     "{\"run_id\":\"%s\",\"t_ns\":%s,\"domain\":%d,\"seq\":%d,\"level\":\"%s\",\"stability\":\"%s\",\"event\":\"%s\""
-    (json_escape (run_id ()))
+    (Json.escape (run_id ()))
     (json_float e.t_ns) e.domain e.seq (level_name e.level)
     (stability_name e.stability)
-    (json_escape e.event);
+    (Json.escape e.event);
   (match e.span with
-  | Some p -> Printf.bprintf b ",\"span\":\"%s\"" (json_escape p)
+  | Some p -> Printf.bprintf b ",\"span\":\"%s\"" (Json.escape p)
   | None -> ());
   Buffer.add_string b ",\"fields\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":%s" (json_escape k) (value_json v))
+      Printf.bprintf b "\"%s\":%s" (Json.escape k) (value_json v))
     e.fields;
   Buffer.add_string b "}}";
   Buffer.contents b
 
-(* Minimal recursive-descent parse of exactly the object shape [to_json]
-   writes (any field order).  Self-contained: the bench's Json_min lives
-   outside the library, and the CLI's [logs] filter and the QCheck
-   round-trip both need parsing here. *)
+(* Field extraction over [Json.of_string]: members in any order, the first
+   of duplicate keys wins, unknown members are ignored. *)
 exception Bad of string
 
 let of_json line =
-  let pos = ref 0 in
-  let len = String.length line in
-  let peek () = if !pos < len then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip_ws () =
-    while
-      !pos < len
-      && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string"
-      else
-        let c = line.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' ->
-            if !pos >= len then fail "dangling escape"
-            else begin
-              let e = line.[!pos] in
-              advance ();
-              (match e with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | '/' -> Buffer.add_char b '/'
-              | 'n' -> Buffer.add_char b '\n'
-              | 't' -> Buffer.add_char b '\t'
-              | 'r' -> Buffer.add_char b '\r'
-              | 'b' -> Buffer.add_char b '\b'
-              | 'f' -> Buffer.add_char b '\012'
-              | 'u' ->
-                  if !pos + 4 > len then fail "truncated \\u escape"
-                  else begin
-                    let hex = String.sub line !pos 4 in
-                    pos := !pos + 4;
-                    match int_of_string_opt ("0x" ^ hex) with
-                    | Some code when code < 0x80 ->
-                        Buffer.add_char b (Char.chr code)
-                    | Some code ->
-                        (* non-ASCII escapes: UTF-8 encode the code point
-                           (the encoder only emits \u for control chars,
-                           but accept the general form) *)
-                        if code < 0x800 then begin
-                          Buffer.add_char b
-                            (Char.chr (0xc0 lor (code lsr 6)));
-                          Buffer.add_char b
-                            (Char.chr (0x80 lor (code land 0x3f)))
-                        end
-                        else begin
-                          Buffer.add_char b
-                            (Char.chr (0xe0 lor (code lsr 12)));
-                          Buffer.add_char b
-                            (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-                          Buffer.add_char b
-                            (Char.chr (0x80 lor (code land 0x3f)))
-                        end
-                    | None -> fail "bad \\u escape"
-                  end
-              | _ -> fail "bad escape");
-              go ()
-            end
-        | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < len
-      &&
-      match line.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      advance ()
-    done;
-    let tok = String.sub line start (!pos - start) in
-    let is_int =
-      tok <> ""
-      && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') tok
-    in
-    if is_int then
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> fail "integer out of range"
-    else
-      match float_of_string_opt tok with
-      | Some f -> Float f
-      | None -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let parse_literal word v =
-    if !pos + String.length word <= len
-       && String.sub line !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail "bad literal"
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> parse_literal "true" (Bool true)
-    | Some 'f' -> parse_literal "false" (Bool false)
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | _ -> fail "expected a JSON value"
-  in
-  let parse_object parse_member =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else
-      let rec members () =
-        let key = parse_string () in
-        expect ':';
-        parse_member key;
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); skip_ws (); members ()
-        | Some '}' -> advance ()
-        | _ -> fail "expected ',' or '}'"
-      in
-      members ()
-  in
+  let fail msg = raise (Bad msg) in
   try
-    let run_id = ref None
-    and t_ns = ref None
-    and domain = ref None
-    and seq = ref None
-    and level = ref None
-    and stability = ref None
-    and slug = ref None
-    and span = ref None
-    and fields = ref None in
-    parse_object (fun key ->
-        match key with
-        | "run_id" -> run_id := Some (parse_string ())
-        | "t_ns" -> (
-            match parse_value () with
-            | Float f -> t_ns := Some f
-            | Int i -> t_ns := Some (float_of_int i)
-            | _ -> fail "t_ns must be a number")
-        | "domain" -> (
-            match parse_value () with
-            | Int i -> domain := Some i
-            | _ -> fail "domain must be an integer")
-        | "seq" -> (
-            match parse_value () with
-            | Int i -> seq := Some i
-            | _ -> fail "seq must be an integer")
-        | "level" -> (
-            match level_of_name (parse_string ()) with
-            | Some l -> level := Some l
-            | None -> fail "unknown level")
-        | "stability" -> (
-            match parse_string () with
-            | "stable" -> stability := Some Metrics.Stable
-            | "runtime" -> stability := Some Metrics.Runtime
-            | _ -> fail "unknown stability")
-        | "event" -> slug := Some (parse_string ())
-        | "span" -> span := Some (parse_string ())
-        | "fields" ->
-            let fs = ref [] in
-            parse_object (fun k -> fs := (k, parse_value ()) :: !fs);
-            fields := Some (List.rev !fs)
-        | _ -> ignore (parse_value ()));
-    skip_ws ();
-    if !pos <> len then fail "trailing content";
-    let req what = function
+    let doc = Json.of_string line in
+    let get key =
+      match Json.member key doc with
       | Some v -> v
-      | None -> raise (Bad (Printf.sprintf "missing %S" what))
+      | None -> fail (Printf.sprintf "missing %S" key)
     in
-    Ok
-      ( req "run_id" !run_id,
-        {
-          seq = req "seq" !seq;
-          t_ns = req "t_ns" !t_ns;
-          domain = req "domain" !domain;
-          level = req "level" !level;
-          stability = req "stability" !stability;
-          event = req "event" !slug;
-          span = !span;
-          fields = req "fields" !fields;
-        } )
-  with Bad msg -> Error msg
+    let str key =
+      match get key with Json.Str s -> s | _ -> fail (key ^ " must be a string")
+    in
+    let int key =
+      match get key with
+      | Json.Int i -> i
+      | _ -> fail (key ^ " must be an integer")
+    in
+    let scalar = function
+      | Json.Int i -> Int i
+      | Json.Float f -> Float f
+      | Json.Str s -> Str s
+      | Json.Bool b -> Bool b
+      | Json.Null | Json.Arr _ | Json.Obj _ -> fail "expected a scalar value"
+    in
+    let event =
+      {
+        seq = int "seq";
+        t_ns =
+          (match get "t_ns" with
+          | Json.Float f -> f
+          | Json.Int i -> float_of_int i
+          | _ -> fail "t_ns must be a number");
+        domain = int "domain";
+        level =
+          (match level_of_name (str "level") with
+          | Some l -> l
+          | None -> fail "unknown level");
+        stability =
+          (match str "stability" with
+          | "stable" -> Metrics.Stable
+          | "runtime" -> Metrics.Runtime
+          | _ -> fail "unknown stability");
+        event = str "event";
+        span = Option.map (fun _ -> str "span") (Json.member "span" doc);
+        fields =
+          (match get "fields" with
+          | Json.Obj fs -> List.map (fun (k, v) -> (k, scalar v)) fs
+          | _ -> fail "fields must be an object");
+      }
+    in
+    Ok (str "run_id", event)
+  with Bad msg | Json.Parse_error msg -> Error msg
 
 let stable_key e =
   let b = Buffer.create 96 in

@@ -106,8 +106,8 @@ val by_event : unit -> (string * int) list
 
 (** [to_json e] is one self-contained JSONL line carrying the current
     {!run_id}.  [of_json line] parses it back as [(run_id, event)];
-    [Error] describes the first malformed token.  The pair round-trips
-    exactly, including float fields. *)
+    [Error] says what is malformed or missing, and no other exception
+    escapes.  The pair round-trips exactly, including float fields. *)
 val to_json : event -> string
 
 val of_json : string -> (string * event, string) result

@@ -1,21 +1,7 @@
-(* Reporters over a frozen record.  The JSON form is hand-rolled (the repo
-   carries no JSON dependency) and embeds as one object, e.g. the
-   "telemetry" key of BENCH_encoding.json; the human form is what the CLI's
-   --stats flag prints to stderr. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Reporters over a frozen record.  The JSON form is written by hand with
+   [Json.escape] and embeds as one object, e.g. the "telemetry" key of
+   BENCH_encoding.json; the human form is what the CLI's --stats flag
+   prints to stderr. *)
 
 let to_json (f : Metrics.frozen) =
   let b = Buffer.create 1024 in
@@ -29,29 +15,29 @@ let to_json (f : Metrics.frozen) =
   p "{";
   p "\"counters\": {";
   sep_iter f.Metrics.counters (fun (name, _, total) ->
-      p "\"%s\": %d" (json_escape name) total);
+      p "\"%s\": %d" (Json.escape name) total);
   p "}, ";
   p "\"histograms\": {";
   sep_iter f.Metrics.histograms (fun (name, _, buckets) ->
-      p "\"%s\": {" (json_escape name);
+      p "\"%s\": {" (Json.escape name);
       (* zero buckets are elided: the label set is large and sparse *)
       sep_iter
         (List.filter (fun (_, n) -> n > 0) buckets)
-        (fun (label, n) -> p "\"%s\": %d" (json_escape label) n);
+        (fun (label, n) -> p "\"%s\": %d" (Json.escape label) n);
       p "}");
   p "}, ";
   p "\"gauges\": {";
   sep_iter f.Metrics.gauges (fun (name, _, slots) ->
-      p "\"%s\": {" (json_escape name);
+      p "\"%s\": {" (Json.escape name);
       (* all slots, even zero: a gauge's slot set is small and fixed, and a
          zero level is a reading, not an absence *)
-      sep_iter slots (fun (label, v) -> p "\"%s\": %d" (json_escape label) v);
+      sep_iter slots (fun (label, v) -> p "\"%s\": %d" (Json.escape label) v);
       p "}");
   p "}, ";
   p "\"spans\": {";
   sep_iter f.Metrics.spans (fun (path, r) ->
       p "\"%s\": {\"count\": %d, \"total_ns\": %.0f, \"max_ns\": %.0f}"
-        (json_escape path) r.Metrics.span_count r.Metrics.total_ns
+        (Json.escape path) r.Metrics.span_count r.Metrics.total_ns
         r.Metrics.max_ns);
   p "}";
   p "}";
@@ -86,31 +72,31 @@ let to_json_annotated (f : Metrics.frozen) =
   p "\"counters\": {";
   sep_iter f.Metrics.counters (fun (name, st, total) ->
       p "\"%s\": {\"value\": %d, \"stability\": \"%s\", \"doc\": \"%s\"}"
-        (json_escape name) total (stability_str st)
-        (json_escape (doc_of name)));
+        (Json.escape name) total (stability_str st)
+        (Json.escape (doc_of name)));
   p "}, ";
   p "\"histograms\": {";
   sep_iter f.Metrics.histograms (fun (name, st, buckets) ->
       p "\"%s\": {\"stability\": \"%s\", \"doc\": \"%s\", \"buckets\": {"
-        (json_escape name) (stability_str st)
-        (json_escape (doc_of name));
+        (Json.escape name) (stability_str st)
+        (Json.escape (doc_of name));
       sep_iter
         (List.filter (fun (_, n) -> n > 0) buckets)
-        (fun (label, n) -> p "\"%s\": %d" (json_escape label) n);
+        (fun (label, n) -> p "\"%s\": %d" (Json.escape label) n);
       p "}}");
   p "}, ";
   p "\"gauges\": {";
   sep_iter f.Metrics.gauges (fun (name, st, slots) ->
       p "\"%s\": {\"stability\": \"%s\", \"doc\": \"%s\", \"slots\": {"
-        (json_escape name) (stability_str st)
-        (json_escape (doc_of name));
-      sep_iter slots (fun (label, v) -> p "\"%s\": %d" (json_escape label) v);
+        (Json.escape name) (stability_str st)
+        (Json.escape (doc_of name));
+      sep_iter slots (fun (label, v) -> p "\"%s\": %d" (Json.escape label) v);
       p "}}");
   p "}, ";
   p "\"spans\": {";
   sep_iter f.Metrics.spans (fun (path, r) ->
       p "\"%s\": {\"count\": %d, \"total_ns\": %.0f, \"max_ns\": %.0f}"
-        (json_escape path) r.Metrics.span_count r.Metrics.total_ns
+        (Json.escape path) r.Metrics.span_count r.Metrics.total_ns
         r.Metrics.max_ns);
   p "}";
   p "}";

@@ -6,7 +6,7 @@ type 'a t = {
 }
 
 let create ~capacity ~dummy =
-  if capacity < 1 then invalid_arg "Trace.Ring.create: capacity < 1";
+  if capacity < 1 then invalid_arg "Telemetry.Ring.create: capacity < 1";
   { data = Array.make capacity dummy; cap = capacity; next = 0; pushed = 0 }
 
 let push t x =

@@ -1,9 +1,10 @@
 (** A pre-sized overwrite-oldest ring buffer.
 
-    The tracer allocates its whole window up front so recording is one
-    array store and two integer bumps; once full, new events displace the
-    oldest.  {!dropped} says how many were displaced, so exporters can
-    state that a trace is a suffix window of the run. *)
+    The trace collector and each {!Log} shard allocate their whole window
+    up front, so recording is one array store and two integer bumps; once
+    full, new events displace the oldest.  {!dropped} says how many were
+    displaced, so exporters can state that a trace is a suffix window of
+    the run. *)
 
 type 'a t
 

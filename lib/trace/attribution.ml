@@ -161,22 +161,23 @@ let pp_text ?(max_blocks = 16) fmt (s : summary) =
 let to_json ?name (s : summary) =
   let b = Buffer.create 4096 in
   let p fmt = Printf.bprintf b fmt in
+  let esc = Telemetry.Json.escape in
   p "{";
-  (match name with Some n -> p "\"name\": \"%s\", " (Jsonu.escape n) | None -> ());
+  (match name with Some n -> p "\"name\": \"%s\", " (esc n) | None -> ());
   p "\"fetches\": %d, \"labels\": [" s.fetches;
   Array.iteri
-    (fun i l -> p "%s\"%s\"" (if i > 0 then ", " else "") (Jsonu.escape l))
+    (fun i l -> p "%s\"%s\"" (if i > 0 then ", " else "") (esc l))
     s.labels;
   p "], \"totals\": {\"baseline\": %d" s.total_baseline;
   Array.iteri
-    (fun i l -> p ", \"%s\": %d" (Jsonu.escape l) s.total_encoded.(i))
+    (fun i l -> p ", \"%s\": %d" (esc l) s.total_encoded.(i))
     s.labels;
   p "}, \"per_line\": [";
   for line = 0 to 31 do
     if line > 0 then p ", ";
     p "{\"line\": %d, \"baseline\": %d" line s.line_baseline.(line);
     Array.iteri
-      (fun i l -> p ", \"%s\": %d" (Jsonu.escape l) s.line_encoded.(i).(line))
+      (fun i l -> p ", \"%s\": %d" (esc l) s.line_encoded.(i).(line))
       s.labels;
     p "}"
   done;
@@ -187,7 +188,7 @@ let to_json ?name (s : summary) =
       p "{\"block\": %d, \"start_pc\": %d, \"baseline\": %d" blk start
         s.block_baseline.(blk);
       Array.iteri
-        (fun i l -> p ", \"%s\": %d" (Jsonu.escape l) s.block_encoded.(i).(blk))
+        (fun i l -> p ", \"%s\": %d" (esc l) s.block_encoded.(i).(blk))
         s.labels;
       p "}")
     s.block_starts;

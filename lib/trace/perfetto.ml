@@ -74,7 +74,7 @@ let to_string ?(max_counter_samples = default_max_counter_samples) ~encoded_name
       fields;
     Buffer.add_char b '}'
   in
-  let str s = "\"" ^ Jsonu.escape s ^ "\"" in
+  let str s = "\"" ^ Telemetry.Json.escape s ^ "\"" in
   let num f =
     if Float.is_integer f && Float.abs f < 1e15 then
       Printf.sprintf "%.0f" f

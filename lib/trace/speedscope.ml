@@ -119,14 +119,14 @@ let to_string ?(name = "powercode profile") events =
   let p fmt = Printf.bprintf b fmt in
   p "{\n";
   p "  \"$schema\": \"%s\",\n" schema_url;
-  p "  \"name\": \"%s\",\n" (Jsonu.escape name);
+  p "  \"name\": \"%s\",\n" (Telemetry.Json.escape name);
   p "  \"exporter\": \"powercode\",\n";
   if tids <> [] then p "  \"activeProfileIndex\": 0,\n";
   p "  \"shared\": {\"frames\": [";
   List.iteri
     (fun i n ->
       if i > 0 then p ", ";
-      p "{\"name\": \"%s\"}" (Jsonu.escape n))
+      p "{\"name\": \"%s\"}" (Telemetry.Json.escape n))
     (List.rev !frame_names);
   p "]},\n";
   p "  \"profiles\": [";

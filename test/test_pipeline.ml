@@ -202,7 +202,11 @@ let test_cache_key_sensitivity () =
       ignore (Evaluate.prepare ~ks:[ 4; 5 ] other);
       expect "program image is part of the key" 1 7;
       ignore (Evaluate.prepare ~ks:[ 4; 5 ] program);
-      expect "original key still cached" 2 7)
+      expect "original key still cached" 2 7;
+      ignore
+        (Evaluate.prepare ~ks:[ 4; 5 ]
+           ~subset_mask:Powercode.Subset.paper_eight_mask program);
+      expect "the default subset_mask spelled out hits the same entry" 3 7)
 
 let test_cache_disabled_equivalence () =
   (* the CLI's --no-plan-cache maps to set_enabled false; bypassing the

@@ -677,6 +677,79 @@ let qcheck_log_roundtrip =
       | Ok (id, back) -> id = Log.run_id () && back = e
       | Error _ -> false)
 
+(* ---- the shared JSON codec --------------------------------------------- *)
+
+module Json = Telemetry.Json
+
+let parses s =
+  match Json.of_string s with v -> Ok v | exception Json.Parse_error m -> Error m
+
+(* Whatever the input, each parser answers with a value or its own error:
+   no other exception escapes. *)
+let parsers_are_total s =
+  (match parses s with Ok _ | Error _ -> true)
+  && match Log.of_json s with Ok _ | Error _ -> true
+
+let qcheck_escape_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"escape then parse gives the bytes back"
+    QCheck.string (fun s ->
+      Json.of_string ("\"" ^ Json.escape s ^ "\"") = Json.Str s)
+
+let qcheck_parsers_total =
+  QCheck.Test.make ~count:1000 ~name:"parsers are total on arbitrary input"
+    QCheck.string parsers_are_total
+
+(* One real log line, with every field kind and the escapes it writes. *)
+let sample_log_line () =
+  Log.to_json
+    {
+      Log.seq = 12;
+      t_ns = 1.25e9;
+      domain = 3;
+      level = Log.Warn;
+      stability = Metrics.Runtime;
+      event = "test.fuzz";
+      span = Some "evaluate/plan";
+      fields =
+        [
+          ("i", Log.Int min_int); ("f", Log.Float (-0.5));
+          ("s", Log.Str "q\"b\\n\n\001"); ("b", Log.Bool false);
+        ];
+    }
+
+let test_parsers_total_on_mutations () =
+  let line = sample_log_line () in
+  Alcotest.(check bool) "the sample line round-trips" true
+    (Result.is_ok (Log.of_json line));
+  for n = 0 to String.length line do
+    if not (parsers_are_total (String.sub line 0 n)) then
+      Alcotest.failf "prefix of length %d" n
+  done;
+  String.iteri
+    (fun i _ ->
+      for c = 0 to 255 do
+        let m = Bytes.of_string line in
+        Bytes.set m i (Char.chr c);
+        if not (parsers_are_total (Bytes.to_string m)) then
+          Alcotest.failf "byte %d set to %d" i c
+      done)
+    line
+
+let test_json_pinned () =
+  let check_value label expected s =
+    Alcotest.(check bool) label true (parses s = Ok expected)
+  in
+  check_value "max_int is an Int" (Json.Int max_int) (string_of_int max_int);
+  check_value "min_int is an Int" (Json.Int min_int) (string_of_int min_int);
+  check_value "1.0 is a Float" (Json.Float 1.0) "1.0";
+  check_value "1e3 is a Float" (Json.Float 1000.) "1e3";
+  Alcotest.(check bool) "an integer beyond 63 bits is an error" true
+    (Result.is_error (parses "99999999999999999999"));
+  check_value "\\u00e9 decodes to UTF-8" (Json.Str "\xc3\xa9") {|"\u00e9"|};
+  Alcotest.(check bool) "Json_min maps both number kinds to Num" true
+    (Json_min.of_string "[7, 7.5, 1e3]"
+    = Json_min.Arr [ Json_min.Num 7.; Json_min.Num 7.5; Json_min.Num 1000. ])
+
 let test_multi_domain_sum () =
   with_clean_telemetry @@ fun () ->
   let bump () =
@@ -756,6 +829,15 @@ let () =
           Alcotest.test_case "stable key ignores timing" `Quick
             test_log_stable_key_ignores_timing;
           QCheck_alcotest.to_alcotest qcheck_log_roundtrip;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "pinned numbers and escapes" `Quick
+            test_json_pinned;
+          Alcotest.test_case "parsers total on line mutations" `Quick
+            test_parsers_total_on_mutations;
+          QCheck_alcotest.to_alcotest qcheck_escape_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_parsers_total;
         ] );
       ( "openmetrics",
         [

@@ -5,7 +5,7 @@
    Pipeline.Evaluate for every benchmark and every block size. *)
 
 module Event = Trace.Event
-module Ring = Trace.Ring
+module Ring = Telemetry.Ring
 module Collector = Trace.Collector
 module Vcd = Trace.Vcd
 module Attribution = Trace.Attribution
@@ -47,7 +47,7 @@ let test_ring_wrap () =
 
 let test_ring_rejects_empty () =
   Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Trace.Ring.create: capacity < 1") (fun () ->
+    (Invalid_argument "Telemetry.Ring.create: capacity < 1") (fun () ->
       ignore (Ring.create ~capacity:0 ~dummy:(fetch ~time:0 ~pc:0 ~word:0)))
 
 (* ---- collector --------------------------------------------------------- *)
