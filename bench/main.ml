@@ -317,40 +317,13 @@ let ablation_tt_capacity () =
 
 let per_line_analysis () =
   section "Analysis: per-bit-line transitions (MIPS field structure)";
-  let w = Workloads.by_name Workloads.scaled "mmul" in
-  let c = Workloads.compile w in
-  let program = c.Minic.Compile.program in
-  let words = Isa.Program.words program in
-  let blocks = Cfg.Block.partition (Isa.Program.insns program) in
-  let profile, _ = Cfg.Profile.collect program in
-  let candidates =
-    Array.to_list blocks
-    |> List.filter (fun b -> Cfg.Profile.block_weight profile b > 0)
-    |> List.map (fun (b : Cfg.Block.t) ->
-           {
-             Powercode.Program_encoder.start_index = b.Cfg.Block.start;
-             body =
-               Bitutil.Bitmat.of_words ~width:32
-                 (Array.sub words b.Cfg.Block.start b.Cfg.Block.len);
-             weight = Cfg.Profile.block_weight profile b;
-           })
+  let r =
+    Pipeline.Evaluate.evaluate_workload ~ks:[ 5 ] ~attribution:true
+      (Workloads.by_name Workloads.scaled "mmul")
   in
-  let plan =
-    Powercode.Program_encoder.plan
-      (Powercode.Program_encoder.default_config ())
-      candidates
-  in
-  let system = Hardware.Reprogram.build program plan in
-  let base = Buspower.Buscount.create () in
-  let enc = Buspower.Buscount.create () in
-  let state = Machine.Cpu.create_state () in
-  let on_fetch ~pc =
-    Buspower.Buscount.observe base words.(pc);
-    Buspower.Buscount.observe enc system.Hardware.Reprogram.image.(pc)
-  in
-  let _ = Machine.Cpu.run ~on_fetch program state in
-  let pb = Buspower.Buscount.per_line base in
-  let pe = Buspower.Buscount.per_line enc in
+  let a = Option.get r.Pipeline.Evaluate.attribution in
+  let pb = a.Trace.Attribution.line_baseline in
+  let pe = a.Trace.Attribution.line_encoded.(0) in
   let field line =
     (* MIPS I-type fields, which dominate compiled code *)
     if line >= 26 then "opcode"
@@ -469,27 +442,10 @@ let storage_invariance () =
   let c = Workloads.compile w in
   let program = c.Minic.Compile.program in
   let words = Isa.Program.words program in
-  (* plan an encoding at k = 5 *)
-  let blocks = Cfg.Block.partition (Isa.Program.insns program) in
-  let profile, _ = Cfg.Profile.collect program in
-  let candidates =
-    Array.to_list blocks
-    |> List.filter (fun b -> Cfg.Profile.block_weight profile b > 0)
-    |> List.map (fun (b : Cfg.Block.t) ->
-           {
-             Powercode.Program_encoder.start_index = b.Cfg.Block.start;
-             body =
-               Bitutil.Bitmat.of_words ~width:32
-                 (Array.sub words b.Cfg.Block.start b.Cfg.Block.len);
-             weight = Cfg.Profile.block_weight profile b;
-           })
+  let system =
+    (List.hd (Pipeline.Evaluate.prepare ~ks:[ 5 ] program))
+      .Pipeline.Evaluate.prep_system
   in
-  let plan =
-    Powercode.Program_encoder.plan
-      (Powercode.Program_encoder.default_config ())
-      candidates
-  in
-  let system = Hardware.Reprogram.build program plan in
   let cache_cfg = { Machine.Icache.lines = 8; words_per_line = 4 } in
   let cache_base = Machine.Icache.create cache_cfg ~image:words in
   let cache_enc =

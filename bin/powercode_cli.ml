@@ -356,31 +356,6 @@ let file_arg =
 
 (* ---- encode ------------------------------------------------------------------- *)
 
-let build_system k subset_mask program =
-  let words = Isa.Program.words program in
-  let blocks = Cfg.Block.partition (Isa.Program.insns program) in
-  let profile, _ = Cfg.Profile.collect program in
-  let candidates =
-    Array.to_list blocks
-    |> List.filter (fun b -> Cfg.Profile.block_weight profile b > 0)
-    |> List.map (fun (b : Cfg.Block.t) ->
-           {
-             Powercode.Program_encoder.start_index = b.Cfg.Block.start;
-             body =
-               Bitutil.Bitmat.of_words ~width:32
-                 (Array.sub words b.Cfg.Block.start b.Cfg.Block.len);
-             weight = Cfg.Profile.block_weight profile b;
-           })
-  in
-  let config =
-    { Powercode.Program_encoder.k; subset_mask; tt_capacity = 16;
-      optimal_chain = false }
-  in
-  let plan = Powercode.Program_encoder.plan config candidates in
-  Hardware.Reprogram.build
-    ~functions:(Array.of_list (Powercode.Boolfun.list_of_mask subset_mask))
-    program plan
-
 let encode path k subset_mask firmware_out stats =
   with_stats stats @@ fun () ->
   match load_program path with
@@ -399,9 +374,13 @@ let encode path k subset_mask firmware_out stats =
       (match firmware_out with
       | None -> ()
       | Some out ->
-          let system = build_system k subset_mask program in
+          (* the evaluate above left this plan in the plan cache *)
+          let prepared =
+            List.hd (Pipeline.Evaluate.prepare ~ks:[ k ] ~subset_mask program)
+          in
           let oc = open_out out in
-          output_string oc (Hardware.Firmware.to_string system);
+          output_string oc
+            (Hardware.Firmware.to_string prepared.Pipeline.Evaluate.prep_system);
           close_out oc;
           Format.printf "firmware bundle written to %s@." out);
       `Ok ()

@@ -74,22 +74,10 @@ let () =
 
   Format.printf "@.== Reprogramming traffic ==@.";
   (* how many peripheral writes would the software need before the loop *)
-  let words = Isa.Program.words program in
-  let candidates =
-    Array.to_list blocks
-    |> List.filter (fun b -> Cfg.Profile.block_weight profile b > 0)
-    |> List.map (fun (b : Cfg.Block.t) ->
-           {
-             Powercode.Program_encoder.start_index = b.Cfg.Block.start;
-             body =
-               Bitutil.Bitmat.of_words ~width:32
-                 (Array.sub words b.Cfg.Block.start b.Cfg.Block.len);
-             weight = Cfg.Profile.block_weight profile b;
-           })
+  let system =
+    (List.hd (Pipeline.Evaluate.prepare ~ks:[ 5 ] program))
+      .Pipeline.Evaluate.prep_system
   in
-  let config = Powercode.Program_encoder.default_config () in
-  let plan = Powercode.Program_encoder.plan config candidates in
-  let system = Hardware.Reprogram.build program plan in
   Format.printf
     "Programming the tables costs %d peripheral writes; the TT stores %d bits.@."
     (Hardware.Reprogram.programming_writes system)

@@ -25,6 +25,7 @@ let () =
   let words = Isa.Program.words program in
 
   (* 1. offline: analyse, plan, encode *)
+  (* by hand: prepare orders TT gates by mask, not as Reprogram.build does *)
   let blocks = Cfg.Block.partition (Isa.Program.insns program) in
   let profile, _ = Cfg.Profile.collect program in
   let candidates =

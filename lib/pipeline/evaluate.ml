@@ -50,10 +50,6 @@ type report = {
 exception Verification_failed of { pc : int; expected : int; got : int }
 exception Replay_mismatch of string
 
-(* A live run touches every fetch for every image; the 16-bit table lives
-   in Bitutil.Popcount, shared with the bit-vector word operations. *)
-let popcount32 = Bitutil.Popcount.count32
-
 let candidate_of_block words profile (b : Cfg.Block.t) =
   let body = Array.sub words b.Cfg.Block.start b.Cfg.Block.len in
   {
@@ -397,6 +393,10 @@ let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
    the BBIT's existing job, so a per-region decoder knows when to apply
    its scheme, exactly as the TT regions do. *)
 
+let scheme_name b =
+  let module B = (val b : Buspower.Encoder.S) in
+  B.scheme
+
 let fetch_path_backends () =
   Buspower.Backends.ensure ();
   List.filter
@@ -415,11 +415,7 @@ let resolve_scheme = function
   | `Fixed name -> (
       let eligible = fetch_path_backends () in
       match
-        List.find_opt
-          (fun b ->
-            let module B = (val b : Buspower.Encoder.S) in
-            String.equal B.scheme name)
-          eligible
+        List.find_opt (fun b -> String.equal (scheme_name b) name) eligible
       with
       | Some b -> Some (`Force b)
       | None ->
@@ -428,12 +424,7 @@ let resolve_scheme = function
                "Pipeline.Evaluate: %S is not a fetch-path scheme (want tt, \
                 auto, or one of: %s)"
                name
-               (String.concat ", "
-                  (List.map
-                     (fun b ->
-                       let module B = (val b : Buspower.Encoder.S) in
-                       B.scheme)
-                     eligible))))
+               (String.concat ", " (List.map scheme_name eligible))))
 
 (* One encoded region of one k-plan, with everything scoring needs. *)
 type region = {
@@ -441,29 +432,6 @@ type region = {
   rg_len : int;
   rg_weight : int;
   rg_tt_static : int;  (* stored-image transitions of one body traversal *)
-}
-
-(* Runtime state of a region that selected a non-TT backend: a persistent
-   encoder stepped once per fetch, plus the ledger charges its choice
-   carries.  The closure hides the backend's encoder type. *)
-type alt_runtime = {
-  art_scheme : string;
-  art_step : int -> Buspower.Encoder.codeword;
-  art_reads_per_fetch : int;
-  art_table_words : int;
-  mutable art_fetches : int;
-}
-
-(* The auto selector's per-fetch bus state, one slot per k-image, kept by a
-   live run. *)
-type auto_state = {
-  as_region_of_pc : int array array;  (* pc -> encoded-region index or -1 *)
-  as_alt : alt_runtime option array array;  (* region -> non-TT choice *)
-  as_totals : int array;  (* exact mixed-bus transitions *)
-  as_prev_data : int array;
-  as_prev_aux : int array;
-  as_tt_fetches : int array;  (* fetches in regions left TT *)
-  mutable as_first : bool;
 }
 
 (* Conservative static score, in joules per program run: weighted encoded
@@ -505,11 +473,172 @@ let choose_backend ~alts ~model ~per_t ~words (rg : region) =
     alts;
   (!best, List.rev !scores)
 
-(* [f pc] for every pc of [rg] inside the program *)
-let region_pcs npc rg f =
-  for pc = rg.rg_start to min (npc - 1) (rg.rg_start + rg.rg_len - 1) do
-    f pc
-  done
+(* -------------------------------------------------------------------- *)
+(* The live run.  Each per-fetch consumer is a sink: [fetch pc w] sees
+   every fetch in execution order, [w] being the program word at [pc],
+   and [finish] sees the run's result and final machine state. *)
+
+type sink = {
+  fetch : int -> int -> unit;
+  finish : Machine.Cpu.result -> Machine.Cpu.state -> unit;
+}
+
+let check figure ~replay ~live =
+  if replay <> live then
+    raise
+      (Replay_mismatch
+         (Printf.sprintf "%s: replay %d, live %d" figure replay live))
+
+(* [verify]: each image's decoder must restore every fetched word, and
+   every figure the replay produced is recounted fetch by fetch into the
+   fresh [live_attr] and [live_meter]; [finish] raises on the first
+   difference from the replayed [totals], [attr] and [meter].  The
+   attribution recount covers the baseline and every image whether or not
+   the caller asked for attribution. *)
+let verify_sink ~ctx ~npc ~systems ~k_of_image ~totals ~attr ~meter
+    ~live_attr ~live_meter =
+  let images = Array.map (fun s -> s.Hardware.Reprogram.image) systems in
+  let decoders = Array.map Hardware.Reprogram.decoder systems in
+  let nimg = Array.length systems in
+  let businvert = Buspower.Businvert.create ~width:32 () in
+  let fetches = Array.make npc 0 in
+  (* one word per image, rewritten every fetch: the recounts keep none *)
+  let encoded = Array.make nimg 0 in
+  let fetch pc w =
+    Buspower.Businvert.step businvert w;
+    fetches.(pc) <- fetches.(pc) + 1;
+    for v = 0 to nimg - 1 do
+      let _bus, decoded = Hardware.Fetch_decoder.fetch decoders.(v) ~pc in
+      if decoded <> w then
+        raise (Verification_failed { pc; expected = w; got = decoded });
+      encoded.(v) <- images.(v).(pc)
+    done;
+    Trace.Attribution.record live_attr ~pc ~baseline:w ~encoded;
+    match live_meter with
+    | Some m -> Ledger.Meter.record m ~pc ~baseline:w ~encoded
+    | None -> ()
+  in
+  let finish (result : Machine.Cpu.result) state =
+    check "instructions" ~replay:ctx.run.Machine.Cpu.instructions
+      ~live:result.instructions;
+    check "exit code" ~replay:ctx.run.Machine.Cpu.exit_code
+      ~live:result.exit_code;
+    if not (String.equal ctx.output (Machine.Cpu.output state)) then
+      raise (Replay_mismatch "program output");
+    (* per-region fetch counts are profile sums, so the profile must hold
+       every pc's live count *)
+    Array.iteri
+      (fun pc live ->
+        let replay = Cfg.Profile.instruction_count ctx.profile pc in
+        if live <> replay then
+          check (Printf.sprintf "pc %d fetches" pc) ~replay ~live)
+      fetches;
+    check "bus-invert transitions" ~replay:ctx.businvert_transitions
+      ~live:(Buspower.Businvert.transitions businvert);
+    let live = Trace.Attribution.summarize live_attr in
+    check "baseline transitions" ~replay:ctx.baseline_transitions
+      ~live:live.total_baseline;
+    Array.iteri
+      (fun v live ->
+        check
+          (Printf.sprintf "k=%d transitions" k_of_image.(v))
+          ~replay:totals.(v) ~live)
+      live.total_encoded;
+    Option.iter
+      (fun a ->
+        if Trace.Attribution.summarize a <> live then
+          raise (Replay_mismatch "attribution summary"))
+      attr;
+    match (meter, live_meter) with
+    | Some a, Some b when not (Ledger.Meter.same_counts a b) ->
+        raise (Replay_mismatch "ledger counts")
+    | _ -> ()
+  in
+  { fetch; finish }
+
+(* A recording trace collector: every fetch's word on each image's bus,
+   and the basic block the fetch enters, if any. *)
+let trace_sink ~images ~blocks ~pc_block =
+  let fetch pc _ =
+    let time = Trace.Collector.now () in
+    (* fresh every fetch: the collector's ring keeps it *)
+    let encoded = Array.map (fun image -> image.(pc)) images in
+    Trace.Collector.emit (Trace.Event.Bus { time; pc; encoded });
+    let block = pc_block.(pc) in
+    if blocks.(block).Cfg.Block.start = pc then
+      Trace.Collector.emit (Trace.Event.Block_entry { time; pc; block })
+  in
+  { fetch; finish = (fun _ _ -> ()) }
+
+(* The auto selector's mixed bus, per image: a region whose entry in
+   [alts] left TT steps that backend's stateful encoder, and every other
+   fetch drives the stored image while the aux lines hold.  The returned
+   array fills with the transitions over data and aux lines.  With every
+   region TT the mixed bus is the TT bus, so [finish] checks the count
+   against [tt_bus] when given. *)
+let mixed_bus_sink ~images ~region_of_pc ~alts ~k_of_image ~tt_bus =
+  let nimg = Array.length images in
+  let step b =
+    let module B = (val b : Buspower.Encoder.S) in
+    let e = B.encoder ~width:32 in
+    fun w ->
+      match B.encode e w with
+      | [ cw ] -> cw
+      | _ ->
+          failwith "Pipeline.Evaluate: latency-0 backend emitted <> 1 codeword"
+  in
+  let steps = Array.map (Array.map (Option.map step)) alts in
+  let totals = Array.make nimg 0 in
+  let prev_data = Array.make nimg 0 and prev_aux = Array.make nimg 0 in
+  let primed = ref false in
+  let fetch pc w =
+    for v = 0 to nimg - 1 do
+      let data = ref images.(v).(pc) and aux = ref prev_aux.(v) in
+      let r = region_of_pc.(v).(pc) in
+      (if r >= 0 then
+         match steps.(v).(r) with
+         | Some step ->
+             let cw = step w in
+             data := cw.Buspower.Encoder.data;
+             aux := cw.Buspower.Encoder.aux
+         | None -> ());
+      if !primed then
+        totals.(v) <-
+          totals.(v)
+          + Bitutil.Popcount.count32 (!data lxor prev_data.(v))
+          + Bitutil.Popcount.count32 (!aux lxor prev_aux.(v));
+      prev_data.(v) <- !data;
+      prev_aux.(v) <- !aux
+    done;
+    primed := true
+  in
+  let finish _ _ =
+    Option.iter
+      (Array.iteri (fun v tt ->
+           if totals.(v) <> tt then
+             raise
+               (Replay_mismatch
+                  (Printf.sprintf "k=%d mixed bus" k_of_image.(v)))))
+      tt_bus
+  in
+  ({ fetch; finish }, totals)
+
+(* One run of [program] through [sinks], each fetch to every sink in list
+   order.  The sinks are chained into one closure before the run:
+   iterating the list per fetch would allocate a closure per fetch. *)
+let run_live program = function
+  | [] -> ()
+  | first :: rest ->
+      let both a b =
+        let fetch pc w = a.fetch pc w; b.fetch pc w in
+        let finish r s = a.finish r s; b.finish r s in
+        { fetch; finish }
+      in
+      let sink = List.fold_left both first rest in
+      let words = Isa.Program.words program in
+      let state = Machine.Cpu.create_state () in
+      let on_fetch ~pc = sink.fetch pc (Array.unsafe_get words pc) in
+      sink.finish (Machine.Cpu.run ~on_fetch program state) state
 
 let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
     ?(subset_mask = Powercode.Subset.paper_eight_mask)
@@ -525,88 +654,66 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
   in
   let { profile; blocks; hot_blocks; _ } = ctx in
   (* plans and decode systems, one per block size *)
-  let systems =
-    List.map
-      (fun p -> (p.prep_k, p.prep_plan, p.prep_system))
-      (systems_of_plans ~tt_capacity ctx program plans)
-  in
-  let coverage_pct =
-    match systems with
-    | [] -> 0.0
-    | (_, plan, _) :: _ ->
-        let encoded_starts =
-          List.filter_map
-            (fun p ->
-              if p.Powercode.Program_encoder.encoding <> None then
-                Some p.Powercode.Program_encoder.cand.start_index
-              else None)
-            plan.Powercode.Program_encoder.placements
-        in
-        let subset =
-          List.filter
-            (fun (b : Cfg.Block.t) -> List.mem b.start encoded_starts)
-            hot_blocks
-        in
-        100.0 *. Cfg.Profile.coverage profile subset
-  in
-  let images =
-    Array.of_list
-      (List.map (fun (_, _, s) -> s.Hardware.Reprogram.image) systems)
-  in
+  let prepared = systems_of_plans ~tt_capacity ctx program plans in
+  let systems = Array.of_list (List.map (fun p -> p.prep_system) prepared) in
+  let images = Array.map (fun s -> s.Hardware.Reprogram.image) systems in
   let nimg = Array.length images in
-  let k_of_image = Array.of_list (List.map (fun (k, _, _) -> k) systems) in
+  let k_of_image = Array.of_list (List.map (fun p -> p.prep_k) prepared) in
   let npc = Array.length words in
-  (* pc -> basic-block index and block-entry flag, for attribution and for
-     Block_entry trace events *)
-  let block_map =
+  (* pc -> basic-block index, for attribution and for Block_entry trace
+     events; the blocks tile the program *)
+  let pc_block =
     lazy
-      (let pc_block = Array.make npc (-1) in
-       let pc_is_start = Array.make npc false in
-       Array.iteri
-         (fun bi (b : Cfg.Block.t) ->
-           if b.start < npc then pc_is_start.(b.start) <- true;
-           for pc = b.start to min (npc - 1) (b.start + b.len - 1) do
-             pc_block.(pc) <- bi
-           done)
+      (let map = Array.make npc (-1) in
+       Array.iter
+         (fun (b : Cfg.Block.t) -> Array.fill map b.start b.len b.index)
          blocks;
-       (pc_block, pc_is_start))
+       map)
   in
   let block_of_pc pc =
-    if pc >= 0 && pc < npc then (fst (Lazy.force block_map)).(pc) else -1
+    if pc >= 0 && pc < npc then (Lazy.force pc_block).(pc) else -1
   in
-  (* per-image map of pcs stored encoded (a block's head may be covered
-     only partially when the TT ran short, so extents come from the
-     encoding actually patched into the image, not the candidate body);
-     shared by the ledger meter and the scheme auto-selector *)
-  let encoded_regions_of plan =
-    List.filter_map
-      (fun p ->
-        match p.Powercode.Program_encoder.encoding with
-        | None -> None
-        | Some enc ->
-            Some
-              {
-                rg_start = p.Powercode.Program_encoder.cand.start_index;
-                rg_len =
-                  Bitutil.Bitmat.rows enc.Powercode.Program_encoder.encoded;
-                rg_weight = p.Powercode.Program_encoder.cand.weight;
-                rg_tt_static =
-                  Bitutil.Bitmat.transitions
-                    enc.Powercode.Program_encoder.encoded;
-              })
-      plan.Powercode.Program_encoder.placements
-  in
+  (* per-image encoded regions (a block's head may be covered only
+     partially when the TT ran short, so extents come from the encoding
+     actually patched into the image, not the candidate body); shared by
+     the ledger meter and the scheme auto-selector *)
   let regions =
-    Array.of_list (List.map (fun (_, plan, _) -> encoded_regions_of plan) systems)
+    let open Powercode.Program_encoder in
+    let region_of pl =
+      match pl.encoding with
+      | None -> None
+      | Some enc ->
+          Some
+            {
+              rg_start = pl.cand.start_index;
+              rg_len = Bitutil.Bitmat.rows enc.encoded;
+              rg_weight = pl.cand.weight;
+              rg_tt_static = Bitutil.Bitmat.transitions enc.encoded;
+            }
+    in
+    Array.of_list
+      (List.map
+         (fun p ->
+           Array.of_list (List.filter_map region_of p.prep_plan.placements))
+         prepared)
   in
-  let encoded_pc =
+  let coverage_pct =
+    if nimg = 0 then 0.0
+    else
+      let starts = Array.map (fun rg -> rg.rg_start) regions.(0) in
+      100.0
+      *. Cfg.Profile.coverage profile
+           (List.filter
+              (fun (b : Cfg.Block.t) -> Array.mem b.start starts)
+              hot_blocks)
+  in
+  (* per image, pc -> index of the encoded region holding it, or -1 *)
+  let region_of_pc =
     lazy
       (Array.map
          (fun rgs ->
-           let map = Array.make npc false in
-           List.iter
-             (fun rg -> region_pcs npc rg (fun pc -> map.(pc) <- true))
-             rgs;
+           let map = Array.make npc (-1) in
+           Array.iteri (fun i rg -> Array.fill map rg.rg_start rg.rg_len i) rgs;
            map)
          regions)
   in
@@ -617,271 +724,111 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
       ~block_of_pc
   in
   let new_meter model =
-    let encoded_pc = Lazy.force encoded_pc in
+    let region_of_pc = Lazy.force region_of_pc in
     Ledger.Meter.create ~name ~model ~ks:k_of_image
       ~encoded_region:(fun ~image ~pc ->
-        pc >= 0 && pc < npc && encoded_pc.(image).(pc))
+        pc >= 0 && pc < npc && region_of_pc.(image).(pc) >= 0)
   in
   (* Scheme auto-selection: score each encoded region against the
      fetch-path alternatives.  The choice is static, a pure function of
-     the plan and the model. *)
+     the plan and the model: per image, each region's backend, [None]
+     where it stays TT. *)
   let scoring_model =
     match ledger with Some m -> m | None -> Ledger.Model.on_chip
   in
   let per_t = Buspower.Energy.per_transition scoring_model.Ledger.Model.bus in
-  let alt_of_region =
+  let alts =
     match scheme_alts with
     | None -> None
     | Some sel ->
-        (* one event per region: the scored slate, the winner, and whether
-           the choice was forced rather than scored *)
-        let region_event ~k ~forced rg winner scores =
-          Log.info "scheme.region"
-            ([
-               ("k", Log.Int k);
-               ("start", Log.Int rg.rg_start);
-               ("len", Log.Int rg.rg_len);
-               ("weight", Log.Int rg.rg_weight);
-               ("winner", Log.Str winner);
-               ("forced", Log.Bool forced);
-             ]
-            @ List.map (fun (s, v) -> ("cost_" ^ s, Log.Float v)) scores)
-        in
         let pick ~k rg =
-          match sel with
-          | `Force b ->
-              if Log.enabled () then begin
-                let module B = (val b : Buspower.Encoder.S) in
-                region_event ~k ~forced:true rg B.scheme []
-              end;
-              Some b
-          | `Choose alts ->
-              let winner, scores =
-                choose_backend ~alts ~model:scoring_model ~per_t ~words rg
-              in
-              if Log.enabled () then begin
-                let name =
-                  match winner with
-                  | None -> "tt"
-                  | Some b ->
-                      let module B = (val b : Buspower.Encoder.S) in
-                      B.scheme
+          let winner, scores, forced =
+            match sel with
+            | `Force b -> (Some b, [], true)
+            | `Choose alts ->
+                let winner, scores =
+                  choose_backend ~alts ~model:scoring_model ~per_t ~words rg
                 in
-                region_event ~k ~forced:false rg name scores
-              end;
-              winner
+                (winner, scores, false)
+          in
+          (* one event per region: the scored slate, the winner, and
+             whether the choice was forced rather than scored *)
+          if Log.enabled () then
+            Log.info "scheme.region"
+              ([
+                 ("k", Log.Int k);
+                 ("start", Log.Int rg.rg_start);
+                 ("len", Log.Int rg.rg_len);
+                 ("weight", Log.Int rg.rg_weight);
+                 ( "winner",
+                   Log.Str
+                     (match winner with None -> "tt" | Some b -> scheme_name b)
+                 );
+                 ("forced", Log.Bool forced);
+               ]
+              @ List.map (fun (s, v) -> ("cost_" ^ s, Log.Float v)) scores);
+          winner
         in
         Some
-          (Array.mapi
-             (fun v rgs ->
-               Array.of_list
-                 (List.map
-                    (fun rg ->
-                      match pick ~k:k_of_image.(v) rg with
-                      | None -> None
-                      | Some b ->
-                          let module B = (val b : Buspower.Encoder.S) in
-                          let e = B.encoder ~width:32 in
-                          let c = B.cost ~width:32 in
-                          Some
-                            {
-                              art_scheme = B.scheme;
-                              art_step =
-                                (fun w ->
-                                  match B.encode e w with
-                                  | [ cw ] -> cw
-                                  | _ ->
-                                      failwith
-                                        "Pipeline.Evaluate: latency-0 backend \
-                                         emitted <> 1 codeword");
-                              art_reads_per_fetch =
-                                c.Buspower.Encoder.reads_per_fetch;
-                              art_table_words =
-                                (c.Buspower.Encoder.table_bits + 31) / 32;
-                              art_fetches = 0;
-                            })
-                    rgs))
+          (Array.mapi (fun v rgs -> Array.map (pick ~k:k_of_image.(v)) rgs)
              regions)
   in
   (* A region that left TT drives a stateful encoder: only a live run can
      count its bus.  So can only a live run feed the trace collector or the
      per-fetch decoders of [verify]. *)
   let stateful =
-    match alt_of_region with
+    match alts with
     | None -> false
     | Some alts -> Array.exists (Array.exists Option.is_some) alts
   in
-  let tracing = Trace.Collector.enabled () in
-  let first_pc = Cfg.Profile.first_pc profile in
-  let pairs f = Cfg.Profile.iter_pairs profile f in
-  (* One live run over the program: the per-fetch consumers, and under
-     [verify] a recount of every replayed figure that raises on the first
-     difference.  Returns the auto selector's per-fetch state, if any, and
-     the per-image verified fetch counts. *)
-  let live_run ~totals ~attr ~meter =
-    let decoders =
-      if verify then
-        Array.of_list
-          (List.map (fun (_, _, s) -> Hardware.Reprogram.decoder s) systems)
-      else [||]
-    in
-    let verified = Array.make nimg 0 in
-    (* the per-fetch recounts: attribution totals cover the baseline and
-       every image, whether or not the caller asked for attribution *)
-    let live_businvert = Buspower.Businvert.create ~width:32 () in
-    let live_attr = if verify then Some (new_attribution ()) else None in
-    let live_meter = if verify then Option.map new_meter ledger else None in
-    let auto =
-      match alt_of_region with
-      | Some alts when stateful || verify ->
-          Some
-            {
-              as_region_of_pc =
-                Array.map
-                  (fun rgs ->
-                    let map = Array.make npc (-1) in
-                    List.iteri
-                      (fun ri rg ->
-                        region_pcs npc rg (fun pc -> map.(pc) <- ri))
-                      rgs;
-                    map)
-                  regions;
-              as_alt = alts;
-              as_totals = Array.make nimg 0;
-              as_prev_data = Array.make nimg 0;
-              as_prev_aux = Array.make nimg 0;
-              as_tt_fetches = Array.make nimg 0;
-              as_first = true;
-            }
-      | _ -> None
-    in
-    let on_fetch ~pc =
-      let w = Array.unsafe_get words pc in
-      if verify then begin
-        Buspower.Businvert.step live_businvert w;
-        Array.iteri
-          (fun v dec ->
-            let _bus, decoded = Hardware.Fetch_decoder.fetch dec ~pc in
-            if decoded <> w then
-              raise (Verification_failed { pc; expected = w; got = decoded });
-            verified.(v) <- verified.(v) + 1)
-          decoders
-      end;
-      (* Attribution and trace events share one fresh per-fetch word array;
-         the ring retains it, so it must not be a reused scratch buffer. *)
-      if tracing || live_attr <> None || live_meter <> None then begin
-        let enc = Array.init nimg (fun v -> (Array.unsafe_get images v).(pc)) in
-        (match live_attr with
-        | Some a -> Trace.Attribution.record a ~pc ~baseline:w ~encoded:enc
-        | None -> ());
-        (match live_meter with
-        | Some m -> Ledger.Meter.record m ~pc ~baseline:w ~encoded:enc
-        | None -> ());
-        if tracing then begin
-          let time = Trace.Collector.now () in
-          Trace.Collector.emit (Trace.Event.Bus { time; pc; encoded = enc });
-          let pc_block, pc_is_start = Lazy.force block_map in
-          if pc_is_start.(pc) then
-            Trace.Collector.emit
-              (Trace.Event.Block_entry { time; pc; block = pc_block.(pc) })
-        end
-      end;
-      (* the chosen mixed bus: regions left TT and unencoded fetches drive
-         the stored image while the aux lines hold *)
-      match auto with
-      | None -> ()
-      | Some a ->
-          let first_auto = a.as_first in
-          a.as_first <- false;
-          for v = 0 to nimg - 1 do
-            let r = a.as_region_of_pc.(v).(pc) in
-            let data, aux =
-              if r >= 0 then
-                match a.as_alt.(v).(r) with
-                | Some art ->
-                    art.art_fetches <- art.art_fetches + 1;
-                    let cw = art.art_step w in
-                    (cw.Buspower.Encoder.data, cw.Buspower.Encoder.aux)
-                | None ->
-                    a.as_tt_fetches.(v) <- a.as_tt_fetches.(v) + 1;
-                    ((Array.unsafe_get images v).(pc), a.as_prev_aux.(v))
-              else ((Array.unsafe_get images v).(pc), a.as_prev_aux.(v))
-            in
-            if not first_auto then
-              a.as_totals.(v) <-
-                a.as_totals.(v)
-                + popcount32 (data lxor a.as_prev_data.(v))
-                + popcount32 (aux lxor a.as_prev_aux.(v));
-            a.as_prev_data.(v) <- data;
-            a.as_prev_aux.(v) <- aux
-          done
-    in
-    let state = Machine.Cpu.create_state () in
-    let result = Machine.Cpu.run ~on_fetch program state in
-    (match live_attr with
-    | None -> ()
-    | Some live_attr ->
-        let check figure ~replay ~live =
-          if replay <> live then
-            raise
-              (Replay_mismatch
-                 (Printf.sprintf "%s: replay %d, live %d" figure replay live))
-        in
-        check "instructions" ~replay:ctx.run.Machine.Cpu.instructions
-          ~live:result.Machine.Cpu.instructions;
-        check "exit code" ~replay:ctx.run.Machine.Cpu.exit_code
-          ~live:result.Machine.Cpu.exit_code;
-        if not (String.equal ctx.output (Machine.Cpu.output state)) then
-          raise (Replay_mismatch "program output");
-        check "bus-invert transitions" ~replay:ctx.businvert_transitions
-          ~live:(Buspower.Businvert.transitions live_businvert);
-        let live = Trace.Attribution.summarize live_attr in
-        check "baseline transitions" ~replay:ctx.baseline_transitions
-          ~live:live.total_baseline;
-        Array.iteri
-          (fun v live ->
-            check (Printf.sprintf "k=%d transitions" k_of_image.(v))
-              ~replay:totals.(v) ~live)
-          live.total_encoded;
-        Option.iter
-          (fun a ->
-            if Trace.Attribution.summarize a <> live then
-              raise (Replay_mismatch "attribution summary"))
-          attr;
-        match (meter, live_meter) with
-        | Some a, Some b when not (Ledger.Meter.same_counts a b) ->
-            raise (Replay_mismatch "ledger counts")
-        | _ -> ());
-    (auto, verified)
-  in
-  let totals, attr, meter, auto, verified =
+  let totals, attr, meter, mixed =
     Metrics.with_span Tel.span_count @@ fun () ->
     gc_phase gc_count_phase @@ fun () ->
     (* every stateless figure is a sum over the recorded pc pairs *)
+    let first_pc = Cfg.Profile.first_pc profile in
+    let pairs f = Cfg.Profile.iter_pairs profile f in
     let totals = Array.map (Cfg.Profile.pair_transitions profile) images in
+    let replayed record_pairs acc =
+      record_pairs acc ~first_pc ~pairs ~baseline:words ~encoded:images;
+      acc
+    in
     let attr =
-      if attribution then begin
-        let a = new_attribution () in
-        Trace.Attribution.record_pairs a ~first_pc ~pairs ~baseline:words
-          ~encoded:images;
-        Some a
-      end
+      if attribution then
+        Some (replayed Trace.Attribution.record_pairs (new_attribution ()))
       else None
     in
     let meter =
       Option.map
-        (fun model ->
-          let m = new_meter model in
-          Ledger.Meter.record_pairs m ~first_pc ~pairs ~baseline:words
-            ~encoded:images;
-          m)
+        (fun model -> replayed Ledger.Meter.record_pairs (new_meter model))
         ledger
     in
-    if verify || tracing || stateful then begin
-      let auto, verified = live_run ~totals ~attr ~meter in
-      (totals, attr, meter, auto, verified)
-    end
-    else (totals, attr, meter, None, [||])
+    let mixed =
+      match alts with
+      | Some alts when stateful || verify ->
+          Some
+            (mixed_bus_sink ~images ~region_of_pc:(Lazy.force region_of_pc)
+               ~alts ~k_of_image
+               ~tt_bus:(if stateful then None else Some totals))
+      | _ -> None
+    in
+    (* verify first: its decoders' trace events precede each fetch's Bus *)
+    run_live program
+      (List.concat
+         [
+           (if verify then
+              [
+                verify_sink ~ctx ~npc ~systems ~k_of_image ~totals ~attr
+                  ~meter ~live_attr:(new_attribution ())
+                  ~live_meter:(Option.map new_meter ledger);
+              ]
+            else []);
+           (if Trace.Collector.enabled () then
+              [ trace_sink ~images ~blocks ~pc_block:(Lazy.force pc_block) ]
+            else []);
+           Option.to_list (Option.map fst mixed);
+         ]);
+    (* the auto selector's bus: with every region TT, the TT bus *)
+    (totals, attr, meter, match mixed with Some (_, m) -> m | None -> totals)
   in
   let instructions = ctx.run.Machine.Cpu.instructions in
   Metrics.add Tel.pipeline_fetches instructions;
@@ -902,78 +849,68 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
   in
   let runs =
     List.mapi
-      (fun v (k, plan, _system) ->
-        let encoded_blocks =
-          List.length
-            (List.filter
-               (fun p -> p.Powercode.Program_encoder.encoding <> None)
-               plan.Powercode.Program_encoder.placements)
-        in
+      (fun v p ->
         {
-          k;
+          k = p.prep_k;
           transitions = totals.(v);
           reduction_pct = reduction_pct totals.(v);
-          tt_used = plan.Powercode.Program_encoder.tt_used;
-          blocks_encoded = encoded_blocks;
-          verified_fetches = (if verify then verified.(v) else 0);
+          tt_used = p.prep_plan.Powercode.Program_encoder.tt_used;
+          blocks_encoded = Array.length regions.(v);
+          (* every fetch passed every decoder, or the run raised *)
+          verified_fetches = (if verify then instructions else 0);
         })
-      systems
+      prepared
   in
-  (* The auto selector's bus per image: transitions over data and aux lines
-     and the fetches served by regions left TT.  With every region TT the
-     mixed bus is the TT bus, so the replay gives both; otherwise the live
-     run counted them, and under [verify] it recounted the replay's. *)
-  let mixed_bus v =
-    let replayed () =
-      ( totals.(v),
-        List.fold_left
-          (fun acc rg ->
-            let n = ref acc in
-            region_pcs npc rg (fun pc ->
-                n := !n + Cfg.Profile.instruction_count profile pc);
-            !n)
-          0 regions.(v) )
-    in
-    match auto with
-    | None -> replayed ()
-    | Some a ->
-        let live = (a.as_totals.(v), a.as_tt_fetches.(v)) in
-        if (not stateful) && live <> replayed () then
-          raise
-            (Replay_mismatch (Printf.sprintf "k=%d mixed bus" k_of_image.(v)));
-        live
+  let region_fetches rg =
+    let n = ref 0 in
+    for pc = rg.rg_start to rg.rg_start + rg.rg_len - 1 do
+      n := !n + Cfg.Profile.instruction_count profile pc
+    done;
+    !n
+  in
+  let scheme_names =
+    "tt"
+    :: List.map scheme_name
+         (match scheme_alts with
+         | None -> []
+         | Some (`Choose alts) -> alts
+         | Some (`Force b) -> [ b ])
   in
   let scheme_runs =
-    match alt_of_region with
+    match alts with
     | None -> []
     | Some alts ->
         List.mapi
-          (fun v (k, _plan, _system) ->
-            let rgs = Array.of_list regions.(v) in
-            let alts_v = alts.(v) in
-            let mixed_transitions, tt_fetches = mixed_bus v in
+          (fun v p ->
+            let k = p.prep_k in
+            let rgs = regions.(v) and alts_v = alts.(v) in
             let fl = float_of_int in
-            let alt_fetches = ref 0 and alt_read_j = ref 0.0 in
-            Array.iter
-              (function
-                | Some art ->
-                    alt_fetches := !alt_fetches + art.art_fetches;
+            let tt_fetches = ref 0 and alt_fetches = ref 0 in
+            let alt_read_j = ref 0.0 in
+            Array.iteri
+              (fun ri rg ->
+                let fetches = region_fetches rg in
+                match alts_v.(ri) with
+                | None -> tt_fetches := !tt_fetches + fetches
+                | Some b ->
+                    let module B = (val b : Buspower.Encoder.S) in
+                    let c = B.cost ~width:32 in
+                    alt_fetches := !alt_fetches + fetches;
                     alt_read_j :=
                       !alt_read_j
-                      +. (fl (art.art_fetches * art.art_reads_per_fetch)
+                      +. (fl (fetches * c.Buspower.Encoder.reads_per_fetch)
                          *. scoring_model.Ledger.Model.tt_read_j)
-                      +. (fl art.art_table_words
-                         *. scoring_model.Ledger.Model.table_write_j)
-                | None -> ())
-              alts_v;
-            let enc_fetches = tt_fetches + !alt_fetches in
+                      +. (fl ((c.Buspower.Encoder.table_bits + 31) / 32)
+                         *. scoring_model.Ledger.Model.table_write_j))
+              rgs;
+            let enc_fetches = !tt_fetches + !alt_fetches in
             let tt_energy_j =
               (fl totals.(v) *. per_t)
               +. (fl enc_fetches *. scoring_model.Ledger.Model.tt_read_j)
             in
             let auto_energy_j =
-              (fl mixed_transitions *. per_t)
-              +. (fl tt_fetches *. scoring_model.Ledger.Model.tt_read_j)
+              (fl mixed.(v) *. per_t)
+              +. (fl !tt_fetches *. scoring_model.Ledger.Model.tt_read_j)
               +. !alt_read_j
             in
             (* Commit rule: an [`Auto] selection that measured worse than
@@ -993,74 +930,47 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
                   ("reverted", Log.Bool reverted);
                 ];
             let choice_of ri rg =
-              let rc_scheme =
-                if reverted then "tt"
-                else
-                  match alts_v.(ri) with
-                  | Some art -> art.art_scheme
-                  | None -> "tt"
-              in
               {
                 rc_start = rg.rg_start;
                 rc_len = rg.rg_len;
                 rc_weight = rg.rg_weight;
-                rc_scheme;
+                rc_scheme =
+                  (match alts_v.(ri) with
+                  | Some b when not reverted -> scheme_name b
+                  | _ -> "tt");
               }
             in
             let choices = Array.to_list (Array.mapi choice_of rgs) in
-            let counts =
-              let tally = Hashtbl.create 8 in
-              List.iter
-                (fun c ->
-                  Hashtbl.replace tally c.rc_scheme
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt tally c.rc_scheme)))
-                choices;
-              let order =
-                let alt_list =
-                  match scheme_alts with
-                  | None -> []
-                  | Some (`Choose alts) -> alts
-                  | Some (`Force b) -> [ b ]
-                in
-                "tt"
-                :: List.map
-                     (fun b ->
-                       let module B = (val b : Buspower.Encoder.S) in
-                       B.scheme)
-                     alt_list
-              in
-              List.filter_map
-                (fun s ->
-                  match Hashtbl.find_opt tally s with
-                  | Some n -> Some (s, n)
-                  | None -> if String.equal s "tt" then Some (s, 0) else None)
-                order
+            let count s =
+              List.length
+                (List.filter (fun c -> String.equal c.rc_scheme s) choices)
+            in
+            let scheme_counts =
+              List.filter
+                (fun (s, n) -> n > 0 || String.equal s "tt")
+                (List.map (fun s -> (s, count s)) scheme_names)
             in
             let auto_transitions =
-              if reverted then totals.(v) else mixed_transitions
+              if reverted then totals.(v) else mixed.(v)
             in
             {
               srun_k = k;
               choices;
-              scheme_counts = counts;
+              scheme_counts;
               auto_transitions;
               auto_reduction_pct = reduction_pct auto_transitions;
               auto_energy_j = (if reverted then tt_energy_j else auto_energy_j);
               tt_energy_j;
               reverted;
             })
-          systems
+          prepared
   in
   let ledger_sheet =
     Option.map
       (fun m ->
-        let reprogram_writes =
-          Array.of_list
-            (List.map
-               (fun (_, _, s) -> Hardware.Reprogram.programming_writes s)
-               systems)
-        in
-        Ledger.Meter.finalize m ~reprogram_writes)
+        Ledger.Meter.finalize m
+          ~reprogram_writes:
+            (Array.map Hardware.Reprogram.programming_writes systems))
       meter
   in
   {

@@ -16,18 +16,26 @@
     in {!Plan_cache}, so a warm evaluate never executes the program.
 
     A live run of the program remains only for the consumers that are
-    truly per-fetch:
+    truly per-fetch.  Each is a sink that sees every fetch in execution
+    order and then the run's result.  The active sinks are chained, in
+    this order, into one fetch hook before the run, so driving them
+    allocates nothing per fetch:
     - [verify = true]: every fetch is pushed through the
       {!Hardware.Fetch_decoder} model for each block size and the restored
       word is compared against the true program — the full hardware
       equivalence check (slower; used by tests and small runs).  The same
-      run recounts every replayed figure fetch by fetch and raises
-      {!Replay_mismatch} on any difference, so [verify] is also the
-      per-fetch reference for the replay;
+      sink recounts every replayed figure fetch by fetch, counts each pc's
+      fetches against the recorded profile (the per-region fetch counts
+      of [schemes] are profile sums), and raises {!Replay_mismatch} on any
+      difference, so [verify] is also the per-fetch reference for the
+      replay.  Its decoders' trace events precede each fetch's [Bus]
+      event;
     - a recording {!Trace.Collector}, which gets [Bus] and [Block_entry]
       events;
-    - a [scheme] under which some region left TT: those backends are
-      stateful encoders, so only a live run can count their bus. *)
+    - the mixed bus of a [scheme] under which some region left TT: those
+      backends are stateful encoders, so only a live run can count their
+      bus.  Under [verify] it also runs when every region stayed TT, and
+      must then equal the TT bus. *)
 
 type encoded_run = {
   k : int;
@@ -35,7 +43,9 @@ type encoded_run = {
   reduction_pct : float;  (** versus the baseline image *)
   tt_used : int;
   blocks_encoded : int;
-  verified_fetches : int;  (** 0 when [verify] was off *)
+  verified_fetches : int;
+      (** the report's [instructions] under [verify] (every fetch passed
+          every decoder, or the run raised); 0 when [verify] was off *)
 }
 
 (** Per-region encoding-scheme selection for the fetch path.

@@ -79,6 +79,54 @@ let test_fixed_businvert_runs_live () =
         (s.auto_transitions <> run.transitions))
     plain.schemes plain.runs
 
+(* Every live sink in one run: verify's decoders and recounts, the trace
+   collector, and the forced bus-invert mixed bus.  The report must not
+   depend on the collector, each fetch tick gets exactly one Bus event,
+   and every decoder's BBIT probe and TT decode for a tick come before
+   that tick's Bus event. *)
+let test_all_sinks_one_run () =
+  let w = Workloads.by_name Workloads.scaled "sor" in
+  let program = (Workloads.compile w).Minic.Compile.program in
+  let scheme = `Fixed "businvert" in
+  let plain = observed ~scheme ~verify:true ~name:"sor" program in
+  Trace.Collector.start ~capacity:(1 lsl 20) ();
+  let traced, events, ticks, dropped =
+    Fun.protect ~finally:Trace.Collector.clear (fun () ->
+        let r = observed ~scheme ~verify:true ~name:"sor" program in
+        ( r,
+          Trace.Collector.events (),
+          Trace.Collector.fetches (),
+          Trace.Collector.dropped () ))
+  in
+  check_bool "report unchanged by the collector" true (traced = plain);
+  check_int "no event dropped" 0 dropped;
+  let fetches = plain.instructions in
+  let images = List.length plain.runs in
+  check_int "one fetch tick per fetch" fetches ticks;
+  let probes = Array.make fetches 0 and buses = Array.make fetches 0 in
+  let decoder_event time =
+    if buses.(time) > 0 then
+      Alcotest.failf "tick %d: decoder event after its Bus event" time
+  in
+  List.iter
+    (function
+      | Trace.Event.Bbit_probe { time; _ } ->
+          decoder_event time;
+          probes.(time) <- probes.(time) + 1
+      | Trace.Event.Decode { time; _ } -> decoder_event time
+      | Trace.Event.Bus { time; encoded; _ } ->
+          check_int "one word per image" images (Array.length encoded);
+          buses.(time) <- buses.(time) + 1
+      | _ -> ())
+    events;
+  Array.iteri
+    (fun time n ->
+      if n <> 1 then Alcotest.failf "tick %d: %d Bus events" time n;
+      if probes.(time) <> images then
+        Alcotest.failf "tick %d: %d BBIT probes before Bus, want %d" time
+          probes.(time) images)
+    buses
+
 let prop_random_programs =
   QCheck.Test.make ~name:"random programs: replay = live" ~count:20
     (QCheck.make ~print:Fun.id Minic_gen.gen_program) (fun src ->
@@ -101,6 +149,8 @@ let () =
         [
           Alcotest.test_case "fixed businvert" `Quick
             test_fixed_businvert_runs_live;
+          Alcotest.test_case "all sinks in one run" `Quick
+            test_all_sinks_one_run;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_random_programs ] );
