@@ -1,7 +1,7 @@
 (* The bench's view of a JSON document: [Telemetry.Json]'s tree with both
    number kinds as one [Num] float, which is exact for every integer the
-   bench emits (all well under 2^53).  compare.ml, trend.ml and the
-   performance benchmark's golden files read through it. *)
+   bench emits (all well under 2^53).  compare.ml and the performance
+   benchmark's golden files read through it. *)
 
 type t =
   | Null
@@ -30,7 +30,4 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_list = function Arr l -> Some l | _ -> None
-let to_float = function Num f -> Some f | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None

@@ -1,7 +1,8 @@
 (* Reproduction harness: one section per table/figure of the paper, each
    printing the regenerated rows next to the paper's published values, plus
-   ablations the paper only gestures at, plus Bechamel micro-benchmarks of
-   the encoding machinery itself.
+   ablations the paper only gestures at.  It writes BENCH_encoding.json,
+   which bench/compare.exe diffs against bench/baseline.json; how fast the
+   code runs is bench/perf's job.
 
    Run with:  dune exec bench/main.exe
    Fast mode: POWERCODE_FAST=1 dune exec bench/main.exe   (scaled workloads)
@@ -614,156 +615,6 @@ let scheme_table () =
      more energy than all-TT.  `--scheme <name>` on the CLI forces a \
      backend for comparison.@."
 
-(* ---- Bechamel micro-benchmarks -------------------------------------------------------- *)
-
-(* The seed's chain encoder, kept verbatim as the before/after baseline: the
-   immutable [Bitvec.set] copies the whole backing store on every bit write,
-   which made per-line encoding quadratic in block length.  The Bechamel
-   section below measures the builder rewrite against it. *)
-module Seed_style = struct
-  module Bitvec = Bitutil.Bitvec
-  module Codetable = Powercode.Codetable
-
-  let subword stream ~pos ~len =
-    let w = ref 0 in
-    for i = len - 1 downto 0 do
-      w := (!w lsl 1) lor (if Bitvec.get stream (pos + i) then 1 else 0)
-    done;
-    !w
-
-  let blit_code code ~pos ~len value =
-    let c = ref code in
-    for i = 0 to len - 1 do
-      c := Bitvec.set !c (pos + i) (value lsr i land 1 = 1)
-    done;
-    !c
-
-  let encode_greedy ?(subset_mask = Powercode.Boolfun.full_mask) ~k stream =
-    let n = Bitvec.length stream in
-    let spans = Powercode.Chain.block_spans ~n ~k in
-    let code = ref (Bitvec.create n) in
-    let taus = ref [] in
-    let encode_block (start, len) =
-      let table = Codetable.get ~subset_mask ~k:len () in
-      let word = subword stream ~pos:start ~len in
-      let choice =
-        if start = 0 then Codetable.standalone table ~word
-        else
-          let b_in = Bitvec.get !code start in
-          Codetable.chained_best table ~b_in ~word
-      in
-      code := blit_code !code ~pos:start ~len choice.Codetable.code;
-      taus := choice.Codetable.tau :: !taus
-    in
-    List.iter encode_block spans;
-    {
-      Powercode.Chain.code = !code;
-      taus = Array.of_list (List.rev !taus);
-      k;
-    }
-end
-
-(* measured by the Bechamel section, recorded into BENCH_encoding.json *)
-let chain256_measurement = ref None
-
-let estimate_ns name fn =
-  let open Bechamel in
-  let open Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let test =
-    Test.make_grouped ~name:"" [ Test.make ~name (Staged.stage fn) ]
-  in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun _ result acc ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Some est
-      | Some _ | None -> acc)
-    results None
-
-let human_ns v =
-  if v > 1e9 then Printf.sprintf "%.2f s" (v /. 1e9)
-  else if v > 1e6 then Printf.sprintf "%.2f ms" (v /. 1e6)
-  else if v > 1e3 then Printf.sprintf "%.2f us" (v /. 1e3)
-  else Printf.sprintf "%.0f ns" v
-
-let bechamel_suite () =
-  section "Bechamel: cost of regenerating each experiment";
-  let stream = seeded_stream 424242 1000 in
-  let block_words =
-    let st = ref 99 in
-    Array.init 24 (fun _ ->
-        st := !st lxor (!st lsl 13);
-        st := !st lxor (!st lsr 7);
-        st := !st lxor (!st lsl 17);
-        !st land 0xffffffff)
-  in
-  let matrix = Bitutil.Bitmat.of_words ~width:32 block_words in
-  let config = Powercode.Program_encoder.default_config () in
-  let quick = Workloads.by_name Workloads.scaled "fft" in
-  let compiled = Workloads.compile quick in
-  let tests =
-    [
-      ("fig2_table_k3", fun () -> ignore (Powercode.Solver.table ~k:3 ()));
-      ("fig3_totals_k7", fun () -> ignore (Powercode.Solver.totals ~k:7 ()));
-      ( "fig4_table_k5_subset",
-        fun () ->
-          ignore
-            (Powercode.Solver.table
-               ~subset_mask:Powercode.Subset.paper_eight_mask ~k:5 ()) );
-      ( "sec6_chain_1000bits",
-        fun () -> ignore (Powercode.Chain.encode_greedy ~k:5 stream) );
-      ( "sec6_chain_dp_1000bits",
-        fun () -> ignore (Powercode.Chain.encode_optimal ~k:5 stream) );
-      ( "fig6_block_encode_24x32",
-        fun () -> ignore (Powercode.Program_encoder.encode_block config matrix)
-      );
-      ( "fig6_pipeline_fft_scaled",
-        fun () ->
-          ignore
-            (Pipeline.Evaluate.evaluate ~ks:[ 5 ] ~name:"fft"
-               compiled.Minic.Compile.program) );
-    ]
-  in
-  List.iter
-    (fun (name, fn) ->
-      match estimate_ns name fn with
-      | Some est -> Format.printf "  %-28s %12s/run@." name (human_ns est)
-      | None -> Format.printf "  %-28s (no estimate)@." name)
-    tests;
-  (* before/after: the seed's copy-on-write per-line encode against the
-     word-packed builder rewrite, on one 256-instruction column stream *)
-  Format.printf "@.Per-line chain encode, 256-bit stream, k=5:@.";
-  let stream256 = seeded_stream 31337 256 in
-  (* prove the two produce the same encoding before timing them *)
-  let reference = Powercode.Chain.encode_greedy ~k:5 stream256 in
-  let legacy = Seed_style.encode_greedy ~k:5 stream256 in
-  assert (Bitutil.Bitvec.equal reference.Powercode.Chain.code
-            legacy.Powercode.Chain.code);
-  let new_ns =
-    estimate_ns "chain_encode_256_builder" (fun () ->
-        ignore (Powercode.Chain.encode_greedy ~k:5 stream256))
-  in
-  let old_ns =
-    estimate_ns "chain_encode_256_seedstyle" (fun () ->
-        ignore (Seed_style.encode_greedy ~k:5 stream256))
-  in
-  match (new_ns, old_ns) with
-  | Some n, Some o ->
-      chain256_measurement := Some (n, o);
-      Format.printf "  %-28s %12s/run@." "builder (current)" (human_ns n);
-      Format.printf "  %-28s %12s/run@." "seed-style copy-on-write"
-        (human_ns o);
-      Format.printf "  speedup: %.1fx %s@." (o /. n)
-        (if o /. n >= 10.0 then "(>= 10x target met)"
-         else "(below the 10x target!)")
-  | _ -> Format.printf "  (no estimate for the chain comparison)@."
-
 (* ---- Raw-speed campaign: domains sweep, plan cache, allocation counts ------ *)
 
 (* The sweep repins POWERCODE_DOMAINS per leg; both Parpool env variables
@@ -778,20 +629,23 @@ let with_domains n f =
       Unix.putenv "POWERCODE_DOMAINS" (Option.value saved ~default:""))
     f
 
+(* The self-relative speed ratios the gate floors (bench/compare.ml), in
+   the order the sweeps below record them; written as the JSON's
+   [speedups] object, which the exact diff skips. *)
+let speedups = ref []
+let record_speedup name ratio = speedups := !speedups @ [ (name, ratio) ]
+
 type throughput_leg = {
   requested_domains : int;
   leg_domains : int;  (** worker_count () + 1 as the leg actually ran *)
   campaign_injections : int;
   campaign_s : float;
-  injections_per_s : float;
-  encode_s : float;
-  bits_per_s : float;
 }
 
 let throughput_legs = ref []
 
 let throughput_sweep () =
-  section "Throughput sweep: fault campaign and block encode vs domain count";
+  section "Throughput sweep: fault campaign vs domain count";
   let fast = Sys.getenv_opt "POWERCODE_FAST" = Some "1" in
   let benches =
     List.map
@@ -802,18 +656,6 @@ let throughput_sweep () =
   let campaign_config =
     { Fault.Campaign.seed = 7; injections; ks = [ 4; 5 ]; benches }
   in
-  (* 256 x 32 keeps the fan-out above the encoder's parallel threshold *)
-  let rows = 256 in
-  let block_words =
-    let st = ref 4242 in
-    Array.init rows (fun _ ->
-        st := !st lxor (!st lsl 13);
-        st := !st lxor (!st lsr 7);
-        st := !st lxor (!st lsl 17);
-        !st land 0xffffffff)
-  in
-  let matrix = Bitutil.Bitmat.of_words ~width:32 block_words in
-  let enc_config = Powercode.Program_encoder.default_config () in
   let reference_totals = ref None in
   let leg requested =
     with_domains requested (fun () ->
@@ -826,37 +668,28 @@ let throughput_sweep () =
         (match !reference_totals with
         | None -> reference_totals := Some report.Fault.Campaign.totals
         | Some t -> assert (t = report.Fault.Campaign.totals));
-        let t1 = Unix.gettimeofday () in
-        let reps = ref 0 in
-        let elapsed = ref 0.0 in
-        while !elapsed < 0.25 do
-          ignore (Powercode.Program_encoder.encode_block enc_config matrix);
-          incr reps;
-          elapsed := Unix.gettimeofday () -. t1
-        done;
-        let encode_s = !elapsed in
-        let bits = rows * 32 * !reps in
         {
           requested_domains = requested;
           leg_domains;
           campaign_injections = injections;
           campaign_s;
-          injections_per_s = float_of_int injections /. campaign_s;
-          encode_s;
-          bits_per_s = float_of_int bits /. encode_s;
         })
   in
-  let legs =
-    List.map leg [ 1; 2; Powercode.Parpool.max_workers ]
-  in
-  throughput_legs := legs;
-  Format.printf "%9s %8s | %12s %14s | %14s@." "requested" "domains"
-    "campaign (s)" "injections/s" "encode bits/s";
+  (* in this order: the pool only grows, so a wider leg first would leave
+     idle domains behind in the narrower ones *)
+  let d1 = leg 1 in
+  let d2 = leg 2 in
+  let dmax = leg Powercode.Parpool.max_workers in
+  throughput_legs := [ d1; d2; dmax ];
+  record_speedup "campaign_speedup" (d1.campaign_s /. dmax.campaign_s);
+  Format.printf "%9s %8s | %12s %14s@." "requested" "domains" "campaign (s)"
+    "injections/s";
   List.iter
     (fun l ->
-      Format.printf "%9d %8d | %12.2f %14.0f | %14.3e@." l.requested_domains
-        l.leg_domains l.campaign_s l.injections_per_s l.bits_per_s)
-    legs;
+      Format.printf "%9d %8d | %12.2f %14.0f@." l.requested_domains
+        l.leg_domains l.campaign_s
+        (float_of_int l.campaign_injections /. l.campaign_s))
+    !throughput_legs;
   Format.printf
     "(cores here: %d; classification totals verified identical on every \
      leg — the parallel campaign is a pure function of the seed.)@."
@@ -864,7 +697,7 @@ let throughput_sweep () =
 
 (* ---- Plan cache: repeated evaluate, cold vs warm ---------------------------- *)
 
-let plan_cache_measurement = ref None
+let plan_cache_counts = ref None
 
 let plan_cache_sweep () =
   section "Plan cache: repeated prepare and evaluate, cold vs warm";
@@ -917,8 +750,9 @@ let plan_cache_sweep () =
     fastest cold_reps ~before:Pipeline.Evaluate.Plan_cache.clear
   in
   let evaluate_warm_s = fastest 10 ~before:ignore in
-  plan_cache_measurement :=
-    Some (hits, misses, cold_s, warm_s, evaluate_cold_s, evaluate_warm_s);
+  plan_cache_counts := Some (hits, misses);
+  record_speedup "prepare_warm_speedup" (cold_s /. warm_s);
+  record_speedup "evaluate_warm_speedup" (evaluate_cold_s /. evaluate_warm_s);
   Format.printf
     "  prepare: cold %.1f ms x%d (recorded run + plans), warm %.1f ms x%d \
      (cache hit): %.2fx@."
@@ -988,22 +822,19 @@ let alloc_accounting () =
      chain inner loop itself no longer allocates.@."
     (before /. Float.max 1.0 after)
 
-(* ---- Observability: sampler exercise, pool utilization, per-phase GC -------- *)
+(* ---- Observability: sampler exercise, pool utilization, exposition -------- *)
 
 (* One more evaluate feeds the metrics, then the live sampler runs over a
-   fixed wall window: the sample count tracks the clock alone
-   (window / interval), not machine speed, so the banded JSON leaf stays
-   well inside the gate's band on slow runners.  The pool and GC figures
-   themselves are read from the cumulative freeze at JSON-write time —
-   everything before this point in the run (including the domains sweep)
-   has already fed them. *)
+   fixed wall window and the OpenMetrics exposition of everything recorded
+   so far is validated.  The pool and GC counters themselves are printed by
+   the telemetry section and embedded in the JSON's [telemetry] object. *)
 
 let sampler_interval_ms = 10
 let sampler_window_s = 0.15
-let observability_measurement = ref None
+let openmetrics_valid = ref None
 
 let observability_sweep () =
-  section "Observability: live sampler, pool utilization, per-phase GC";
+  section "Observability: live sampler, pool utilization, exposition";
   let w = Workloads.by_name Workloads.scaled "tri" in
   let program = (Workloads.compile w).Minic.Compile.program in
   ignore (Pipeline.Evaluate.evaluate ~ks:[ 5 ] ~name:w.Workloads.name program);
@@ -1019,64 +850,21 @@ let observability_sweep () =
   (* the sink runs on the sampler domain; stop joins it, so the count is
      settled and must agree with the sampler's own *)
   assert (!lines = Telemetry.Sampler.samples sampler);
-  observability_measurement := Some !lines;
   Format.printf "  sampler: %d samples at %d ms over a %.0f ms window@."
     !lines sampler_interval_ms (sampler_window_s *. 1e3);
   let c = Telemetry.Metrics.counter_total in
   let busy = c Telemetry.Registry.parpool_busy_ns in
   let idle = c Telemetry.Registry.parpool_idle_ns in
-  let chunks = c Telemetry.Registry.parpool_chunks in
-  let width = Telemetry.Metrics.gauge_value Telemetry.Registry.parpool_width 0 in
-  let util =
-    if busy + idle = 0 then 0.0
-    else 100.0 *. float_of_int busy /. float_of_int (busy + idle)
-  in
-  Format.printf
-    "  pool: width %d, utilization %.1f%% (busy %.1f ms, idle %.1f ms, %d \
-     chunks)@."
-    width util
-    (float_of_int busy /. 1e6)
-    (float_of_int idle /. 1e6)
-    chunks;
-  Format.printf "  %6s %12s %12s %8s@." "slot" "busy ms" "idle ms" "tasks";
-  for i = 0 to Telemetry.Registry.pool_slots - 1 do
-    let g m = Telemetry.Metrics.gauge_value m i in
-    let b = g Telemetry.Registry.parpool_worker_busy_ns in
-    let id = g Telemetry.Registry.parpool_worker_idle_ns in
-    let t = g Telemetry.Registry.parpool_worker_tasks in
-    if b + id + t > 0 then
-      Format.printf "  %6s %12.1f %12.1f %8d@."
-        (Telemetry.Registry.pool_slot_label i)
-        (float_of_int b /. 1e6)
-        (float_of_int id /. 1e6)
-        t
-  done;
-  Format.printf "  %8s %14s %14s %8s@." "gc phase" "minor words" "major words"
-    "colls";
-  List.iter
-    (fun (name, mw, jw, mc, jc) ->
-      Format.printf "  %8s %14d %14d %8d@." name (c mw) (c jw) (c mc + c jc))
-    [
-      ( "profile",
-        Telemetry.Registry.gc_profile_minor_words,
-        Telemetry.Registry.gc_profile_major_words,
-        Telemetry.Registry.gc_profile_minor_collections,
-        Telemetry.Registry.gc_profile_major_collections );
-      ( "plan",
-        Telemetry.Registry.gc_plan_minor_words,
-        Telemetry.Registry.gc_plan_major_words,
-        Telemetry.Registry.gc_plan_minor_collections,
-        Telemetry.Registry.gc_plan_major_collections );
-      ( "count",
-        Telemetry.Registry.gc_count_minor_words,
-        Telemetry.Registry.gc_count_major_words,
-        Telemetry.Registry.gc_count_minor_collections,
-        Telemetry.Registry.gc_count_major_collections );
-    ];
+  Format.printf "  pool: width %d, utilization %.1f%%@."
+    (Telemetry.Metrics.gauge_value Telemetry.Registry.parpool_width 0)
+    (if busy + idle = 0 then 0.0
+     else 100.0 *. float_of_int busy /. float_of_int (busy + idle));
   let exposition =
     Telemetry.Openmetrics.to_string (Telemetry.Metrics.freeze ())
   in
-  match Telemetry.Openmetrics.validate exposition with
+  let verdict = Telemetry.Openmetrics.validate exposition in
+  openmetrics_valid := Some (Result.is_ok verdict);
+  match verdict with
   | Ok () ->
       Format.printf "  openmetrics exposition: %d bytes, valid@."
         (String.length exposition)
@@ -1089,14 +877,11 @@ let observability_sweep () =
    run a fixed sequence — two [`Auto] evaluates (the second served
    entirely from the cache) and a small seeded campaign.  Everything the
    window emits is Stable by construction; Runtime events (worker
-   lifecycle) fire at pool spawn and process exit, outside any window,
-   and their JSON leaf is banded regardless. *)
+   lifecycle) fire at pool spawn and process exit, outside any window. *)
 
 type eventlog_measurement = {
   ev_stable : int;
-  ev_runtime : int;
   ev_dropped : int;
-  ev_bytes : int;
   ev_run_id_present : bool;
   ev_levels : (string * int) list;
   ev_slugs : (string * int) list;
@@ -1121,126 +906,55 @@ let eventlog_sweep () =
     (Fault.Campaign.run
        { Fault.Campaign.seed = 11; injections = 24; ks = [ 5 ]; benches });
   let events = Telemetry.Log.events () in
-  let stable, runtime =
-    List.partition
-      (fun e -> e.Telemetry.Log.stability = Telemetry.Metrics.Stable)
-      events
-  in
-  (* serialize every line once: the byte total feeds the JSON, and the
-     parse-back proves each carries the run id (codec round-trip) *)
-  let bytes = ref 0 and with_run_id = ref 0 in
-  List.iter
-    (fun e ->
-      let line = Telemetry.Log.to_json e in
-      bytes := !bytes + String.length line + 1;
-      match Telemetry.Log.of_json line with
-      | Ok (id, _) when id <> "" -> incr with_run_id
-      | _ -> ())
-    events;
   let m =
     {
-      ev_stable = List.length stable;
-      ev_runtime = List.length runtime;
+      ev_stable =
+        List.length
+          (List.filter
+             (fun e -> e.Telemetry.Log.stability = Telemetry.Metrics.Stable)
+             events);
       ev_dropped = Telemetry.Log.dropped ();
-      ev_bytes = !bytes;
-      ev_run_id_present = !with_run_id = List.length events;
+      (* serialize every line; the parse-back proves each carries the run
+         id (codec round-trip) *)
+      ev_run_id_present =
+        List.for_all
+          (fun e ->
+            match Telemetry.Log.of_json (Telemetry.Log.to_json e) with
+            | Ok (id, _) -> id <> ""
+            | Error _ -> false)
+          events;
       ev_levels = Telemetry.Log.by_level ();
       ev_slugs = Telemetry.Log.by_event ();
     }
   in
   eventlog_result := Some m;
-  Format.printf
-    "  window: %d events (%d stable, %d runtime), %d dropped, %d bytes, \
-     run_id on all: %b@."
-    (List.length events) m.ev_stable m.ev_runtime m.ev_dropped m.ev_bytes
-    m.ev_run_id_present;
+  Format.printf "  window: %d events (%d stable), %d dropped, run_id on all: %b@."
+    (List.length events) m.ev_stable m.ev_dropped m.ev_run_id_present;
   List.iter
     (fun (slug, n) -> Format.printf "  %9d  %s@." n slug)
     m.ev_slugs
 
-(* ---- Encoding-engine timings: BENCH_encoding.json ------------------------------------- *)
+(* ---- Workload sizes: BENCH_encoding.json ------------------------------------ *)
 
-(* Machine-readable trajectory record: ns/instruction for block encode,
-   block decode, and the full pipeline evaluation, per workload.  Format
-   documented in EXPERIMENTS.md; future PRs diff these numbers. *)
+(* Static instructions in the executed blocks the encoder can take (two or
+   more instructions) and dynamic instructions fetched, per workload. *)
 
-let time_ns_per_rep ?(min_time = 0.15) f =
-  let t0 = Unix.gettimeofday () in
-  let reps = ref 0 in
-  let elapsed = ref 0.0 in
-  while !elapsed < min_time do
-    f ();
-    incr reps;
-    elapsed := Unix.gettimeofday () -. t0
-  done;
-  !elapsed *. 1e9 /. float_of_int !reps
-
-type encoding_timing = {
-  wname : string;
-  static_insns : int;
-  dynamic_insns : int;
-  encode_ns_per_insn : float;
-  decode_ns_per_insn : float;
-  evaluate_ns_per_insn : float;
-}
+type workload_size = { wname : string; static_insns : int; dynamic_insns : int }
 
 let measure_workload w =
-  let compiled = Workloads.compile w in
-  let program = compiled.Minic.Compile.program in
-  let words = Isa.Program.words program in
+  let program = (Workloads.compile w).Minic.Compile.program in
   let blocks = Cfg.Block.partition (Isa.Program.insns program) in
-  let profile, _ = Cfg.Profile.collect program in
-  let bodies =
-    Array.to_list blocks
-    |> List.filter (fun (b : Cfg.Block.t) ->
-           Cfg.Profile.block_weight profile b > 0 && b.Cfg.Block.len >= 2)
-    |> List.map (fun (b : Cfg.Block.t) ->
-           Bitutil.Bitmat.of_words ~width:32
-             (Array.sub words b.Cfg.Block.start b.Cfg.Block.len))
-  in
-  let static_insns =
-    max 1 (List.fold_left (fun s m -> s + Bitutil.Bitmat.rows m) 0 bodies)
-  in
-  let config = Powercode.Program_encoder.default_config () in
-  let encode_all () =
-    List.iter
-      (fun m -> ignore (Powercode.Program_encoder.encode_block config m))
-      bodies
-  in
-  let encodings =
-    List.map (fun m -> Powercode.Program_encoder.encode_block config m) bodies
-  in
-  let decode_all () =
-    List.iter
-      (fun (e : Powercode.Program_encoder.block_encoding) ->
-        ignore
-          (Powercode.Program_encoder.decode_block ~k:config.Powercode.Program_encoder.k
-             ~entries:e.Powercode.Program_encoder.entries
-             e.Powercode.Program_encoder.encoded))
-      encodings
-  in
-  let encode_ns = time_ns_per_rep encode_all in
-  let decode_ns = time_ns_per_rep decode_all in
-  let report = ref None in
-  let evaluate_ns =
-    time_ns_per_rep (fun () ->
-        report :=
-          Some
-            (Pipeline.Evaluate.evaluate ~ks:[ 5 ] ~name:w.Workloads.name
-               program))
-  in
-  let dynamic_insns =
-    match !report with
-    | Some r -> max 1 r.Pipeline.Evaluate.instructions
-    | None -> 1
-  in
+  let profile, result = Cfg.Profile.collect program in
   {
     wname = w.Workloads.name;
-    static_insns;
-    dynamic_insns;
-    encode_ns_per_insn = encode_ns /. float_of_int static_insns;
-    decode_ns_per_insn = decode_ns /. float_of_int static_insns;
-    evaluate_ns_per_insn = evaluate_ns /. float_of_int dynamic_insns;
+    static_insns =
+      Array.fold_left
+        (fun s (b : Cfg.Block.t) ->
+          if Cfg.Profile.block_weight profile b > 0 && b.Cfg.Block.len >= 2
+          then s + b.Cfg.Block.len
+          else s)
+        0 blocks;
+    dynamic_insns = result.Machine.Cpu.instructions;
   }
 
 (* ---- Telemetry: where the encode pipeline spends its work ------------------ *)
@@ -1256,20 +970,17 @@ let telemetry_report () =
 let bench_encoding_json () =
   let fast = Sys.getenv_opt "POWERCODE_FAST" = Some "1" in
   let set = if fast then Workloads.scaled else Workloads.paper_sized in
-  section "Encoding engine: ns/instruction (writes BENCH_encoding.json)";
-  Format.printf "%-5s %10s %10s | %12s %12s %12s@." "bench" "static" "dynamic"
-    "encode" "decode" "evaluate";
-  let timings = List.map measure_workload set in
+  section "Workload sizes (writes BENCH_encoding.json)";
+  Format.printf "%-5s %10s %10s@." "bench" "static" "dynamic";
+  let sizes = List.map measure_workload set in
   List.iter
     (fun t ->
-      Format.printf "%-5s %10d %10d | %9.1f ns %9.1f ns %9.1f ns@.%!" t.wname
-        t.static_insns t.dynamic_insns t.encode_ns_per_insn
-        t.decode_ns_per_insn t.evaluate_ns_per_insn)
-    timings;
+      Format.printf "%-5s %10d %10d@." t.wname t.static_insns t.dynamic_insns)
+    sizes;
   let oc = open_out "BENCH_encoding.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"powercode-bench-encoding/8\",\n";
+  p "  \"schema\": \"powercode-bench-encoding/9\",\n";
   p "  \"mode\": \"%s\",\n" (if fast then "fast" else "full");
   (* run conditions, so a regression gate can refuse apples-to-oranges
      diffs (bench/compare.ml); cores lets the gate skip parallel speedup
@@ -1281,7 +992,7 @@ let bench_encoding_json () =
     (Domain.recommended_domain_count ());
   p "  \"block_size_k\": 5,\n";
   (* deterministic evaluation results (Figure 6 + extended workloads):
-     transition counts are machine-independent, unlike the timings below *)
+     transition counts are machine-independent *)
   let evaluations = List.rev !fig6_reports @ List.rev !extended_reports in
   p "  \"evaluations\": [\n";
   let nev = List.length evaluations in
@@ -1361,46 +1072,23 @@ let bench_encoding_json () =
       p "]}%s\n" (if i = nev - 1 then "" else ","))
     evaluations;
   p "  ],\n";
-  (match !chain256_measurement with
-  | Some (new_ns, old_ns) ->
-      p "  \"chain_encode_256\": {\n";
-      p "    \"builder_ns\": %.1f,\n" new_ns;
-      p "    \"seed_style_ns\": %.1f,\n" old_ns;
-      p "    \"speedup\": %.2f\n" (old_ns /. new_ns);
-      p "  },\n"
-  | None -> ());
   (* domains sweep: requested/actual widths are exact (the clamp depends
-     only on the pool cap), the rates are wall-clock and therefore banded *)
+     only on the pool cap); the campaign's speed is in [speedups] *)
   p "  \"throughput\": [\n";
   let nlegs = List.length !throughput_legs in
   List.iteri
     (fun i l ->
-      p "    {\"requested_domains\": %d, \"domains\": %d, \"campaign_injections\": %d, "
-        l.requested_domains l.leg_domains l.campaign_injections;
-      p "\"campaign_s\": %.4f, \"injections_per_s\": %.1f, " l.campaign_s
-        l.injections_per_s;
-      p "\"encode_s\": %.4f, \"bits_per_s\": %.1f}%s\n" l.encode_s l.bits_per_s
+      p "    {\"requested_domains\": %d, \"domains\": %d, \"campaign_injections\": %d}%s\n"
+        l.requested_domains l.leg_domains l.campaign_injections
         (if i = nlegs - 1 then "" else ","))
     !throughput_legs;
   p "  ],\n";
-  (* plan cache: hit/miss counts are a pure function of the call sequence
-     (diffed exactly); the cold/warm timings are banded *)
-  (match !plan_cache_measurement with
-  | Some (hits, misses, cold_s, warm_s, evaluate_cold_s, evaluate_warm_s) ->
-      p "  \"plan_cache\": {\n";
-      p "    \"hits\": %d,\n" hits;
-      p "    \"misses\": %d,\n" misses;
-      (* a cache hit is tens of microseconds, so these need more digits
-         than the other wall-clock leaves to stay nonzero *)
-      p "    \"cold_s\": %.6f,\n" cold_s;
-      p "    \"warm_s\": %.6f,\n" warm_s;
-      p "    \"warm_speedup\": %.2f,\n" (cold_s /. warm_s);
-      p "    \"evaluate_cold_s\": %.6f,\n" evaluate_cold_s;
-      p "    \"evaluate_warm_s\": %.6f,\n" evaluate_warm_s;
-      p "    \"evaluate_warm_speedup\": %.2f\n"
-        (evaluate_cold_s /. evaluate_warm_s);
-      p "  },\n"
+  (* plan cache: hit/miss counts are a pure function of the call sequence *)
+  (match !plan_cache_counts with
+  | Some (hits, misses) ->
+      p "  \"plan_cache\": {\"hits\": %d, \"misses\": %d},\n" hits misses
   | None -> ());
+  (* minor words per block encode on one domain: exact counts *)
   (match !alloc_measurement with
   | Some (before, after) ->
       p "  \"alloc\": {\n";
@@ -1410,89 +1098,26 @@ let bench_encoding_json () =
       p "    \"reduction_factor\": %.2f\n" (before /. Float.max 1.0 after);
       p "  },\n"
   | None -> ());
-  (* schema /7: live-observability figures.  Pool utilization, per-phase GC
-     and the sampler exercise are scheduling- and wall-clock-dependent, so
-     every numeric leaf here is banded; only the structural constants
-     (slots, interval_ms) and the validator verdict are exact.  The
-     domains=1 CI leg still records nonzero pool figures because the
-     throughput sweep overrides the width per leg, so the band's
-     zero-baseline hazard never arises. *)
-  (match !observability_measurement with
-  | Some samples ->
-      let c = Telemetry.Metrics.counter_total in
-      let busy = c Telemetry.Registry.parpool_busy_ns in
-      let idle = c Telemetry.Registry.parpool_idle_ns in
-      let util =
-        if busy + idle = 0 then 0.0
-        else 100.0 *. float_of_int busy /. float_of_int (busy + idle)
-      in
-      let exposition =
-        Telemetry.Openmetrics.to_string (Telemetry.Metrics.freeze ())
-      in
-      let valid =
-        match Telemetry.Openmetrics.validate exposition with
-        | Ok () -> true
-        | Error _ -> false
-      in
+  (* schema /7: the observability section's structural constants and the
+     exposition validator's verdict; the pool and GC figures themselves
+     live in [telemetry] *)
+  (match !openmetrics_valid with
+  | Some valid ->
       p "  \"observability\": {\n";
-      p "    \"sampler\": {\"interval_ms\": %d, \"samples\": %d},\n"
-        sampler_interval_ms samples;
-      p "    \"openmetrics\": {\"bytes\": %d, \"valid\": %b},\n"
-        (String.length exposition) valid;
-      p
-        "    \"pool\": {\"slots\": %d, \"width\": %d, \"busy_ns\": %d, \
-         \"idle_ns\": %d, \"chunks\": %d, \"utilization_pct\": %.4f},\n"
-        Telemetry.Registry.pool_slots
-        (Telemetry.Metrics.gauge_value Telemetry.Registry.parpool_width 0)
-        busy idle
-        (c Telemetry.Registry.parpool_chunks)
-        util;
-      (* per-phase minor words are precise (Gc.minor_words deltas) and
-         machine-independent; major words and collection counts only move
-         at GC boundaries, so near-zero phases record them
-         nondeterministically — they are summed across phases, where the
-         totals are robustly nonzero, to keep the band's denominators
-         meaningful *)
-      let gc_sum l = List.fold_left (fun acc m -> acc + c m) 0 l in
-      p
-        "    \"gc\": {\"profile_minor_words\": %d, \"plan_minor_words\": \
-         %d, \"count_minor_words\": %d, \"major_words\": %d, \
-         \"collections\": %d},\n"
-        (c Telemetry.Registry.gc_profile_minor_words)
-        (c Telemetry.Registry.gc_plan_minor_words)
-        (c Telemetry.Registry.gc_count_minor_words)
-        (gc_sum
-           [
-             Telemetry.Registry.gc_profile_major_words;
-             Telemetry.Registry.gc_plan_major_words;
-             Telemetry.Registry.gc_count_major_words;
-           ])
-        (gc_sum
-           [
-             Telemetry.Registry.gc_profile_minor_collections;
-             Telemetry.Registry.gc_profile_major_collections;
-             Telemetry.Registry.gc_plan_minor_collections;
-             Telemetry.Registry.gc_plan_major_collections;
-             Telemetry.Registry.gc_count_minor_collections;
-             Telemetry.Registry.gc_count_major_collections;
-           ]);
-      p "    \"heap\": {\"heap_words\": %d, \"top_heap_words\": %d}\n"
-        (Telemetry.Metrics.gauge_value Telemetry.Registry.gc_heap_words 0)
-        (Telemetry.Metrics.gauge_value Telemetry.Registry.gc_top_heap_words 0);
+      p "    \"sampler\": {\"interval_ms\": %d},\n" sampler_interval_ms;
+      p "    \"openmetrics\": {\"valid\": %b},\n" valid;
+      p "    \"pool\": {\"slots\": %d}\n" Telemetry.Registry.pool_slots;
       p "  },\n"
   | None -> ());
   (* schema /8: pinned-window event-log counts.  Stable counts, the level
      and per-slug tallies and the run_id verdict are pure functions of the
-     window's workload and diff exactly; runtime_events and bytes are
-     banded (scheduling / run_id length) *)
+     window's workload *)
   (match !eventlog_result with
   | Some e ->
       p "  \"eventlog\": {\n";
       p "    \"run_id_present\": %b,\n" e.ev_run_id_present;
       p "    \"stable_events\": %d,\n" e.ev_stable;
-      p "    \"runtime_events\": %d,\n" e.ev_runtime;
       p "    \"dropped\": %d,\n" e.ev_dropped;
-      p "    \"bytes\": %d,\n" e.ev_bytes;
       p "    \"levels\": {";
       List.iteri
         (fun i (name, n) ->
@@ -1510,15 +1135,17 @@ let bench_encoding_json () =
   p "  \"workloads\": [\n";
   List.iteri
     (fun i t ->
-      p "    {\"name\": \"%s\", \"static_insns\": %d, \"dynamic_insns\": %d, "
-        t.wname t.static_insns t.dynamic_insns;
-      p "\"encode_ns_per_insn\": %.2f, \"decode_ns_per_insn\": %.2f, "
-        t.encode_ns_per_insn t.decode_ns_per_insn;
-      p "\"evaluate_ns_per_insn\": %.2f}%s\n" t.evaluate_ns_per_insn
-        (if i = List.length timings - 1 then "" else ",");
-      ignore i)
-    timings;
+      p "    {\"name\": \"%s\", \"static_insns\": %d, \"dynamic_insns\": %d}%s\n"
+        t.wname t.static_insns t.dynamic_insns
+        (if i = List.length sizes - 1 then "" else ","))
+    sizes;
   p "  ],\n";
+  (* schema /9: the self-relative ratios bench/compare.ml floors; the exact
+     diff skips this section *)
+  p "  \"speedups\": {%s},\n"
+    (String.concat ", "
+       (List.map (fun (name, r) -> Printf.sprintf "\"%s\": %.2f" name r)
+          !speedups));
   (* the whole run's metrics: counters, tau/block-size histograms, pool and
      GC gauges, span tree — annotated with per-metric doc and stability so
      the file is self-describing (schema: Telemetry.Registry; documented in
@@ -1528,77 +1155,6 @@ let bench_encoding_json () =
   p "}\n";
   close_out oc;
   Format.printf "Wrote %s@." (Filename.concat (Sys.getcwd ()) "BENCH_encoding.json")
-
-(* ---- run history: one JSON line per harness run ----------------------------- *)
-
-let run_start = Unix.gettimeofday ()
-
-(* Append-only trend log next to the committed baseline ($POWERCODE_HISTORY
-   overrides; falls back to ./history.jsonl when no bench/ directory is in
-   sight, e.g. under the cram sandbox).  bench/compare.exe summarises the
-   trend once the file holds two or more entries. *)
-let history_path () =
-  match Sys.getenv_opt "POWERCODE_HISTORY" with
-  | Some p -> p
-  | None ->
-      if Sys.file_exists "bench" && Sys.is_directory "bench" then
-        "bench/history.jsonl"
-      else "history.jsonl"
-
-let append_history () =
-  let fast = Sys.getenv_opt "POWERCODE_FAST" = Some "1" in
-  let evaluations = List.rev !fig6_reports @ List.rev !extended_reports in
-  let mean f =
-    let xs = List.filter_map f evaluations in
-    if xs = [] then 0.0
-    else List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-  in
-  let k4_reduction (_, (r : Pipeline.Evaluate.report)) =
-    match r.Pipeline.Evaluate.runs with
-    | run :: _ -> Some run.Pipeline.Evaluate.reduction_pct
-    | [] -> None
-  in
-  let k4_net (_, (r : Pipeline.Evaluate.report)) =
-    match r.Pipeline.Evaluate.ledger with
-    | Some sheet -> (
-        match sheet.Ledger.Sheet.entries with
-        | e :: _ -> Some (Ledger.Sheet.net_savings_pct sheet e)
-        | [] -> None)
-    | None -> None
-  in
-  let path = history_path () in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
-  in
-  let leg_rate requested =
-    match
-      List.find_opt (fun l -> l.requested_domains = requested) !throughput_legs
-    with
-    | Some l -> (l.injections_per_s, l.bits_per_s)
-    | None -> (0.0, 0.0)
-  in
-  let inj1, bits1 = leg_rate 1 in
-  let injmax, bitsmax = leg_rate Powercode.Parpool.max_workers in
-  let warm_speedup =
-    match !plan_cache_measurement with
-    | Some (_, _, cold_s, warm_s, _, _) -> cold_s /. warm_s
-    | None -> 0.0
-  in
-  Printf.fprintf oc
-    "{\"schema\": \"powercode-bench-encoding/8\", \"mode\": \"%s\", \
-     \"powercode_seq\": %b, \"domains\": %d, \"wall_s\": %.2f, \"benches\": \
-     %d, \"mean_reduction_k4_pct\": %.4f, \"mean_net_savings_k4_pct\": \
-     %.4f, \"inj_per_s_d1\": %.1f, \"inj_per_s_dmax\": %.1f, \
-     \"bits_per_s_d1\": %.1f, \"bits_per_s_dmax\": %.1f, \
-     \"plan_warm_speedup\": %.2f}\n"
-    (if fast then "fast" else "full")
-    (Powercode.Parpool.sequential_mode ())
-    (Powercode.Parpool.worker_count () + 1)
-    (Unix.gettimeofday () -. run_start)
-    (List.length evaluations)
-    (mean k4_reduction) (mean k4_net) inj1 injmax bits1 bitsmax warm_speedup;
-  close_out oc;
-  Format.printf "Appended run record to %s@." path
 
 (* ---- main ------------------------------------------------------------------------------ *)
 
@@ -1629,7 +1185,6 @@ let () =
   extended_workloads ();
   energy_ledger ();
   scheme_table ();
-  bechamel_suite ();
   (* before the domains sweep grows the pool past the core count, whose
      idle domains slow every stop-the-world minor collection after it *)
   plan_cache_sweep ();
@@ -1639,5 +1194,4 @@ let () =
   eventlog_sweep ();
   telemetry_report ();
   bench_encoding_json ();
-  append_history ();
   Format.printf "@.Done.@."
