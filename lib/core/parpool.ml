@@ -192,23 +192,28 @@ let parallel_init n f =
         let results = Array.make n None in
         let nchunks = min n (worker_count () + 1) in
         let job = { remaining = nchunks; failure = None } in
-        let chunk c () =
-          (* chunk c covers indices c, c + nchunks, c + 2*nchunks, ...;
-             striding spreads uneven per-index cost across domains *)
-          let i = ref c in
-          while !i < n do
-            results.(!i) <- Some (f !i);
-            i := !i + nchunks
-          done
+        (* every chunk claims its next index from one counter, so a domain
+           that drew cheap indices takes more of them and uneven per-index
+           cost evens out across domains *)
+        let next = Atomic.make 0 in
+        let chunk () =
+          let rec claim () =
+            let i = Atomic.fetch_and_add next 1 in
+            if i < n then begin
+              results.(i) <- Some (f i);
+              claim ()
+            end
+          in
+          claim ()
         in
         Mutex.lock pool.mutex;
-        for c = 1 to nchunks - 1 do
-          pool.queue <- pool.queue @ [ (job, chunk c) ]
+        for _ = 1 to nchunks - 1 do
+          pool.queue <- pool.queue @ [ (job, chunk) ]
         done;
         Metrics.add_gauge Tel.parpool_queue_depth 0 (nchunks - 1);
         Condition.broadcast pool.work_available;
-        (* the caller runs chunk 0 itself, then helps drain the queue *)
-        run_chunk pool job (chunk 0);
+        (* the caller runs one chunk itself, then helps drain the queue *)
+        run_chunk pool job chunk;
         let rec help () =
           match pool.queue with
           | (j, thunk) :: rest when j == job ->

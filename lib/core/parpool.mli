@@ -42,9 +42,11 @@ val sequential_mode : unit -> bool
     pool. *)
 val worker_count : unit -> int
 
-(** [parallel_init n f] is [Array.init n f] with the index range chunked
-    over the pool's domains plus the calling domain.  [f] must be safe to
-    call from any domain.  The first exception raised by any [f i] is
+(** [parallel_init n f] is [Array.init n f] run as one chunk per domain
+    (the pool's domains plus the calling domain).  Each chunk claims the
+    next unclaimed index from one shared counter until none is left, so a
+    domain that draws cheap indices takes more of them.  [f] must be safe
+    to call from any domain.  The first exception raised by any [f i] is
     re-raised in the caller after all chunks settle.  Evaluation order
     across chunks is unspecified; each index is evaluated exactly once.
     Calls made {e from} a pool worker domain (nested parallelism, e.g. a

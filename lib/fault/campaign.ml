@@ -56,6 +56,25 @@ let default_config =
     benches = Workloads.scaled @ Workloads.extended;
   }
 
+(* A programmed BBIT slot as the pristine system holds it, with the TT
+   chain (tt_base to the E-delimited entry) that its entry heads. *)
+type live_slot = {
+  slot : int;
+  entry : Hardware.Bbit.entry;
+  chain : (int * Hardware.Tt.entry) list;
+}
+
+let live_slots (system : Hardware.Reprogram.system) =
+  let tt = system.Hardware.Reprogram.tt in
+  let rec chain index =
+    let e = Hardware.Tt.read tt index in
+    (index, e) :: (if e.Hardware.Tt.e_bit then [] else chain (index + 1))
+  in
+  List.map
+    (fun (slot, entry) ->
+      { slot; entry; chain = chain entry.Hardware.Bbit.tt_base })
+    (Hardware.Bbit.programmed system.Hardware.Reprogram.bbit)
+
 (* One (benchmark, k) experiment: everything needed to rebuild a pristine
    system per injection and judge the outcome against the fault-free run. *)
 type pair = {
@@ -72,6 +91,8 @@ type pair = {
   baseline_output : string;
   baseline_exit : int;
   baseline_instructions : int;
+  profile : Cfg.Profile.t;  (* the reference run's fetches per pc *)
+  slots : live_slot list;
 }
 
 let prepare_pairs config =
@@ -100,6 +121,8 @@ let prepare_pairs config =
             baseline_output = p.Pipeline.Evaluate.prep_output;
             baseline_exit = p.Pipeline.Evaluate.prep_exit_code;
             baseline_instructions = p.Pipeline.Evaluate.prep_instructions;
+            profile = p.Pipeline.Evaluate.prep_profile;
+            slots = live_slots p.Pipeline.Evaluate.prep_system;
           })
         preps)
     config.benches
@@ -196,6 +219,47 @@ let with_state states f =
       Mutex.protect states.lock (fun () -> states.free <- state :: states.free))
     (fun () -> f state)
 
+(* Is every table a live slot reads as the pristine system holds it?  For
+   each slot that has not degraded: its pristine pc still matches that
+   slot with its pristine entry, every entry of its TT chain is pristine,
+   and all their parities hold.  A flipped BBIT tag equal to another
+   slot's pc shadows that live slot, and fails here. *)
+let contained (pair : pair) (system : Hardware.Reprogram.system) dec =
+  let tt = system.Hardware.Reprogram.tt
+  and bbit = system.Hardware.Reprogram.bbit in
+  let degraded = Hardware.Fetch_decoder.degraded_slots dec in
+  List.for_all
+    (fun s ->
+      List.mem s.slot degraded
+      || Hardware.Bbit.lookup_slot bbit ~pc:s.entry.Hardware.Bbit.pc
+         = Some (s.slot, s.entry)
+         && Hardware.Bbit.parity_ok bbit s.slot
+         && List.for_all
+              (fun (index, e) ->
+                Hardware.Tt.read_opt tt index = Some e
+                && Hardware.Tt.parity_ok tt index)
+              s.chain)
+    pair.slots
+
+(* The fallbacks the rest of a rejoined run would serve: every reference
+   fetch of a degraded region's pcs not yet made. *)
+let future_fallbacks (pair : pair) dec fetched =
+  List.fold_left
+    (fun acc slot ->
+      let start, len = pair.recovery.Hardware.Fetch_decoder.regions.(slot) in
+      let acc = ref acc in
+      for pc = start to start + len - 1 do
+        acc :=
+          !acc + Cfg.Profile.instruction_count pair.profile pc - fetched.(pc)
+      done;
+      !acc)
+    0
+    (Hardware.Fetch_decoder.degraded_slots dec)
+
+(* Raised out of [Machine.Cpu.run] at the fetch where a run rejoins the
+   reference run (see campaign.mli). *)
+exception Rejoined
+
 (* Run one pre-sampled injection.  Touches nothing shared mutably — the
    rebuilt system and decoder are local, the CPU state is the injection's
    own until it hands it back — so injections fan out over the domain
@@ -210,24 +274,59 @@ let inject_target ~states ~id (pair : pair) target =
     | _ -> None
   in
   let image = system.Hardware.Reprogram.image in
+  let raw = pair.recovery.Hardware.Fetch_decoder.raw in
   let fetches = ref 0 in
+  (* Until the first detection or the first word that is not original,
+     count this run's fetches per pc: if the run rejoins there, the counts
+     give the fallbacks it did not run. *)
+  let watching = ref true and fetched = Array.make (Array.length raw) 0 in
   let fetch_word ~pc =
     let this = !fetches in
     incr fetches;
-    match glitch with
-    | Some (f, bit) when this = f ->
-        (* transient: the stored word reads flipped for this fetch only *)
-        let saved = image.(pc) in
-        image.(pc) <- saved lxor (1 lsl bit);
-        Fun.protect
-          ~finally:(fun () -> image.(pc) <- saved)
-          (fun () -> snd (Hardware.Fetch_decoder.fetch dec ~pc))
-    | _ -> snd (Hardware.Fetch_decoder.fetch dec ~pc)
+    let word =
+      match glitch with
+      | Some (f, bit) when this = f ->
+          (* transient: the stored word reads flipped for this fetch only *)
+          let saved = image.(pc) in
+          image.(pc) <- saved lxor (1 lsl bit);
+          Fun.protect
+            ~finally:(fun () -> image.(pc) <- saved)
+            (fun () -> snd (Hardware.Fetch_decoder.fetch dec ~pc))
+      | _ -> snd (Hardware.Fetch_decoder.fetch dec ~pc)
+    in
+    if !watching then
+      if word <> raw.(pc) then watching := false
+      else begin
+        fetched.(pc) <- fetched.(pc) + 1;
+        let detections =
+          Hardware.Fetch_decoder.tt_detections dec
+          + Hardware.Fetch_decoder.bbit_detections dec
+        in
+        if detections > 0 then begin
+          watching := false;
+          if detections = 1 && contained pair system dec then raise Rejoined
+        end
+      end;
+    word
   in
   let cap = (pair.baseline_instructions * 4) + 10_000 in
   let outcome =
     with_state states @@ fun state ->
     match Machine.Cpu.run ~max_cycles:cap ~fetch_word pair.program state with
+    | exception Rejoined ->
+        (* book the Stable counters as the full run would have *)
+        let future = future_fallbacks pair dec fetched in
+        Telemetry.Metrics.add Telemetry.Registry.fault_fallback_fetches future;
+        Telemetry.Metrics.add Telemetry.Registry.cpu_instructions
+          pair.baseline_instructions;
+        Telemetry.Metrics.add Telemetry.Registry.fault_fetches_skipped
+          (pair.baseline_instructions - !fetches);
+        Telemetry.Metrics.incr Telemetry.Registry.fault_recoveries;
+        Recovered
+          {
+            detections = 1;
+            fallbacks = Hardware.Fetch_decoder.fallback_fetches dec + future;
+          }
     | result ->
         let detections =
           Hardware.Fetch_decoder.tt_detections dec

@@ -191,6 +191,7 @@ type prepared = {
   prep_instructions : int;
   prep_exit_code : int;
   prep_output : string;
+  prep_profile : Cfg.Profile.t;
 }
 
 let plan_only ~tt_capacity ~optimal_chain ctx ks =
@@ -370,6 +371,7 @@ let systems_of_plans ~tt_capacity ctx program plans =
         prep_instructions = ctx.run.Machine.Cpu.instructions;
         prep_exit_code = ctx.run.Machine.Cpu.exit_code;
         prep_output = ctx.output;
+        prep_profile = ctx.profile;
       })
     plans
 

@@ -132,10 +132,11 @@ type selection = [ `Hot_blocks | `Hot_loops ]
     assembles a {e fresh} system from the same plan — fault campaigns
     corrupt a rebuilt copy per injection so upsets never leak between
     experiments (the plan itself, the expensive part, is shared).  The
-    [prep_instructions], [prep_exit_code] and [prep_output] fields are the
-    recording run's dynamic instruction count, exit code and printed
-    output: the fault-free reference a campaign judges injections
-    against, the same for every [k] of one program. *)
+    [prep_instructions], [prep_exit_code], [prep_output] and
+    [prep_profile] fields are the recording run's dynamic instruction
+    count, exit code, printed output and per-pc fetch counts: the
+    fault-free reference a campaign judges injections against, the same
+    for every [k] of one program. *)
 type prepared = {
   prep_k : int;
   prep_plan : Powercode.Program_encoder.plan;
@@ -144,6 +145,7 @@ type prepared = {
   prep_instructions : int;
   prep_exit_code : int;
   prep_output : string;
+  prep_profile : Cfg.Profile.t;
 }
 
 (** Content-addressed cache of the recording + planning front half shared

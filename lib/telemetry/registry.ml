@@ -128,6 +128,12 @@ let fault_recoveries =
     ~doc:"Campaign runs where detection + fallback restored baseline output"
     "fault.recoveries"
 
+let fault_fetches_skipped =
+  counter
+    ~doc:"Fetches a campaign did not run because the injection had rejoined \
+          the fault-free reference run"
+    "fault.fetches_skipped"
+
 (* ---- pipeline (stable) ------------------------------------------------ *)
 
 let pipeline_evaluations =

@@ -49,6 +49,7 @@ val fault_tt_parity : Metrics.counter
 val fault_bbit_parity : Metrics.counter
 val fault_fallback_fetches : Metrics.counter
 val fault_recoveries : Metrics.counter
+val fault_fetches_skipped : Metrics.counter
 
 (** {1 Pipeline — stable} *)
 

@@ -97,6 +97,295 @@ let test_render_stability () =
   check_bool "markdown has outcome table" true
     (contains (Campaign.to_markdown r) "## Outcomes")
 
+(* ---- full-run oracle ---------------------------------------------------- *)
+
+(* The campaign's classification rebuilt from public APIs only, with every
+   injection run to completion: no early stop.  [Campaign.run] stops a run
+   once it rejoins the reference run, so each of its records must equal
+   the oracle's, field by field. *)
+
+type oracle_pair = {
+  o_bench : string;
+  o_program : Isa.Program.t;
+  o_prep : Pipeline.Evaluate.prepared;
+  o_recovery : Hardware.Fetch_decoder.recovery;
+  o_space : Model.space;
+}
+
+let oracle_pairs (config : Campaign.config) =
+  List.concat_map
+    (fun w ->
+      let program = (Workloads.compile w).Minic.Compile.program in
+      List.map
+        (fun (p : Pipeline.Evaluate.prepared) ->
+          let recovery =
+            Hardware.Reprogram.recovery p.Pipeline.Evaluate.prep_system
+          in
+          {
+            o_bench = w.Workloads.name;
+            o_program = program;
+            o_prep = p;
+            o_recovery = recovery;
+            o_space =
+              Model.space p.Pipeline.Evaluate.prep_system
+                ~regions:recovery.Hardware.Fetch_decoder.regions
+                ~fetches:p.Pipeline.Evaluate.prep_instructions;
+          })
+        (Pipeline.Evaluate.prepare ~ks:config.Campaign.ks program))
+    config.Campaign.benches
+
+(* Strict address-order decode of the corrupted stored state against the
+   raw words; a refused fetch counts as a fully-unknown word. *)
+let oracle_corruption o system =
+  let raw = o.o_recovery.Hardware.Fetch_decoder.raw in
+  let n = Array.length raw in
+  let dec = Hardware.Reprogram.decoder system in
+  let diffs =
+    Array.init n (fun pc ->
+        match Hardware.Fetch_decoder.fetch dec ~pc with
+        | _, d -> (d lxor raw.(pc)) land 0xffffffff
+        | exception Machine.Fault.Fault _ ->
+            Hardware.Fetch_decoder.reset dec;
+            0xffffffff)
+  in
+  if Array.for_all (( = ) 0) diffs then None
+  else begin
+    let bits = Bitutil.Popcount.count32 in
+    let sum f = Array.fold_left (fun a d -> a + f d) 0 diffs in
+    let in_region = Array.make n false in
+    let regions_hit = ref 0 and max_extent = ref 0 in
+    Array.iter
+      (fun (start, len) ->
+        let hit = ref [] in
+        for pc = start to min (n - 1) (start + len - 1) do
+          in_region.(pc) <- true;
+          if diffs.(pc) <> 0 then hit := pc :: !hit
+        done;
+        match !hit with
+        | [] -> ()
+        | last :: _ ->
+            incr regions_hit;
+            let first = List.fold_left min last !hit in
+            max_extent := max !max_extent (last - first + 1))
+      o.o_recovery.Hardware.Fetch_decoder.regions;
+    Array.iteri
+      (fun pc d ->
+        if d <> 0 && not in_region.(pc) then max_extent := max !max_extent 1)
+      diffs;
+    Some
+      {
+        Campaign.hamming_bits = sum bits;
+        words_corrupted = sum (fun d -> if d <> 0 then 1 else 0);
+        regions_hit = !regions_hit;
+        bitlines = bits (Array.fold_left ( lor ) 0 diffs);
+        max_extent = !max_extent;
+      }
+  end
+
+let oracle_outcome o target =
+  let p = o.o_prep in
+  let system = p.Pipeline.Evaluate.rebuild () in
+  Model.apply system target;
+  let dec = Hardware.Reprogram.decoder ~recovery:o.o_recovery system in
+  let image = system.Hardware.Reprogram.image in
+  let glitch =
+    match target with
+    | Model.Bus_glitch { fetch; bit } -> Some (fetch, bit)
+    | _ -> None
+  in
+  let fetches = ref 0 in
+  let fetch_word ~pc =
+    let this = !fetches in
+    incr fetches;
+    match glitch with
+    | Some (f, bit) when this = f ->
+        let saved = image.(pc) in
+        image.(pc) <- saved lxor (1 lsl bit);
+        Fun.protect
+          ~finally:(fun () -> image.(pc) <- saved)
+          (fun () -> snd (Hardware.Fetch_decoder.fetch dec ~pc))
+    | _ -> snd (Hardware.Fetch_decoder.fetch dec ~pc)
+  in
+  let cap = (p.Pipeline.Evaluate.prep_instructions * 4) + 10_000 in
+  let state = Machine.Cpu.create_state () in
+  match Machine.Cpu.run ~max_cycles:cap ~fetch_word o.o_program state with
+  | result ->
+      let detections =
+        Hardware.Fetch_decoder.tt_detections dec
+        + Hardware.Fetch_decoder.bbit_detections dec
+      in
+      if
+        Machine.Cpu.output state = p.Pipeline.Evaluate.prep_output
+        && result.Machine.Cpu.exit_code = p.Pipeline.Evaluate.prep_exit_code
+      then
+        if detections > 0 then
+          Campaign.Recovered
+            {
+              detections;
+              fallbacks = Hardware.Fetch_decoder.fallback_fetches dec;
+            }
+        else if glitch <> None then Campaign.Masked
+        else
+          match oracle_corruption o system with
+          | None -> Campaign.Masked
+          | Some c -> Campaign.Corrupted c
+      else Campaign.Sdc
+  | exception Machine.Fault.Fault (Machine.Fault.Cycle_limit { limit }) ->
+      Campaign.Hang { limit }
+  | exception Machine.Fault.Fault c ->
+      Campaign.Trap { cause = Machine.Fault.label c }
+  | exception Machine.Cpu.Trap msg ->
+      Campaign.Trap { cause = "cpu-trap: " ^ msg }
+  | exception Machine.Memory.Fault _ -> Campaign.Trap { cause = "memory-fault" }
+  | exception Invalid_argument _ -> Campaign.Trap { cause = "machine-abort" }
+
+(* Every record of the campaign at [config.seed], with the targets drawn
+   in the campaign's order: injection [id] on pair [id mod npairs]. *)
+let oracle_records (config : Campaign.config) =
+  let pairs = Array.of_list (oracle_pairs config) in
+  let rng = Random.State.make [| config.Campaign.seed |] in
+  List.init config.Campaign.injections (fun id ->
+      let o = pairs.(id mod Array.length pairs) in
+      (id, o, Model.sample rng o.o_space))
+  |> List.map (fun (id, o, target) ->
+         {
+           Campaign.id;
+           bench = o.o_bench;
+           k = o.o_prep.Pipeline.Evaluate.prep_k;
+           target = Model.label target;
+           outcome = oracle_outcome o target;
+         })
+
+let pp_outcome ppf = function
+  | Campaign.Masked -> Format.pp_print_string ppf "masked"
+  | Campaign.Corrupted c ->
+      Format.fprintf ppf
+        "corrupted(bits=%d words=%d regions=%d lines=%d extent=%d)"
+        c.Campaign.hamming_bits c.words_corrupted c.regions_hit c.bitlines
+        c.max_extent
+  | Campaign.Recovered { detections; fallbacks } ->
+      Format.fprintf ppf "recovered(detections=%d fallbacks=%d)" detections
+        fallbacks
+  | Campaign.Sdc -> Format.pp_print_string ppf "sdc"
+  | Campaign.Trap { cause } -> Format.fprintf ppf "trap(%s)" cause
+  | Campaign.Hang { limit } -> Format.fprintf ppf "hang(%d)" limit
+
+let check_records label expected actual =
+  check_int (label ^ ": record count") (List.length expected)
+    (List.length actual);
+  List.iter2
+    (fun (e : Campaign.record) (a : Campaign.record) ->
+      let where = Printf.sprintf "%s #%d %s" label e.Campaign.id e.target in
+      check_int (where ^ " id") e.id a.Campaign.id;
+      check_string (where ^ " bench") e.bench a.bench;
+      check_int (where ^ " k") e.k a.k;
+      check_string (where ^ " target") e.target a.target;
+      Alcotest.(check (testable pp_outcome ( = )))
+        (where ^ " outcome") e.outcome a.outcome)
+    expected actual
+
+let skipped () =
+  Telemetry.Metrics.counter_total Telemetry.Registry.fault_fetches_skipped
+
+(* Metrics on for [f], so the Stable fault counters can be read *)
+let with_metrics f =
+  let was = Telemetry.Metrics.enabled () in
+  Telemetry.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Metrics.set_enabled was) f
+
+let test_early_stop_matches_full_run () =
+  with_metrics @@ fun () ->
+  let before = skipped () in
+  List.iter
+    (fun seed ->
+      let config =
+        {
+          Campaign.seed;
+          injections = 48;
+          ks = [ 4; 5; 6; 7 ];
+          benches = List.map bench [ "sor"; "fft"; "tri"; "ej" ];
+        }
+      in
+      let expected = oracle_records config in
+      let campaign env value =
+        with_env env value (fun () -> (Campaign.run config).Campaign.records)
+      in
+      check_records
+        (Printf.sprintf "seed %d, POWERCODE_SEQ=1" seed)
+        expected
+        (campaign "POWERCODE_SEQ" "1");
+      check_records
+        (Printf.sprintf "seed %d, default pool" seed)
+        expected
+        (campaign "POWERCODE_SEQ" "0"))
+    [ 1; 2; 3; 4; 5; 6 ];
+  check_bool "fault.fetches_skipped > 0: the early stop fired" true
+    (skipped () > before)
+
+(* A BBIT tag flipped onto another programmed slot's pc shadows that live
+   slot: [Bbit.corrupt] re-points the associative match, the scrub
+   degrades the flipped slot, and the shadowed block's head no longer
+   matches, so its encoded words go out undecoded.  The run is detected
+   once and has delivered only original words at the detection, so only
+   the containment check keeps the campaign from stopping there.  The
+   upset is found in the first workload whose slots differ in one pc bit,
+   and the campaign seed as the first whose first draw is that upset. *)
+let test_bbit_tag_shadow () =
+  let shadow (name, k) =
+    let config =
+      {
+        Campaign.seed = 0;
+        injections = 1;
+        ks = [ k ];
+        benches = [ bench name ];
+      }
+    in
+    let o = List.hd (oracle_pairs config) in
+    let slots =
+      Hardware.Bbit.programmed
+        o.o_prep.Pipeline.Evaluate.prep_system.Hardware.Reprogram.bbit
+    in
+    let tag_bits = List.init o.o_space.Model.pc_bits Fun.id in
+    List.find_map
+      (fun (slot, (e : Hardware.Bbit.entry)) ->
+        List.find_map
+          (fun (_, (e' : Hardware.Bbit.entry)) ->
+            List.find_opt
+              (fun bit -> e.Hardware.Bbit.pc lxor (1 lsl bit) = e'.pc)
+              tag_bits
+            |> Option.map (fun bit ->
+                   ( config,
+                     o,
+                     Model.Bbit_field { slot; upset = Hardware.Bbit.Pc { bit } }
+                   )))
+          slots)
+      slots
+  in
+  let candidates =
+    List.concat_map
+      (fun name -> List.map (fun k -> (name, k)) [ 4; 5; 6; 7 ])
+      [ "sor"; "fft"; "tri"; "ej" ]
+  in
+  match List.find_map shadow candidates with
+  | None -> Alcotest.fail "no two BBIT slots whose pcs differ in one bit"
+  | Some (config, o, target) ->
+      let label = Model.label target in
+      let rec find_seed seed =
+        if seed > 100_000 then Alcotest.fail ("no seed draws " ^ label)
+        else if
+          Model.label (Model.sample (Random.State.make [| seed |]) o.o_space)
+          = label
+        then seed
+        else find_seed (seed + 1)
+      in
+      let config = { config with Campaign.seed = find_seed 0 } in
+      let expected = oracle_records config in
+      (match expected with
+      | [ { Campaign.outcome = Campaign.Recovered _; _ } ] ->
+          Alcotest.fail (label ^ " recovers: it shadows nothing")
+      | _ -> ());
+      check_records label expected (Campaign.run config).Campaign.records
+
 (* ---- model sampling ------------------------------------------------------- *)
 
 let test_model_sampling_deterministic () =
@@ -240,6 +529,13 @@ let () =
             test_campaign_state_reuse;
           Alcotest.test_case "exactly one class" `Quick test_exactly_one_class;
           Alcotest.test_case "render stability" `Quick test_render_stability;
+        ] );
+      ( "early stop",
+        [
+          Alcotest.test_case "records equal the full-run oracle" `Quick
+            test_early_stop_matches_full_run;
+          Alcotest.test_case "bbit tag shadow runs to completion" `Quick
+            test_bbit_tag_shadow;
         ] );
       ( "model",
         [

@@ -39,6 +39,7 @@ let expected_schema =
     ("encode.tau_selected", "histogram", "stable");
     ("fault.bbit_parity_detected", "counter", "stable");
     ("fault.fallback_fetches", "counter", "stable");
+    ("fault.fetches_skipped", "counter", "stable");
     ("fault.injections", "counter", "stable");
     ("fault.recoveries", "counter", "stable");
     ("fault.tt_parity_detected", "counter", "stable");
