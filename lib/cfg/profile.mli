@@ -14,8 +14,9 @@
 type t
 
 (** [collect ?max_instructions program] runs the program to completion on a
-    fresh machine state, counting fetches per instruction and per
-    consecutive pc pair. *)
+    fresh machine state of its own, counting fetches per instruction and
+    per consecutive pc pair.  The state's memory is paged, so the run pays
+    for the pages the program writes, not for a zeroed 4 MiB. *)
 val collect :
   ?max_instructions:int -> Isa.Program.t -> t * Machine.Cpu.result
 

@@ -190,35 +190,6 @@ let static_corruption (pair : pair) system =
       }
   end
 
-(* The machine states of one campaign's injections.  An injection takes a
-   free state and resets it, or makes one when none is free, and hands it
-   back when done: a campaign allocates one 4 MiB state per domain that
-   runs its injections instead of one per injection.  The states die with
-   the campaign: kept per domain for the life of the process instead, they
-   stay live between campaigns, and the collector then lets other work's
-   garbage pile up higher (see README, Performance). *)
-type states = { lock : Mutex.t; mutable free : Machine.Cpu.state list }
-
-let with_state states f =
-  let state =
-    match
-      Mutex.protect states.lock (fun () ->
-          match states.free with
-          | s :: rest ->
-              states.free <- rest;
-              Some s
-          | [] -> None)
-    with
-    | Some s ->
-        Machine.Cpu.reset_state s;
-        s
-    | None -> Machine.Cpu.create_state ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect states.lock (fun () -> states.free <- state :: states.free))
-    (fun () -> f state)
-
 (* Is every table a live slot reads as the pristine system holds it?  For
    each slot that has not degraded: its pristine pc still matches that
    slot with its pristine entry, every entry of its TT chain is pristine,
@@ -261,10 +232,9 @@ let future_fallbacks (pair : pair) dec fetched =
 exception Rejoined
 
 (* Run one pre-sampled injection.  Touches nothing shared mutably — the
-   rebuilt system and decoder are local, the CPU state is the injection's
-   own until it hands it back — so injections fan out over the domain
-   pool; [pair.recovery] is shared read-only. *)
-let inject_target ~states ~id (pair : pair) target =
+   rebuilt system, decoder and CPU state are local — so injections fan out
+   over the domain pool; [pair.recovery] is shared read-only. *)
+let inject_target ~id (pair : pair) target =
   let system = pair.rebuild () in
   Model.apply system target;
   let dec = Hardware.Reprogram.decoder ~recovery:pair.recovery system in
@@ -311,7 +281,7 @@ let inject_target ~states ~id (pair : pair) target =
   in
   let cap = (pair.baseline_instructions * 4) + 10_000 in
   let outcome =
-    with_state states @@ fun state ->
+    let state = Machine.Cpu.create_state () in
     match Machine.Cpu.run ~max_cycles:cap ~fetch_word pair.program state with
     | exception Rejoined ->
         (* book the Stable counters as the full run would have *)
@@ -395,7 +365,6 @@ let run config =
      sample-inside-each-injection order — which is what lets phase B
      reorder execution freely. *)
   let rng = Random.State.make [| config.seed |] in
-  let states = { lock = Mutex.create (); free = [] } in
   let targets =
     Array.init config.injections (fun id ->
         Model.sample rng pairs.(id mod npairs).pair_space)
@@ -406,7 +375,7 @@ let run config =
   let records =
     Array.to_list
       (Powercode.Parpool.parallel_init config.injections (fun id ->
-           inject_target ~states ~id pairs.(id mod npairs) targets.(id)))
+           inject_target ~id pairs.(id mod npairs) targets.(id)))
   in
   let totals =
     List.map

@@ -6,7 +6,6 @@ type state = {
   mutable fcc : bool;  (* FP condition flag *)
   mutable pc : int;
   mem : Memory.t;
-  mem_bytes : int;
   out : Buffer.t;
 }
 
@@ -30,23 +29,11 @@ let create_state ?(mem_bytes = 4 * 1024 * 1024) () =
       fcc = false;
       pc = 0;
       mem = Memory.create ~bytes:mem_bytes;
-      mem_bytes;
       out = Buffer.create 256;
     }
   in
   s.regs.(Isa.Reg.to_int Isa.Reg.sp) <- mem_bytes - 16;
   s
-
-let reset_state s =
-  Array.fill s.regs 0 32 0;
-  Array.fill s.fregs 0 32 0.0;
-  s.hi <- 0;
-  s.lo <- 0;
-  s.fcc <- false;
-  s.pc <- 0;
-  Memory.clear s.mem;
-  Buffer.reset s.out;
-  s.regs.(Isa.Reg.to_int Isa.Reg.sp) <- s.mem_bytes - 16
 
 let memory s = s.mem
 let reg s r = s.regs.(Isa.Reg.to_int r)

@@ -13,17 +13,12 @@ type state
 exception Trap of string
 
 (** [create_state ?mem_bytes ()] is a fresh machine state: registers zero,
-    [$sp] at the top of a [mem_bytes] (default 4 MiB) data memory. *)
+    [$sp] at the top of a [mem_bytes] (default 4 MiB) data memory.  The
+    memory is paged (see {!Memory}), so a state costs a page table, and a
+    run on it pays for the pages it writes, not for [mem_bytes]: the
+    scaled workload programs write two to four 4 KiB pages, the
+    paper-sized ones at most 66. *)
 val create_state : ?mem_bytes:int -> unit -> state
-
-(** [reset_state s] puts [s] back to what [create_state] made it, keeping
-    its memory size: integer and FP registers zero, [hi], [lo], the FP
-    condition flag and the pc cleared, [$sp] at the top of memory, the
-    output empty and every memory byte zero.  A run on a reset state gives
-    the same result, output and memory as on a fresh one, without
-    allocating a new memory (4 MiB by default).  Fault campaigns reuse
-    their states across injections this way. *)
-val reset_state : state -> unit
 
 val memory : state -> Memory.t
 

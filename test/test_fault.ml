@@ -53,8 +53,8 @@ let test_campaign_deterministic () =
   let b = Campaign.run small_config in
   check_string "bit-identical JSON" (Campaign.to_json a) (Campaign.to_json b)
 
-(* Injections reuse machine states, reset before each run: campaigns back
-   to back, and a switch of seed and back, must each render what the first
+(* Nothing one campaign leaves behind reaches the next: campaigns back to
+   back, and a switch of seed and back, must each render what the first
    campaign at that seed rendered. *)
 let test_campaign_state_reuse () =
   let run seed = Campaign.to_json (Campaign.run { small_config with seed }) in

@@ -49,6 +49,146 @@ let test_memory_float () =
   Memory.store_float m 0 3.25;
   Alcotest.(check (float 0.0)) "roundtrip" 3.25 (Memory.load_float m 0)
 
+(* The paged memory against a flat [Bytes] reference of the same size:
+   every call returns the same value or raises the same [Fault]. *)
+module Flat = struct
+  type t = Bytes.t
+
+  let create bytes = Bytes.make ((bytes + 3) land lnot 3) '\000'
+
+  let check_word m addr =
+    if addr land 3 <> 0 then
+      raise (Memory.Fault { address = addr; message = "unaligned word access" });
+    if addr < 0 || addr > Bytes.length m - 4 then
+      raise (Memory.Fault { address = addr; message = "word access out of bounds" })
+
+  let check_byte m addr =
+    if addr < 0 || addr >= Bytes.length m then
+      raise (Memory.Fault { address = addr; message = "byte access out of bounds" })
+
+  let load_word m a = check_word m a; Int32.to_int (Bytes.get_int32_le m a)
+
+  let store_word m a v =
+    check_word m a; Bytes.set_int32_le m a (Int32.of_int (v land 0xffffffff))
+
+  let load_byte m a =
+    check_byte m a;
+    let b = Char.code (Bytes.get m a) in
+    if b >= 0x80 then b - 0x100 else b
+
+  let store_byte m a v = check_byte m a; Bytes.set m a (Char.chr (v land 0xff))
+  let load_float m a = check_word m a; Int32.float_of_bits (Bytes.get_int32_le m a)
+  let store_float m a v = check_word m a; Bytes.set_int32_le m a (Int32.bits_of_float v)
+end
+
+type mem_op =
+  | Store_word of int * int
+  | Store_byte of int * int
+  | Store_float of int * float
+  | Load_word of int
+  | Load_byte of int
+  | Load_float of int
+
+let show_op = function
+  | Store_word (a, v) -> Printf.sprintf "store_word %d %d" a v
+  | Store_byte (a, v) -> Printf.sprintf "store_byte %d %d" a v
+  | Store_float (a, v) -> Printf.sprintf "store_float %d %h" a v
+  | Load_word a -> Printf.sprintf "load_word %d" a
+  | Load_byte a -> Printf.sprintf "load_byte %d" a
+  | Load_float a -> Printf.sprintf "load_float %d" a
+
+(* 6000 B ends inside its second page. *)
+let mem_sizes = [ 16; 6000; 64 * 1024; 4 * 1024 * 1024 ]
+
+(* Addresses anywhere, near either end, and on both sides of a page
+   boundary, aligned or not. *)
+let gen_addr size =
+  let open QCheck.Gen in
+  let near base = map (fun d -> base + d) (-9 -- 9) in
+  frequency
+    [
+      (3, 0 -- (size + 8));
+      (2, near 0);
+      (2, near size);
+      (4, (0 -- (size / 4096)) >>= fun p -> near (p * 4096));
+      (1, map (fun a -> a land lnot 3) (0 -- (size - 1)));
+      (1, int);
+      (1, near (max_int - 9));
+    ]
+
+let gen_mem_op size =
+  let open QCheck.Gen in
+  let addr = gen_addr size in
+  frequency
+    [
+      (2, map2 (fun a v -> Store_word (a, v)) addr int);
+      (2, map2 (fun a v -> Store_byte (a, v)) addr int);
+      (1, map2 (fun a v -> Store_float (a, v)) addr float);
+      (3, map (fun a -> Load_word a) addr);
+      (3, map (fun a -> Load_byte a) addr);
+      (1, map (fun a -> Load_float a) addr);
+    ]
+
+type mem_outcome = Unit | Value of int | Bits of int64 | Raised of int * string
+
+module type MEM = sig
+  type t
+
+  val load_word : t -> int -> int
+  val store_word : t -> int -> int -> unit
+  val load_byte : t -> int -> int
+  val store_byte : t -> int -> int -> unit
+  val load_float : t -> int -> float
+  val store_float : t -> int -> float -> unit
+end
+
+module Apply (M : MEM) = struct
+  let op m op =
+    match
+      match op with
+      | Store_word (a, v) -> M.store_word m a v; Unit
+      | Store_byte (a, v) -> M.store_byte m a v; Unit
+      | Store_float (a, v) -> M.store_float m a v; Unit
+      | Load_word a -> Value (M.load_word m a)
+      | Load_byte a -> Value (M.load_byte m a)
+      | Load_float a -> Bits (Int64.bits_of_float (M.load_float m a))
+    with
+    | r -> r
+    | exception Memory.Fault { address; message } -> Raised (address, message)
+end
+
+module Paged = Apply (Memory)
+module Reference = Apply (Flat)
+
+let prop_paged_matches_flat =
+  let gen =
+    QCheck.Gen.(
+      oneofl mem_sizes >>= fun size ->
+      map (fun ops -> (size, ops)) (list_size (1 -- 60) (gen_mem_op size)))
+  in
+  let print (size, ops) =
+    Printf.sprintf "size %d: %s" size (String.concat "; " (List.map show_op ops))
+  in
+  QCheck.Test.make ~name:"paged memory = flat reference" ~count:500
+    (QCheck.make ~print gen) (fun (size, ops) ->
+      let paged = Memory.create ~bytes:size and flat = Flat.create size in
+      List.for_all (fun op -> Paged.op paged op = Reference.op flat op) ops
+      && Memory.size paged = Bytes.length flat
+      (* then every byte any op named, and its neighbours, reads the same *)
+      && List.for_all
+           (fun op ->
+             let a =
+               match op with
+               | Store_word (a, _) | Store_byte (a, _) | Store_float (a, _)
+               | Load_word a | Load_byte a | Load_float a -> a
+             in
+             List.for_all
+               (fun d ->
+                 Paged.op paged (Load_byte (a + d))
+                 = Reference.op flat (Load_byte (a + d)))
+               [ -4; -1; 0; 1; 2; 3; 4 ])
+           ops)
+
 (* ---- integer semantics ---------------------------------------------------- *)
 
 let test_arithmetic () =
@@ -248,7 +388,7 @@ let test_fetch_hook_counts () =
   check_int "instruction count" 5 r.Cpu.instructions;
   Alcotest.(check (list int)) "fetch order" [ 0; 1; 2; 3; 4 ] (List.rev !seen)
 
-(* ---- state reuse ------------------------------------------------------------ *)
+(* ---- fresh states ------------------------------------------------------------ *)
 
 (* Writes a word and a byte, prints, leaves values in hi/lo, an FP
    register and the FP flag, and exits with code 3. *)
@@ -320,31 +460,57 @@ let memory_words state =
   let m = Cpu.memory state in
   List.init (Memory.size m / 4) (fun i -> Memory.load_word m (i * 4))
 
-let test_reset_state_matches_fresh () =
+let registers state =
+  List.init 32 (fun i ->
+      ( Cpu.reg state (Reg.of_int i),
+        Int64.bits_of_float (Cpu.freg state (Reg.f_of_int i)) ))
+
+(* Every page of a fresh state's memory is the one shared zero page, so a
+   run that wrote through it would show in every state made before or
+   after that run. *)
+let test_zero_page_never_written () =
   let mem_bytes = 64 * 1024 in
-  let reused = Cpu.create_state ~mem_bytes () in
-  let exit_run = Cpu.run (Asm.assemble dirty_exit) reused in
+  let before = Cpu.create_state ~mem_bytes () in
+  let dirty = Cpu.create_state ~mem_bytes () in
+  let exit_run = Cpu.run (Asm.assemble dirty_exit) dirty in
   check_int "first program exits non-zero" 3 exit_run.Cpu.exit_code;
-  (match Cpu.run (Asm.assemble dirty_trap) reused with
+  (match Cpu.run (Asm.assemble dirty_trap) dirty with
   | _ -> Alcotest.fail "expected a trap"
   | exception Cpu.Trap _ -> ());
-  check_string "both programs printed" "427" (Cpu.output reused);
-  Cpu.reset_state reused;
-  let fresh = Cpu.create_state ~mem_bytes () in
+  check_string "both programs printed" "427" (Cpu.output dirty);
+  let after = Cpu.create_state ~mem_bytes () in
   let probe = Asm.assemble probe_state in
-  let r_reused = Cpu.run probe reused and r_fresh = Cpu.run probe fresh in
-  Alcotest.(check bool) "same result" true (r_reused = r_fresh);
-  check_string "same output" (Cpu.output fresh) (Cpu.output reused);
-  Alcotest.(check (list int)) "same memory" (memory_words fresh)
-    (memory_words reused);
-  List.iter
-    (fun i ->
-      let r = Reg.of_int i in
-      check_int (Reg.name r) (Cpu.reg fresh r) (Cpu.reg reused r);
-      let f = Reg.f_of_int i in
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "$f%d" i) (Cpu.freg fresh f) (Cpu.freg reused f))
-    (List.init 32 Fun.id)
+  let r_before = Cpu.run probe before and r_after = Cpu.run probe after in
+  Alcotest.(check bool) "same result" true (r_before = r_after);
+  check_string "same output" (Cpu.output after) (Cpu.output before);
+  check_string "reads zeros where the dirty run wrote" "000"
+    (String.sub (Cpu.output before) 0 3);
+  Alcotest.(check (list int)) "same memory" (memory_words after)
+    (memory_words before);
+  Alcotest.(check bool) "same registers" true
+    (registers before = registers after)
+
+(* Two domains each run a different program on a state of its own, and
+   each gives exactly what it gives alone. *)
+let test_states_in_parallel () =
+  let run name () =
+    let w = Workloads.by_name (Workloads.scaled @ Workloads.extended) name in
+    let state = Cpu.create_state () in
+    let r = Cpu.run (Workloads.compile w).Minic.Compile.program state in
+    (r, Cpu.output state, memory_words state, registers state)
+  in
+  let alone = List.map (fun name -> run name ()) [ "fir"; "sor" ] in
+  let together =
+    List.map Domain.join
+      (List.map (fun name -> Domain.spawn (run name)) [ "fir"; "sor" ])
+  in
+  List.iter2
+    (fun (r, out, mem, regs) (r', out', mem', regs') ->
+      Alcotest.(check bool) "same result" true (r = r');
+      check_string "same output" out out';
+      Alcotest.(check bool) "same memory" true (mem = mem');
+      Alcotest.(check bool) "same registers" true (regs = regs'))
+    alone together
 
 (* ---- instruction cache ------------------------------------------------------ *)
 
@@ -410,6 +576,7 @@ let () =
           Alcotest.test_case "byte sign" `Quick test_memory_byte_sign;
           Alcotest.test_case "faults" `Quick test_memory_faults;
           Alcotest.test_case "float" `Quick test_memory_float;
+          QCheck_alcotest.to_alcotest prop_paged_matches_flat;
         ] );
       ( "integer",
         [
@@ -444,8 +611,10 @@ let () =
           Alcotest.test_case "fuzz fetched words" `Quick
             test_fuzz_fetched_words;
           Alcotest.test_case "fetch hook" `Quick test_fetch_hook_counts;
-          Alcotest.test_case "reset state = fresh state" `Quick
-            test_reset_state_matches_fresh;
+          Alcotest.test_case "zero page never written" `Quick
+            test_zero_page_never_written;
+          Alcotest.test_case "states in two domains" `Quick
+            test_states_in_parallel;
         ] );
       ( "icache",
         [
