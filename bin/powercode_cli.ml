@@ -94,40 +94,46 @@ let write_text_file path contents =
   output_string oc contents;
   close_out oc
 
-(* Progress goes to stderr so stdout stays machine-readable. *)
-let export_trace path ~encoded_names =
-  let events = Trace.Collector.events () in
-  let doc =
-    if Filename.check_suffix path ".vcd" then
-      Trace.Vcd.to_string ~encoded_names events
-    else Trace.Perfetto.to_string ~encoded_names events
-  in
-  write_text_file path doc;
-  let dropped = Trace.Collector.dropped () in
-  if dropped > 0 then
-    Format.eprintf
-      "trace: ring wrapped, %d oldest events dropped (raise --capacity)@."
-      dropped;
-  Format.eprintf "trace: wrote %s@." path
+(* Metrics collection on for [f]'s window, then back to what it was.
+   Spans only reach the trace collector and log lines only carry span
+   paths while collection is on. *)
+let with_metrics f =
+  let had_stats = Telemetry.Metrics.enabled () in
+  Telemetry.Metrics.set_enabled true;
+  Fun.protect f ~finally:(fun () ->
+      if not had_stats then Telemetry.Metrics.set_enabled false)
 
-(* Run [f] with the collector recording, then export to [trace_out] (by
-   suffix: .vcd -> VCD, anything else -> Chrome trace-event JSON).  Spans
-   only flow into the trace while telemetry is collecting, so collection is
-   forced on for the window (and restored after). *)
-let with_trace ?capacity trace_out ~encoded_names f =
+(* One collector session: record [f]'s window, hand the events to [export]
+   (even when [f] raises), warn if the ring wrapped, and clear.  Progress
+   goes to stderr so stdout stays machine-readable. *)
+let with_collector ?capacity ~export f =
+  Trace.Collector.start ?capacity ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.Collector.stop ();
+      export (Trace.Collector.events ());
+      let dropped = Trace.Collector.dropped () in
+      if dropped > 0 then
+        Format.eprintf
+          "trace: ring wrapped, %d oldest events dropped (raise --capacity)@."
+          dropped;
+      Trace.Collector.clear ())
+    (fun () -> with_metrics f)
+
+(* Record [f]'s window and export it to [trace_out] by suffix: .vcd -> VCD,
+   anything else -> Chrome trace-event JSON. *)
+let with_trace trace_out ~encoded_names f =
   match trace_out with
   | None -> f ()
   | Some path ->
-      Trace.Collector.start ?capacity ();
-      let had_stats = Telemetry.Metrics.enabled () in
-      Telemetry.Metrics.set_enabled true;
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.Collector.stop ();
-          if not had_stats then Telemetry.Metrics.set_enabled false;
-          export_trace path ~encoded_names;
-          Trace.Collector.clear ())
-        f
+      let export events =
+        write_text_file path
+          (if Filename.check_suffix path ".vcd" then
+             Trace.Vcd.to_string ~encoded_names events
+           else Trace.Perfetto.to_string ~encoded_names events);
+        Format.eprintf "trace: wrote %s@." path
+      in
+      with_collector ~export f
 
 let trace_out_arg =
   Arg.(
@@ -211,21 +217,17 @@ let log_out_arg =
 
 (* The log starts cleared so the file covers exactly this invocation's
    window; events drain on the way out in t_ns order.  Metrics collection
-   comes on with it — span paths on log lines read the span stack, which
-   only exists while Metrics is enabled. *)
+   comes on with it for the span paths. *)
 let with_event_log ~log_out f =
   match log_out with
   | None -> f ()
   | Some path ->
       let had_log = Telemetry.Log.enabled () in
-      let had_stats = Telemetry.Metrics.enabled () in
       Telemetry.Log.clear ();
       Telemetry.Log.set_enabled true;
-      Telemetry.Metrics.set_enabled true;
       Fun.protect
         ~finally:(fun () ->
           if not had_log then Telemetry.Log.set_enabled false;
-          if not had_stats then Telemetry.Metrics.set_enabled false;
           let events = Telemetry.Log.events () in
           let oc = open_out path in
           List.iter
@@ -236,26 +238,23 @@ let with_event_log ~log_out f =
           close_out oc;
           Format.eprintf "log: wrote %s (%d events, run %s)@." path
             (List.length events) (Telemetry.Log.run_id ()))
-        f
+        (fun () -> with_metrics f)
 
 (* Enable collection whenever a live-metrics sink asks for it; on the way
    out, land the final OpenMetrics snapshot. *)
 let with_live_metrics ~metrics_out ~series ~interval_ms f =
   if metrics_out = None && series = None then f ()
-  else begin
-    let had_stats = Telemetry.Metrics.enabled () in
-    Telemetry.Metrics.set_enabled true;
+  else
+    with_metrics @@ fun () ->
     Fun.protect
       ~finally:(fun () ->
-        (match metrics_out with
+        match metrics_out with
         | None -> ()
         | Some path ->
             write_text_file path
               (Telemetry.Openmetrics.to_string (Telemetry.Metrics.freeze ()));
-            Format.eprintf "metrics: wrote %s@." path);
-        if not had_stats then Telemetry.Metrics.set_enabled false)
+            Format.eprintf "metrics: wrote %s@." path)
       (fun () -> with_series series ~interval_ms f)
-  end
 
 let man_observability =
   [
@@ -483,25 +482,6 @@ let resolve_benchmarks set names =
 let apply_plan_cache_flag no_plan_cache =
   if no_plan_cache then Pipeline.Evaluate.Plan_cache.set_enabled false
 
-let resolve_scheme_flag = function
-  | "tt" -> Ok `Tt
-  | "auto" -> Ok `Auto
-  | name -> (
-      Powercode.Tt_backend.ensure ();
-      match Buspower.Encoder.find name with
-      | Some _ -> Ok (`Fixed name)
-      | None ->
-          Error
-            (Printf.sprintf
-               "unknown scheme %s (tt, auto, or a registered backend: %s)"
-               name
-               (String.concat ", "
-                  (List.map
-                     (fun b ->
-                       let module B = (val b : Buspower.Encoder.S) in
-                       B.scheme)
-                     (Buspower.Encoder.all ())))))
-
 let evaluate names scaled verify trace_out csv energy sets stats no_plan_cache
     scheme_name metrics_out series series_interval log_out =
   with_stats stats @@ fun () ->
@@ -518,7 +498,7 @@ let evaluate names scaled verify trace_out csv energy sets stats no_plan_cache
         if stats then Result.map Option.some (resolve_model "on-chip" sets)
         else Ok None
   in
-  match (ledger_model, resolve_scheme_flag scheme_name) with
+  match (ledger_model, Pipeline.Evaluate.scheme_of_string scheme_name) with
   | Error msg, _ | _, Error msg -> `Error (false, msg)
   | Ok ledger, Ok scheme -> (
       match resolve_benchmarks (workload_set scaled) names with
@@ -628,7 +608,9 @@ let paper_bench_names = [ "mmul"; "sor"; "ej"; "fft"; "tri"; "lu" ]
 let report names scaled format out energy sets stats scheme_name =
   with_stats stats @@ fun () ->
   let names = if names = [] then paper_bench_names else names in
-  match (resolve_model energy sets, resolve_scheme_flag scheme_name) with
+  match
+    (resolve_model energy sets, Pipeline.Evaluate.scheme_of_string scheme_name)
+  with
   | Error msg, _ | _, Error msg -> `Error (false, msg)
   | Ok model, Ok scheme -> (
       match resolve_benchmarks (workload_set scaled) names with
@@ -709,8 +691,9 @@ let report_cmd =
       & info [ "scheme" ] ~docv:"SCHEME"
           ~doc:
             "Encoding scheme per region: tt (default), auto, or a fixed \
-             backend name; auto and fixed append the backend-selection \
-             table to the dashboard.")
+             fetch-path backend name (identity, businvert, t0, gray, \
+             lowweight); auto and fixed append the backend-selection table \
+             to the dashboard.")
   in
   Cmd.v
     (Cmd.info "report"
@@ -740,36 +723,17 @@ let trace name scaled verify vcd_out perfetto_out capacity stats =
   match resolve_benchmarks (workload_set scaled) [ name ] with
   | Error msg -> `Error (false, msg)
   | Ok [ w ] | Ok (w :: _) ->
-      Trace.Collector.start ~capacity ();
-      let had_stats = Telemetry.Metrics.enabled () in
-      Telemetry.Metrics.set_enabled true;
-      let finally () =
-        Trace.Collector.stop ();
-        if not had_stats then Telemetry.Metrics.set_enabled false;
-        List.iter
-          (fun (path, render) ->
-            match path with
-            | None -> ()
-            | Some path ->
-                write_text_file path (render (Trace.Collector.events ()));
-                Format.eprintf "trace: wrote %s@." path)
-          [
-            ( vcd_out,
-              fun evs ->
-                Trace.Vcd.to_string ~encoded_names:default_encoded_names evs );
-            ( perfetto_out,
-              fun evs ->
-                Trace.Perfetto.to_string ~encoded_names:default_encoded_names
-                  evs );
-          ];
-        let dropped = Trace.Collector.dropped () in
-        if dropped > 0 then
-          Format.eprintf
-            "trace: ring wrapped, %d oldest events dropped (raise --capacity)@."
-            dropped;
-        Trace.Collector.clear ()
+      let export evs =
+        let write render path =
+          write_text_file path (render evs);
+          Format.eprintf "trace: wrote %s@." path
+        in
+        let encoded_names = default_encoded_names in
+        Option.iter (write (Trace.Vcd.to_string ~encoded_names)) vcd_out;
+        Option.iter (write (Trace.Perfetto.to_string ~encoded_names))
+          perfetto_out
       in
-      Fun.protect ~finally @@ fun () ->
+      with_collector ~capacity ~export @@ fun () ->
       let report =
         Pipeline.Evaluate.evaluate_workload ~verify ~attribution:true w
       in
@@ -830,22 +794,15 @@ let profile name scaled out no_plan_cache =
   | Error msg -> `Error (false, msg)
   | Ok [] -> assert false
   | Ok (w :: _) ->
-      Trace.Collector.start ();
-      let had_stats = Telemetry.Metrics.enabled () in
-      Telemetry.Metrics.set_enabled true;
-      let before = Telemetry.Metrics.freeze () in
-      let finally () =
-        Trace.Collector.stop ();
-        if not had_stats then Telemetry.Metrics.set_enabled false
+      let export events =
+        write_text_file out
+          (Trace.Speedscope.to_string ~name:w.Workloads.name events);
+        Format.eprintf "profile: wrote %s@." out
       in
-      Fun.protect ~finally (fun () ->
-          ignore (Pipeline.Evaluate.evaluate_workload w));
-      write_text_file out
-        (Trace.Speedscope.to_string ~name:w.Workloads.name
-           (Trace.Collector.events ()));
-      Trace.Collector.clear ();
-      Format.eprintf "profile: wrote %s@." out;
       let window =
+        with_collector ~export @@ fun () ->
+        let before = Telemetry.Metrics.freeze () in
+        ignore (Pipeline.Evaluate.evaluate_workload w);
         Telemetry.Metrics.diff ~before ~after:(Telemetry.Metrics.freeze ())
       in
       Format.printf
@@ -885,21 +842,13 @@ let profile_cmd =
 
 (* ---- stats --------------------------------------------------------------------- *)
 
-let metric_kind_str = function
-  | Telemetry.Metrics.Counter -> "counter"
-  | Telemetry.Metrics.Histogram -> "histogram"
-  | Telemetry.Metrics.Gauge -> "gauge"
-  | Telemetry.Metrics.Span -> "span"
-
-let metric_stability_str = function
-  | Telemetry.Metrics.Stable -> "stable"
-  | Telemetry.Metrics.Runtime -> "runtime"
-
 let stats_schema () =
   List.iter
     (fun (name, kind, st, doc) ->
-      Printf.printf "%-28s %-9s %-7s %s\n" name (metric_kind_str kind)
-        (metric_stability_str st) doc)
+      Printf.printf "%-28s %-9s %-7s %s\n" name
+        (Telemetry.Metrics.kind_name kind)
+        (Telemetry.Metrics.stability_name st)
+        doc)
     (Telemetry.Metrics.registered ());
   `Ok ()
 
@@ -918,10 +867,7 @@ let stats_serve names scaled watch interval_ms out series series_interval =
     match resolve_benchmarks (workload_set scaled) names with
     | Error msg -> `Error (false, msg)
     | Ok ws ->
-        Telemetry.Metrics.set_enabled true;
-        Fun.protect
-          ~finally:(fun () -> Telemetry.Metrics.set_enabled false)
-        @@ fun () ->
+        with_metrics @@ fun () ->
         with_series series ~interval_ms:series_interval @@ fun () ->
         for round = 1 to watch do
           List.iter
@@ -1121,13 +1067,7 @@ let fault_cmd =
 let logs path min_level event_prefix span_prefix tail =
   let min_rank =
     match Telemetry.Log.level_of_name min_level with
-    | Some l ->
-        Ok
-          (match l with
-          | Telemetry.Log.Debug -> 0
-          | Telemetry.Log.Info -> 1
-          | Telemetry.Log.Warn -> 2
-          | Telemetry.Log.Error -> 3)
+    | Some l -> Ok (Telemetry.Log.level_rank l)
     | None ->
         Error
           (Printf.sprintf "unknown level %s (debug|info|warn|error)" min_level)
@@ -1135,13 +1075,6 @@ let logs path min_level event_prefix span_prefix tail =
   match min_rank with
   | Error msg -> `Error (false, msg)
   | Ok min_rank ->
-      let rank e =
-        match e.Telemetry.Log.level with
-        | Telemetry.Log.Debug -> 0
-        | Telemetry.Log.Info -> 1
-        | Telemetry.Log.Warn -> 2
-        | Telemetry.Log.Error -> 3
-      in
       let starts_with ~prefix s =
         String.length s >= String.length prefix
         && String.sub s 0 (String.length prefix) = prefix
@@ -1157,7 +1090,7 @@ let logs path min_level event_prefix span_prefix tail =
              | Error _ -> incr bad
              | Ok (_, e) ->
                  let matches =
-                   rank e >= min_rank
+                   Telemetry.Log.level_rank e.Telemetry.Log.level >= min_rank
                    && (match event_prefix with
                       | None -> true
                       | Some p -> starts_with ~prefix:p e.Telemetry.Log.event)

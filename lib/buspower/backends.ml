@@ -1,9 +1,5 @@
 let ballcode_max_width = 12
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let check_word ~scheme ~mask w =
   if w < 0 || w land lnot mask <> 0 then
     invalid_arg (Printf.sprintf "Backends.%s: word wider than bus" scheme)
@@ -187,7 +183,7 @@ module Lowweight : Encoder.S = struct
      ceil(width/2), the memoryless low-weight bound with one extra line. *)
   let encode e w =
     check_word ~scheme ~mask:e.mask w;
-    if 2 * popcount w > e.width then
+    if 2 * Bitutil.Popcount.count32 w > e.width then
       [ { Encoder.data = lnot w land e.mask; aux = 1 } ]
     else [ { Encoder.data = w; aux = 0 } ]
 
@@ -231,7 +227,9 @@ module Ballcode : Encoder.S = struct
     let all = Array.init (2 * n) (fun i -> i) in
     Array.sort
       (fun a b ->
-        let c = compare (popcount a) (popcount b) in
+        let c =
+          compare (Bitutil.Popcount.count16 a) (Bitutil.Popcount.count16 b)
+        in
         if c <> 0 then c else compare a b)
       all;
     let enc = Array.sub all 0 n in

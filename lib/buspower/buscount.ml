@@ -16,16 +16,12 @@ let create ?(width = 32) () =
     total = 0;
   }
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let observe t word =
   if word < 0 || word lsr t.width <> 0 then
     invalid_arg "Buscount.observe: word wider than bus";
   if t.observed > 0 then begin
     let diff = word lxor t.previous in
-    t.total <- t.total + popcount diff;
+    t.total <- t.total + Bitutil.Popcount.count32 diff;
     let rec mark d line =
       if d <> 0 then begin
         if d land 1 = 1 then

@@ -23,10 +23,6 @@ let create ?(width = 32) ?(stride = 1) () =
     total = 0;
   }
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let encode t address =
   if address < 0 || address land lnot t.mask <> 0 then
     invalid_arg "T0.observe: address wider than bus";
@@ -41,7 +37,7 @@ let encode t address =
     let sequential = address = t.prev_addr + t.stride in
     let bus = if sequential then t.prev_bus else address in
     let inc = sequential in
-    t.total <- t.total + popcount (bus lxor t.prev_bus);
+    t.total <- t.total + Bitutil.Popcount.count32 (bus lxor t.prev_bus);
     if inc <> t.prev_inc then t.total <- t.total + 1;
     t.prev_addr <- address;
     t.prev_bus <- bus;

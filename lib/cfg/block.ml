@@ -116,8 +116,6 @@ let block_at blocks index =
   | Some b -> b
   | None -> raise Not_found
 
-let entry_of blocks = blocks.(0)
-
 let pp fmt b =
   let term =
     match b.terminator with

@@ -31,7 +31,4 @@ val partition : Isa.Insn.t array -> t array
     Raises [Not_found] when out of range. *)
 val block_at : t array -> int -> t
 
-(** [entry_of blocks] is the block starting at instruction 0. *)
-val entry_of : t array -> t
-
 val pp : Format.formatter -> t -> unit

@@ -11,17 +11,6 @@ type t = {
   jump_count : int array;
 }
 
-let of_counts counts =
-  {
-    counts = Array.copy counts;
-    total = Array.fold_left ( + ) 0 counts;
-    first_pc = -1;
-    seq = Array.make (Array.length counts) 0;
-    jump_src = [||];
-    jump_dst = [||];
-    jump_count = [||];
-  }
-
 let run ?max_instructions ?on_fetch program =
   let n = Isa.Program.length program in
   let counts = Array.make n 0 and seq = Array.make n 0 in

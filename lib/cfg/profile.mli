@@ -29,10 +29,6 @@ val run :
   Isa.Program.t ->
   t * Machine.Cpu.result * Machine.Cpu.state
 
-(** [of_counts counts] wraps precollected per-instruction fetch counts.
-    It carries no pair profile: its pair sums are zero. *)
-val of_counts : int array -> t
-
 (** [instruction_count t i] is the number of times instruction [i] was
     fetched. *)
 val instruction_count : t -> int -> int

@@ -104,11 +104,8 @@ let chained_best t ~b_in ~word =
   check_word t word;
   t.chained.(bool_to_int b_in).(word)
 
-let chained_row t ~b_in = Array.copy t.chained.(bool_to_int b_in)
-
-(* No-copy variant for the zero-alloc encode core: both rows at once,
-   aliasing the table's own storage.  Callers must treat them as
-   read-only. *)
+(* Both rows at once for the zero-alloc encode core, aliasing the table's
+   own storage.  Callers must treat them as read-only. *)
 let chained_rows t = (t.chained.(0), t.chained.(1))
 
 let chained_best_out t ~b_in ~word ~b_out =

@@ -31,17 +31,12 @@ val subset_mask : t -> int
     [word] with bit 0 replaced by [b_in] is always feasible. *)
 val chained_best : t -> b_in:bool -> word:int -> choice
 
-(** [chained_row t ~b_in] is the full row of best chained choices indexed by
-    original word: entry [word] equals [chained_best t ~b_in ~word].  The
-    encode hot loop fetches both rows once per stream and indexes per block,
-    keeping calls and range checks out of the loop. *)
-val chained_row : t -> b_in:bool -> choice array
-
-(** [chained_rows t] is [(row for b_in:false, row for b_in:true)] without
-    copying: the arrays alias the table's own storage and must be treated
-    as read-only.  This is the zero-allocation accessor the chain encode
-    core uses — {!chained_row} copies on every call, which used to cost two
-    [2{^k}]-entry arrays per encoded stream. *)
+(** [chained_rows t] is [(row for b_in:false, row for b_in:true)], each
+    indexed by original word: entry [word] of a row equals [chained_best t
+    ~b_in ~word].  The arrays alias the table's own storage and must be
+    treated as read-only.  The chain encode hot loop fetches both rows once
+    per stream and indexes per block, keeping calls, range checks and
+    allocation out of the loop. *)
 val chained_rows : t -> choice array * choice array
 
 (** [chained_best_out t ~b_in ~word ~b_out] constrains additionally the

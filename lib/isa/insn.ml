@@ -80,8 +80,6 @@ let is_jump = function
   | J _ | Jal _ | Jr _ | Jalr _ -> true
   | _ -> false
 
-let is_control i = is_branch i || is_jump i || i = Syscall
-
 let branch_offset = function
   | Beq (_, _, off) | Bne (_, _, off) -> Some off
   | Blez (_, off) | Bgtz (_, off) | Bltz (_, off) | Bgez (_, off) -> Some off

@@ -89,9 +89,6 @@ val is_branch : t -> bool
 (** [is_jump i] holds for J/Jal/Jr/Jalr. *)
 val is_jump : t -> bool
 
-(** [is_control i] is [is_branch i || is_jump i || i = Syscall]. *)
-val is_control : t -> bool
-
 (** [branch_offset i] is the word offset of a conditional branch. *)
 val branch_offset : t -> int option
 

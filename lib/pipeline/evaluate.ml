@@ -68,8 +68,7 @@ type selection = [ `Hot_blocks | `Hot_loops ]
    the precise allocation counter: [quick_stat]'s copy only advances when
    the young area flushes, so a phase allocating less than one minor heap
    would nondeterministically record zero. *)
-let gc_phase (minor_words, major_words, minor_collections, major_collections)
-    f =
+let gc_phase (phase : Tel.gc_phase) f =
   if not (Metrics.enabled ()) then f ()
   else begin
     let s0 = Gc.quick_stat () in
@@ -77,12 +76,13 @@ let gc_phase (minor_words, major_words, minor_collections, major_collections)
     Fun.protect
       ~finally:(fun () ->
         let s1 = Gc.quick_stat () in
-        Metrics.add minor_words (int_of_float (Gc.minor_words () -. mw0));
-        Metrics.add major_words
+        Metrics.add phase.minor_words
+          (int_of_float (Gc.minor_words () -. mw0));
+        Metrics.add phase.major_words
           (int_of_float (s1.Gc.major_words -. s0.Gc.major_words));
-        Metrics.add minor_collections
+        Metrics.add phase.minor_collections
           (s1.Gc.minor_collections - s0.Gc.minor_collections);
-        Metrics.add major_collections
+        Metrics.add phase.major_collections
           (s1.Gc.major_collections - s0.Gc.major_collections);
         Metrics.set_gauge Tel.gc_heap_words 0 s1.Gc.heap_words;
         if
@@ -90,27 +90,6 @@ let gc_phase (minor_words, major_words, minor_collections, major_collections)
         then Metrics.set_gauge Tel.gc_top_heap_words 0 s1.Gc.top_heap_words)
       f
   end
-
-let gc_profile_phase =
-  Tel.
-    ( gc_profile_minor_words,
-      gc_profile_major_words,
-      gc_profile_minor_collections,
-      gc_profile_major_collections )
-
-let gc_plan_phase =
-  Tel.
-    ( gc_plan_minor_words,
-      gc_plan_major_words,
-      gc_plan_minor_collections,
-      gc_plan_major_collections )
-
-let gc_count_phase =
-  Tel.
-    ( gc_count_minor_words,
-      gc_count_major_words,
-      gc_count_minor_collections,
-      gc_count_major_collections )
 
 (* Everything the one run of the program records and block selection
    produces, which both [evaluate] and the system preparation below need.
@@ -137,7 +116,7 @@ let context ~subset_mask ~selection program =
   let businvert = Buspower.Businvert.create ~width:32 () in
   let profile, run, state =
     Metrics.with_span Tel.span_profile (fun () ->
-        gc_phase gc_profile_phase (fun () ->
+        gc_phase Tel.gc_profile (fun () ->
             Cfg.Profile.run
               ~on_fetch:(fun ~pc ->
                 Buspower.Businvert.step businvert (Array.unsafe_get words pc))
@@ -196,7 +175,7 @@ type prepared = {
 
 let plan_only ~tt_capacity ~optimal_chain ctx ks =
   Metrics.with_span Tel.span_plan @@ fun () ->
-  gc_phase gc_plan_phase @@ fun () ->
+  gc_phase Tel.gc_plan @@ fun () ->
   let plans =
     List.map
       (fun k ->
@@ -408,6 +387,21 @@ let fetch_path_backends () =
       && (B.cost ~width:32).Buspower.Encoder.latency_words = 0)
     (Buspower.Encoder.all ())
 
+let fetch_path_backend name =
+  let eligible = fetch_path_backends () in
+  match List.find_opt (fun b -> String.equal (scheme_name b) name) eligible with
+  | Some b -> Ok b
+  | None ->
+      Error
+        (Printf.sprintf
+           "%S is not a fetch-path scheme (want tt, auto, or one of: %s)" name
+           (String.concat ", " (List.map scheme_name eligible)))
+
+let scheme_of_string = function
+  | "tt" -> Ok `Tt
+  | "auto" -> Ok `Auto
+  | name -> Result.map (fun _ -> `Fixed name) (fetch_path_backend name)
+
 (* [None]: every region stays TT; [Some (`Choose alts)]: per-region
    scored choice among [alts], TT unless strictly cheaper; [Some
    (`Force b)]: every region takes [b] regardless of score. *)
@@ -415,18 +409,9 @@ let resolve_scheme = function
   | `Tt | `Fixed "tt" -> None
   | `Auto -> Some (`Choose (fetch_path_backends ()))
   | `Fixed name -> (
-      let eligible = fetch_path_backends () in
-      match
-        List.find_opt (fun b -> String.equal (scheme_name b) name) eligible
-      with
-      | Some b -> Some (`Force b)
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Pipeline.Evaluate: %S is not a fetch-path scheme (want tt, \
-                auto, or one of: %s)"
-               name
-               (String.concat ", " (List.map scheme_name eligible))))
+      match fetch_path_backend name with
+      | Ok b -> Some (`Force b)
+      | Error msg -> invalid_arg ("Pipeline.Evaluate: " ^ msg))
 
 (* One encoded region of one k-plan, with everything scoring needs. *)
 type region = {
@@ -785,7 +770,7 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
   in
   let totals, attr, meter, mixed =
     Metrics.with_span Tel.span_count @@ fun () ->
-    gc_phase gc_count_phase @@ fun () ->
+    gc_phase Tel.gc_count @@ fun () ->
     (* every stateless figure is a sum over the recorded pc pairs *)
     let first_pc = Cfg.Profile.first_pc profile in
     let pairs f = Cfg.Profile.iter_pairs profile f in

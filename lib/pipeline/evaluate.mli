@@ -70,6 +70,12 @@ type encoded_run = {
     ties. *)
 type scheme = [ `Tt | `Auto | `Fixed of string ]
 
+(** [scheme_of_string s] parses a scheme name: ["tt"], ["auto"], or a
+    fetch-path backend, which it reads as [`Fixed].  Any other name is an
+    [Error] naming the accepted ones — exactly the names {!evaluate}
+    accepts without raising. *)
+val scheme_of_string : string -> (scheme, string) result
+
 type region_choice = {
   rc_start : int;  (** instruction index of the encoded region head *)
   rc_len : int;  (** words actually stored encoded *)

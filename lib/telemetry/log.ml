@@ -230,17 +230,13 @@ let value_json = function
   | Str s -> "\"" ^ Json.escape s ^ "\""
   | Bool b -> string_of_bool b
 
-let stability_name = function
-  | Metrics.Stable -> "stable"
-  | Metrics.Runtime -> "runtime"
-
 let to_json e =
   let b = Buffer.create 192 in
   Printf.bprintf b
     "{\"run_id\":\"%s\",\"t_ns\":%s,\"domain\":%d,\"seq\":%d,\"level\":\"%s\",\"stability\":\"%s\",\"event\":\"%s\""
     (Json.escape (run_id ()))
     (json_float e.t_ns) e.domain e.seq (level_name e.level)
-    (stability_name e.stability)
+    (Metrics.stability_name e.stability)
     (Json.escape e.event);
   (match e.span with
   | Some p -> Printf.bprintf b ",\"span\":\"%s\"" (Json.escape p)

@@ -28,6 +28,9 @@ val level_name : level -> string
 (** [level_of_name s] inverts {!level_name}; [None] for unknown names. *)
 val level_of_name : string -> level option
 
+(** [level_rank l] orders levels by severity: [Debug] is 0, [Error] 3. *)
+val level_rank : level -> int
+
 (** Typed field values.  JSON distinguishes all four on the wire:
     [Float] always serializes with a decimal point or exponent, so
     encode/parse round-trips preserve the constructor. *)

@@ -1,6 +1,14 @@
 type stability = Stable | Runtime
 type kind = Counter | Histogram | Gauge | Span
 
+let stability_name = function Stable -> "stable" | Runtime -> "runtime"
+
+let kind_name = function
+  | Counter -> "counter"
+  | Histogram -> "histogram"
+  | Gauge -> "gauge"
+  | Span -> "span"
+
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
@@ -118,9 +126,6 @@ let span ~doc name =
   register ~kind:Span ~stability:Runtime ~doc name;
   { s_name = name }
 
-let span_name sp = sp.s_name
-let counter_name c = c.c_name
-
 (* ---- recording ------------------------------------------------------- *)
 
 let add c n =
@@ -155,7 +160,6 @@ let gauge_value g slot =
   let s = if slot < 0 then 0 else min slot (Array.length g.g_slots - 1) in
   Atomic.get g.g_slots.(s)
 
-let gauge_name g = g.g_name
 let gauge_slots g = Array.length g.g_slots
 
 let log2_bucket v =
@@ -373,3 +377,9 @@ let registered () =
           (name, kind, stability, doc) :: acc)
         schema []
       |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b))
+
+let doc name =
+  Mutex.lock reg_mutex;
+  let d = Hashtbl.find_opt schema name in
+  Mutex.unlock reg_mutex;
+  match d with Some (_, _, doc) -> doc | None -> ""

@@ -28,6 +28,13 @@ type stability = Stable | Runtime
 
 type kind = Counter | Histogram | Gauge | Span
 
+(** ["stable"] or ["runtime"], as the schema dump and every exporter print
+    it. *)
+val stability_name : stability -> string
+
+(** ["counter"], ["histogram"], ["gauge"] or ["span"]. *)
+val kind_name : kind -> string
+
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
@@ -45,8 +52,6 @@ val add : counter -> int -> unit
 (** [counter_total c] sums the shards; exact only when no domain is
     concurrently recording. *)
 val counter_total : counter -> int
-
-val counter_name : counter -> string
 
 (** {1 Histograms}
 
@@ -99,7 +104,6 @@ val add_gauge : gauge -> int -> int -> unit
     concurrently writing. *)
 val gauge_value : gauge -> int -> int
 
-val gauge_name : gauge -> string
 val gauge_slots : gauge -> int
 
 (** {1 Spans}
@@ -113,7 +117,6 @@ val gauge_slots : gauge -> int
 type span
 
 val span : doc:string -> string -> span
-val span_name : span -> string
 
 (** [with_span sp f] runs [f] inside [sp].  When disabled it is exactly
     [f ()].  The span records even when [f] raises. *)
@@ -174,3 +177,7 @@ val set_span_hook :
     [(name, kind, stability, doc)], sorted by name — the schema surface the
     registry tests assert against. *)
 val registered : unit -> (string * kind * stability * string) list
+
+(** [doc name] is the doc [name] was registered with, or [""] if no metric
+    has that name. *)
+val doc : string -> string

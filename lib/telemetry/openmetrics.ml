@@ -42,13 +42,6 @@ let escape s =
   Buffer.contents b
 
 let to_string (f : Metrics.frozen) =
-  let docs = Hashtbl.create 64 in
-  List.iter
-    (fun (name, _, _, doc) -> Hashtbl.replace docs name doc)
-    (Metrics.registered ());
-  let doc_of name =
-    match Hashtbl.find_opt docs name with Some d -> d | None -> ""
-  in
   let b = Buffer.create 4096 in
   let p fmt = Printf.bprintf b fmt in
   let header fam kind doc =
@@ -58,13 +51,13 @@ let to_string (f : Metrics.frozen) =
   List.iter
     (fun (name, _, total) ->
       let fam = mangle name in
-      header fam "counter" (doc_of name);
+      header fam "counter" (Metrics.doc name);
       p "%s_total %d\n" fam total)
     f.Metrics.counters;
   List.iter
     (fun (name, _, buckets) ->
       let fam = mangle name in
-      header fam "counter" (doc_of name);
+      header fam "counter" (Metrics.doc name);
       List.iter
         (fun (label, n) ->
           if n > 0 then p "%s_total{bucket=\"%s\"} %d\n" fam (escape label) n)
@@ -73,7 +66,7 @@ let to_string (f : Metrics.frozen) =
   List.iter
     (fun (name, _, slots) ->
       let fam = mangle name in
-      header fam "gauge" (doc_of name);
+      header fam "gauge" (Metrics.doc name);
       List.iter
         (fun (label, v) -> p "%s{slot=\"%s\"} %d\n" fam (escape label) v)
         slots)

@@ -267,56 +267,30 @@ let parpool_width =
 (* ---- GC, per evaluate phase (runtime: allocation depends on cache and
    scheduling state) ----------------------------------------------------- *)
 
-let gc_counter phase what doc =
-  counter ~stability:runtime ~doc (Printf.sprintf "gc.%s.%s" phase what)
+type gc_phase = {
+  minor_words : Metrics.counter;
+  major_words : Metrics.counter;
+  minor_collections : Metrics.counter;
+  major_collections : Metrics.counter;
+}
 
-let gc_profile_minor_words =
-  gc_counter "profile" "minor_words"
-    "Minor-heap words allocated during profiling passes"
+let gc_phase name ~during =
+  let c stat doc =
+    counter ~stability:runtime ~doc:(doc ^ " during " ^ during)
+      (Printf.sprintf "gc.%s.%s" name stat)
+  in
+  {
+    minor_words = c "minor_words" "Minor-heap words allocated";
+    major_words = c "major_words" "Major-heap words allocated";
+    minor_collections = c "minor_collections" "Minor collections";
+    major_collections = c "major_collections" "Major collections";
+  }
 
-let gc_profile_major_words =
-  gc_counter "profile" "major_words"
-    "Major-heap words allocated during profiling passes"
+let gc_profile = gc_phase "profile" ~during:"profiling passes"
+let gc_plan = gc_phase "plan" ~during:"planning + encoding"
 
-let gc_profile_minor_collections =
-  gc_counter "profile" "minor_collections"
-    "Minor collections during profiling passes"
-
-let gc_profile_major_collections =
-  gc_counter "profile" "major_collections"
-    "Major collections during profiling passes"
-
-let gc_plan_minor_words =
-  gc_counter "plan" "minor_words"
-    "Minor-heap words allocated during planning + encoding"
-
-let gc_plan_major_words =
-  gc_counter "plan" "major_words"
-    "Major-heap words allocated during planning + encoding"
-
-let gc_plan_minor_collections =
-  gc_counter "plan" "minor_collections"
-    "Minor collections during planning + encoding"
-
-let gc_plan_major_collections =
-  gc_counter "plan" "major_collections"
-    "Major collections during planning + encoding"
-
-let gc_count_minor_words =
-  gc_counter "count" "minor_words"
-    "Minor-heap words allocated during count phases (replay and any live run)"
-
-let gc_count_major_words =
-  gc_counter "count" "major_words"
-    "Major-heap words allocated during count phases (replay and any live run)"
-
-let gc_count_minor_collections =
-  gc_counter "count" "minor_collections"
-    "Minor collections during count phases (replay and any live run)"
-
-let gc_count_major_collections =
-  gc_counter "count" "major_collections"
-    "Major collections during count phases (replay and any live run)"
+let gc_count =
+  gc_phase "count" ~during:"count phases (replay and any live run)"
 
 let gc_heap_words =
   Metrics.gauge ~doc:"Major heap size in words at the last phase boundary"

@@ -107,18 +107,17 @@ val parpool_width : Metrics.gauge
     [count]) via [Gc.quick_stat] deltas, turning one-off allocation
     figures into standing per-phase metrics. *)
 
-val gc_profile_minor_words : Metrics.counter
-val gc_profile_major_words : Metrics.counter
-val gc_profile_minor_collections : Metrics.counter
-val gc_profile_major_collections : Metrics.counter
-val gc_plan_minor_words : Metrics.counter
-val gc_plan_major_words : Metrics.counter
-val gc_plan_minor_collections : Metrics.counter
-val gc_plan_major_collections : Metrics.counter
-val gc_count_minor_words : Metrics.counter
-val gc_count_major_words : Metrics.counter
-val gc_count_minor_collections : Metrics.counter
-val gc_count_major_collections : Metrics.counter
+(** One phase's four [gc.<phase>.*] counters. *)
+type gc_phase = {
+  minor_words : Metrics.counter;
+  major_words : Metrics.counter;
+  minor_collections : Metrics.counter;
+  major_collections : Metrics.counter;
+}
+
+val gc_profile : gc_phase
+val gc_plan : gc_phase
+val gc_count : gc_phase
 val gc_heap_words : Metrics.gauge
 val gc_top_heap_words : Metrics.gauge
 

@@ -3,7 +3,11 @@
    BENCH_encoding.json; the human form is what the CLI's --stats flag
    prints to stderr. *)
 
-let to_json (f : Metrics.frozen) =
+(* One writer for both forms.  [annotated] is the bench JSON's "telemetry"
+   object: every counter, histogram and gauge also carries its stability
+   class and registry doc, so the schema is inspectable from the artifact
+   without grepping registry.mli. *)
+let write ~annotated (f : Metrics.frozen) =
   let b = Buffer.create 1024 in
   let p fmt = Printf.bprintf b fmt in
   let sep_iter items emit =
@@ -12,95 +16,50 @@ let to_json (f : Metrics.frozen) =
         emit x)
       items
   in
+  let section key items emit =
+    p "\"%s\": {" key;
+    sep_iter items emit;
+    p "}"
+  in
+  let meta name st =
+    p "\"stability\": \"%s\", \"doc\": \"%s\"" (Metrics.stability_name st)
+      (Json.escape (Metrics.doc name))
+  in
+  let labelled key (name, st, values) =
+    p "\"%s\": {" (Json.escape name);
+    if annotated then begin
+      meta name st;
+      p ", \"%s\": {" key
+    end;
+    sep_iter values (fun (label, v) -> p "\"%s\": %d" (Json.escape label) v);
+    p (if annotated then "}}" else "}")
+  in
   p "{";
-  p "\"counters\": {";
-  sep_iter f.Metrics.counters (fun (name, _, total) ->
-      p "\"%s\": %d" (Json.escape name) total);
-  p "}, ";
-  p "\"histograms\": {";
-  sep_iter f.Metrics.histograms (fun (name, _, buckets) ->
-      p "\"%s\": {" (Json.escape name);
-      (* zero buckets are elided: the label set is large and sparse *)
-      sep_iter
-        (List.filter (fun (_, n) -> n > 0) buckets)
-        (fun (label, n) -> p "\"%s\": %d" (Json.escape label) n);
-      p "}");
-  p "}, ";
-  p "\"gauges\": {";
-  sep_iter f.Metrics.gauges (fun (name, _, slots) ->
-      p "\"%s\": {" (Json.escape name);
-      (* all slots, even zero: a gauge's slot set is small and fixed, and a
-         zero level is a reading, not an absence *)
-      sep_iter slots (fun (label, v) -> p "\"%s\": %d" (Json.escape label) v);
-      p "}");
-  p "}, ";
-  p "\"spans\": {";
-  sep_iter f.Metrics.spans (fun (path, r) ->
+  section "counters" f.Metrics.counters (fun (name, st, total) ->
+      if annotated then begin
+        p "\"%s\": {\"value\": %d, " (Json.escape name) total;
+        meta name st;
+        p "}"
+      end
+      else p "\"%s\": %d" (Json.escape name) total);
+  p ", ";
+  (* zero buckets are elided: the label set is large and sparse *)
+  section "histograms" f.Metrics.histograms (fun (name, st, buckets) ->
+      labelled "buckets" (name, st, List.filter (fun (_, n) -> n > 0) buckets));
+  p ", ";
+  (* all slots, even zero: a gauge's slot set is small and fixed, and a
+     zero level is a reading, not an absence *)
+  section "gauges" f.Metrics.gauges (labelled "slots");
+  p ", ";
+  section "spans" f.Metrics.spans (fun (path, r) ->
       p "\"%s\": {\"count\": %d, \"total_ns\": %.0f, \"max_ns\": %.0f}"
         (Json.escape path) r.Metrics.span_count r.Metrics.total_ns
         r.Metrics.max_ns);
   p "}";
-  p "}";
   Buffer.contents b
 
-let stability_str = function
-  | Metrics.Stable -> "stable"
-  | Metrics.Runtime -> "runtime"
-
-(* The bench JSON's "telemetry" object: like [to_json] but every counter,
-   histogram and gauge carries its registry doc and stability class, so the
-   schema is inspectable from the artifact without grepping registry.mli.
-   Docs come from [Metrics.registered]; a metric frozen before this process
-   registered it (impossible today) would fall back to an empty doc. *)
-let to_json_annotated (f : Metrics.frozen) =
-  let docs = Hashtbl.create 64 in
-  List.iter
-    (fun (name, _, _, doc) -> Hashtbl.replace docs name doc)
-    (Metrics.registered ());
-  let doc_of name =
-    match Hashtbl.find_opt docs name with Some d -> d | None -> ""
-  in
-  let b = Buffer.create 4096 in
-  let p fmt = Printf.bprintf b fmt in
-  let sep_iter items emit =
-    List.iteri (fun i x ->
-        if i > 0 then p ",";
-        emit x)
-      items
-  in
-  p "{";
-  p "\"counters\": {";
-  sep_iter f.Metrics.counters (fun (name, st, total) ->
-      p "\"%s\": {\"value\": %d, \"stability\": \"%s\", \"doc\": \"%s\"}"
-        (Json.escape name) total (stability_str st)
-        (Json.escape (doc_of name)));
-  p "}, ";
-  p "\"histograms\": {";
-  sep_iter f.Metrics.histograms (fun (name, st, buckets) ->
-      p "\"%s\": {\"stability\": \"%s\", \"doc\": \"%s\", \"buckets\": {"
-        (Json.escape name) (stability_str st)
-        (Json.escape (doc_of name));
-      sep_iter
-        (List.filter (fun (_, n) -> n > 0) buckets)
-        (fun (label, n) -> p "\"%s\": %d" (Json.escape label) n);
-      p "}}");
-  p "}, ";
-  p "\"gauges\": {";
-  sep_iter f.Metrics.gauges (fun (name, st, slots) ->
-      p "\"%s\": {\"stability\": \"%s\", \"doc\": \"%s\", \"slots\": {"
-        (Json.escape name) (stability_str st)
-        (Json.escape (doc_of name));
-      sep_iter slots (fun (label, v) -> p "\"%s\": %d" (Json.escape label) v);
-      p "}}");
-  p "}, ";
-  p "\"spans\": {";
-  sep_iter f.Metrics.spans (fun (path, r) ->
-      p "\"%s\": {\"count\": %d, \"total_ns\": %.0f, \"max_ns\": %.0f}"
-        (Json.escape path) r.Metrics.span_count r.Metrics.total_ns
-        r.Metrics.max_ns);
-  p "}";
-  p "}";
-  Buffer.contents b
+let to_json = write ~annotated:false
+let to_json_annotated = write ~annotated:true
 
 (* Self time per span path: total minus the totals of direct children
    (paths one '/'-segment deeper).  Negative rounding residue clamps to 0.

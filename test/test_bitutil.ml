@@ -175,6 +175,21 @@ let prop_popcount_vs_reference =
       Bitvec.popcount (Bitvec.of_list bits)
       = List.length (List.filter Fun.id bits))
 
+(* The shared table against the shift loop it replaced; [x lsr s] spreads
+   the inputs over every bit width, and the masks cover negative [x]. *)
+let prop_table_popcounts_vs_shift_loop =
+  let rec ones x acc =
+    if x = 0 then acc else ones (x lsr 1) (acc + (x land 1))
+  in
+  QCheck.Test.make ~name:"table popcounts = shift-loop reference" ~count:1000
+    QCheck.(pair int (int_bound 62))
+    (fun (x, s) ->
+      let y = x lsr s in
+      let n = y land max_int in
+      Bitutil.Popcount.count n = ones n 0
+      && Bitutil.Popcount.count32 y = ones (y land 0xffffffff) 0
+      && Bitutil.Popcount.count16 y = ones (y land 0xffff) 0)
+
 let prop_hamming_vs_reference =
   QCheck.Test.make ~name:"word-level hamming = per-bit reference" ~count:300
     QCheck.(pair (bits_gen 125) (bits_gen 125))
@@ -330,6 +345,7 @@ let () =
             prop_matrix_transitions_consistent;
             prop_transitions_vs_reference;
             prop_popcount_vs_reference;
+            prop_table_popcounts_vs_shift_loop;
             prop_hamming_vs_reference;
             prop_map2_vs_reference;
             prop_builder_vs_set;

@@ -416,6 +416,51 @@ let test_sampler_stop_idempotent () =
   Alcotest.(check int) "samples count settled" after_first
     (Telemetry.Sampler.samples s)
 
+(* ---- frozen-record JSON ------------------------------------------------ *)
+
+(* The sampler's series lines and BENCH_encoding.json's "telemetry" object
+   are these two strings; pin their bytes.  The names are registered, so the
+   annotated form carries their registry docs. *)
+let frozen_sample =
+  {
+    Metrics.counters =
+      [
+        ("codetable.hits", Metrics.Runtime, 7);
+        ("icache.hits", Metrics.Stable, 42);
+      ];
+    histograms =
+      [ ("encode.block_bits", Metrics.Stable, [ ("1", 0); ("2-3", 5) ]) ];
+    gauges =
+      [ ("parpool.worker_tasks", Metrics.Runtime, [ ("0", 3); ("1", 0) ]) ];
+    spans =
+      [
+        ( "pipeline.evaluate",
+          { Metrics.span_count = 2; total_ns = 1500.; max_ns = 900.4 } );
+      ];
+  }
+
+let test_report_json_pinned () =
+  Alcotest.(check string) "to_json"
+    ({|{"counters": {"codetable.hits": 7,"icache.hits": 42}, |}
+   ^ {|"histograms": {"encode.block_bits": {"2-3": 5}}, |}
+   ^ {|"gauges": {"parpool.worker_tasks": {"0": 3,"1": 0}}, |}
+   ^ {|"spans": {"pipeline.evaluate": |}
+   ^ {|{"count": 2, "total_ns": 1500, "max_ns": 900}}}|})
+    (Telemetry.Report.to_json frozen_sample);
+  Alcotest.(check string) "to_json_annotated"
+    ({|{"counters": {"codetable.hits": {"value": 7, "stability": "runtime", |}
+   ^ {|"doc": "Codetable.get served from the cache"},|}
+   ^ {|"icache.hits": {"value": 42, "stability": "stable", |}
+   ^ {|"doc": "I-cache hits"}}, |}
+   ^ {|"histograms": {"encode.block_bits": {"stability": "stable", |}
+   ^ {|"doc": "encode_block matrix sizes (rows x width bits), log2 buckets", |}
+   ^ {|"buckets": {"2-3": 5}}}, |}
+   ^ {|"gauges": {"parpool.worker_tasks": {"stability": "runtime", |}
+   ^ {|"doc": "Chunks each pool slot executed", "slots": {"0": 3,"1": 0}}}, |}
+   ^ {|"spans": {"pipeline.evaluate": |}
+   ^ {|{"count": 2, "total_ns": 1500, "max_ns": 900}}}|})
+    (Telemetry.Report.to_json_annotated frozen_sample)
+
 (* ---- OpenMetrics exposition ------------------------------------------- *)
 
 let test_openmetrics_roundtrip () =
@@ -839,6 +884,11 @@ let () =
             test_parsers_total_on_mutations;
           QCheck_alcotest.to_alcotest qcheck_escape_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_parsers_total;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "frozen-record JSON is pinned" `Quick
+            test_report_json_pinned;
         ] );
       ( "openmetrics",
         [
