@@ -1,49 +1,63 @@
+module PE = Powercode.Program_encoder
+
 type system = { tt : Tt.t; bbit : Bbit.t; image : int array; k : int }
 
 exception Does_not_fit of string
 
-let build ?(tt_capacity = 16) ?(bbit_capacity = 16) ?functions program plan =
-  let config = plan.Powercode.Program_encoder.config in
-  let placements = plan.Powercode.Program_encoder.placements in
-  if plan.Powercode.Program_encoder.tt_used > tt_capacity then
+(* The plan's encoded placements, once both tables are known to hold them. *)
+let encoded_placements ~tt_capacity ~bbit_capacity (plan : PE.plan) =
+  if plan.tt_used > tt_capacity then
     raise
       (Does_not_fit
          (Printf.sprintf "plan uses %d TT entries, hardware has %d"
-            plan.Powercode.Program_encoder.tt_used tt_capacity));
-  let encoded_placements =
-    List.filter
-      (fun p -> p.Powercode.Program_encoder.encoding <> None)
-      placements
+            plan.tt_used tt_capacity));
+  let encoded =
+    List.filter_map
+      (fun (p : PE.placement) -> Option.map (fun enc -> (p, enc)) p.encoding)
+      plan.placements
   in
-  if List.length encoded_placements > bbit_capacity then
+  let blocks = List.length encoded in
+  if blocks > bbit_capacity then
     raise
       (Does_not_fit
-         (Printf.sprintf "plan encodes %d blocks, BBIT has %d entries"
-            (List.length encoded_placements)
+         (Printf.sprintf "plan encodes %d blocks, BBIT has %d entries" blocks
             bbit_capacity));
+  encoded
+
+(* The program's words with each encoded placement patched in, and the
+   table writes that program them: one TT write per entry and one BBIT
+   write per block. *)
+let patch program encoded =
+  let image = Array.copy (Isa.Program.words program) in
+  let writes =
+    List.fold_left
+      (fun writes ((p : PE.placement), (enc : PE.block_encoding)) ->
+        let words = Bitutil.Bitmat.words enc.encoded in
+        Array.blit words 0 image p.cand.start_index (Array.length words);
+        writes + Array.length enc.entries)
+      (List.length encoded) encoded
+  in
+  (image, writes)
+
+let stored_image ?(tt_capacity = 16) ?(bbit_capacity = 16) program plan =
+  patch program (encoded_placements ~tt_capacity ~bbit_capacity plan)
+
+let build ?(tt_capacity = 16) ?(bbit_capacity = 16) ?functions program
+    (plan : PE.plan) =
+  let encoded = encoded_placements ~tt_capacity ~bbit_capacity plan in
+  let image, _ = patch program encoded in
   let tt = Tt.create ~capacity:tt_capacity ?functions () in
   let bbit = Bbit.create ~capacity:bbit_capacity () in
-  let image = Array.copy (Isa.Program.words program) in
   List.iter
-    (fun p ->
-      match p.Powercode.Program_encoder.encoding with
-      | None -> ()
-      | Some enc ->
-          let start = p.Powercode.Program_encoder.cand.start_index in
-          let words = Bitutil.Bitmat.words enc.Powercode.Program_encoder.encoded in
-          Array.blit words 0 image start (Array.length words);
-          Tt.load tt ~base:p.Powercode.Program_encoder.tt_base
-            enc.Powercode.Program_encoder.entries)
-    placements;
+    (fun ((p : PE.placement), (enc : PE.block_encoding)) ->
+      Tt.load tt ~base:p.tt_base enc.entries)
+    encoded;
   Bbit.load bbit
     (List.map
-       (fun p ->
-         {
-           Bbit.pc = p.Powercode.Program_encoder.cand.start_index;
-           tt_base = p.Powercode.Program_encoder.tt_base;
-         })
-       encoded_placements);
-  { tt; bbit; image; k = config.Powercode.Program_encoder.k }
+       (fun ((p : PE.placement), _) ->
+         { Bbit.pc = p.cand.start_index; tt_base = p.tt_base })
+       encoded);
+  { tt; bbit; image; k = plan.config.k }
 
 let decoder ?recovery system =
   Fetch_decoder.create ~tt:system.tt ~bbit:system.bbit ~k:system.k

@@ -12,12 +12,32 @@ type system = {
 
 exception Does_not_fit of string
 
+(** [stored_image ?tt_capacity ?bbit_capacity program plan] is
+    [(image, writes)]: the program's words with each encoded placement's
+    rows patched in, and the TT plus BBIT writes that program the plan's
+    tables.  Both are fixed offline, with the firmware, so they are read
+    off the plan with no hardware model; they equal [(build ...).image]
+    and {!programming_writes}[ (build ...)] for the same arguments.
+    Raises {!Does_not_fit} under exactly the conditions {!build} does.
+
+    Every figure of an evaluation that does not run decoders is a function
+    of these two, so [Pipeline.Evaluate.evaluate] builds no system unless
+    it verifies (decoders on every fetch) or a trace collector records
+    (the TT writes' [Tt_program] events). *)
+val stored_image :
+  ?tt_capacity:int ->
+  ?bbit_capacity:int ->
+  Isa.Program.t ->
+  Powercode.Program_encoder.plan ->
+  int array * int
+
 (** [build ?tt_capacity ?bbit_capacity ?functions program plan] lays the
-    plan onto concrete hardware: patches the encoded regions into the
-    program's binary image, loads the TT entries at each placement's base
-    and fills the BBIT.  Raises {!Does_not_fit} when the plan needs more
-    table space than the hardware has, and [Invalid_argument] if a planned
-    transformation is not a supported gate. *)
+    plan onto concrete hardware: the {!stored_image}, the TT entries loaded
+    at each placement's base and the BBIT filled.  Raises {!Does_not_fit}
+    when the plan needs more table space than the hardware has, and
+    [Invalid_argument] if a planned transformation is not a supported
+    gate.  Decoders, fault campaigns, the firmware writer and the
+    peripheral script read a built system. *)
 val build :
   ?tt_capacity:int ->
   ?bbit_capacity:int ->

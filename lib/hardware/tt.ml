@@ -3,6 +3,9 @@ type entry = { tau_indices : int array; e_bit : bool; ct : int }
 type t = {
   capacity : int;
   functions : Powercode.Boolfun.t array;
+  (* truth-table index -> first position of that gate in [functions], or
+     -1 when the hardware has no such gate *)
+  gate_index : int array;
   slots : entry option array;
   (* one parity bit per slot, computed at write time; [corrupt] flips
      stored fields without refreshing it, exactly as an SEU would *)
@@ -16,9 +19,10 @@ let int_parity v =
   go v 0
 
 let entry_parity e =
-  let p = ref (if e.e_bit then 1 else 0) in
-  p := !p lxor int_parity e.ct;
-  Array.iter (fun i -> p := !p lxor int_parity i) e.tau_indices;
+  let p = ref ((if e.e_bit then 1 else 0) lxor int_parity e.ct) in
+  for line = 0 to Array.length e.tau_indices - 1 do
+    p := !p lxor int_parity e.tau_indices.(line)
+  done;
   !p
 
 let create ?(capacity = 16) ?functions () =
@@ -28,15 +32,16 @@ let create ?(capacity = 16) ?functions () =
     | None -> Array.of_list (Powercode.Subset.paper_eight)
   in
   if capacity < 1 then invalid_arg "Tt.create: empty table";
-  if
-    not
-      (Array.exists
-         (fun f -> Powercode.Boolfun.equal f Powercode.Boolfun.identity)
-         functions)
-  then invalid_arg "Tt.create: identity gate is mandatory";
+  let gate_index = Array.make 16 (-1) in
+  for i = Array.length functions - 1 downto 0 do
+    gate_index.(Powercode.Boolfun.index functions.(i)) <- i
+  done;
+  if gate_index.(Powercode.Boolfun.index Powercode.Boolfun.identity) < 0 then
+    invalid_arg "Tt.create: identity gate is mandatory";
   {
     capacity;
     functions;
+    gate_index;
     slots = Array.make capacity None;
     parities = Array.make capacity 0;
     writes = 0;
@@ -54,11 +59,12 @@ let fn_index_bits t =
 let write t ~index entry =
   if index < 0 || index >= t.capacity then
     invalid_arg "Tt.write: index out of capacity";
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= Array.length t.functions then
-        invalid_arg "Tt.write: function index out of range")
-    entry.tau_indices;
+  let nfun = Array.length t.functions in
+  for line = 0 to Array.length entry.tau_indices - 1 do
+    let i = entry.tau_indices.(line) in
+    if i < 0 || i >= nfun then
+      invalid_arg "Tt.write: function index out of range"
+  done;
   if entry.ct < 0 then invalid_arg "Tt.write: negative CT";
   t.slots.(index) <- Some entry;
   t.parities.(index) <- entry_parity entry;
@@ -113,15 +119,12 @@ let corrupt t ~index upset =
       t.version <- t.version + 1
 
 let index_of_function t f =
-  let found = ref (-1) in
-  Array.iteri
-    (fun i g -> if !found < 0 && Powercode.Boolfun.equal f g then found := i)
-    t.functions;
-  if !found < 0 then
+  let i = t.gate_index.(Powercode.Boolfun.index f) in
+  if i < 0 then
     invalid_arg
       ("Tt.load: transformation " ^ Powercode.Boolfun.name f
      ^ " is not a supported decode gate");
-  !found
+  i
 
 let load t ~base entries =
   Array.iteri

@@ -335,13 +335,20 @@ let context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
         (ctx, plans)
   end
 
-let systems_of_plans ~tt_capacity ctx program plans =
+let build_system ~tt_capacity ctx program plan =
+  Hardware.Reprogram.build ~tt_capacity ~bbit_capacity:ctx.bbit_capacity
+    ~functions:ctx.functions program plan
+
+let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
+    ?(subset_mask = Powercode.Subset.paper_eight_mask)
+    ?(optimal_chain = false) ?(selection = `Hot_blocks) program =
+  let ctx, plans =
+    context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
+      program
+  in
   List.map
     (fun (k, plan) ->
-      let build () =
-        Hardware.Reprogram.build ~tt_capacity ~bbit_capacity:ctx.bbit_capacity
-          ~functions:ctx.functions program plan
-      in
+      let build () = build_system ~tt_capacity ctx program plan in
       {
         prep_k = k;
         prep_plan = plan;
@@ -353,15 +360,6 @@ let systems_of_plans ~tt_capacity ctx program plans =
         prep_profile = ctx.profile;
       })
     plans
-
-let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
-    ?(subset_mask = Powercode.Subset.paper_eight_mask)
-    ?(optimal_chain = false) ?(selection = `Hot_blocks) program =
-  let ctx, plans =
-    context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
-      program
-  in
-  systems_of_plans ~tt_capacity ctx program plans
 
 (* -------------------------------------------------------------------- *)
 (* Per-region scheme auto-selection.
@@ -476,13 +474,14 @@ let check figure ~replay ~live =
       (Replay_mismatch
          (Printf.sprintf "%s: replay %d, live %d" figure replay live))
 
-(* [verify]: each image's decoder must restore every fetched word, and
-   every figure the replay produced is recounted fetch by fetch into the
-   fresh [live_attr] and [live_meter]; [finish] raises on the first
-   difference from the replayed [totals], [attr] and [meter].  The
-   attribution recount covers the baseline and every image whether or not
-   the caller asked for attribution. *)
-let verify_sink ~ctx ~npc ~systems ~k_of_image ~totals ~attr ~meter
+(* [verify]: each built system's decoder must restore every fetched word,
+   and every figure the replay produced is recounted fetch by fetch, over
+   the systems' own images, into the fresh [live_attr] and [live_meter];
+   [finish] raises on the first difference from the replayed [totals],
+   [attr] and [meter], and from the plan-derived [stored] images and table
+   writes.  The attribution recount covers the baseline and every image
+   whether or not the caller asked for attribution. *)
+let verify_sink ~ctx ~npc ~systems ~stored ~k_of_image ~totals ~attr ~meter
     ~live_attr ~live_meter =
   let images = Array.map (fun s -> s.Hardware.Reprogram.image) systems in
   let decoders = Array.map Hardware.Reprogram.decoder systems in
@@ -506,6 +505,16 @@ let verify_sink ~ctx ~npc ~systems ~k_of_image ~totals ~attr ~meter
     | None -> ()
   in
   let finish (result : Machine.Cpu.result) state =
+    Array.iteri
+      (fun v (image, writes) ->
+        let k = k_of_image.(v) in
+        if image <> images.(v) then
+          raise (Replay_mismatch (Printf.sprintf "k=%d stored image" k));
+        check
+          (Printf.sprintf "k=%d programming writes" k)
+          ~replay:writes
+          ~live:(Hardware.Reprogram.programming_writes systems.(v)))
+      stored;
     check "instructions" ~replay:ctx.run.Machine.Cpu.instructions
       ~live:result.instructions;
     check "exit code" ~replay:ctx.run.Machine.Cpu.exit_code
@@ -640,12 +649,29 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
       program
   in
   let { profile; blocks; hot_blocks; _ } = ctx in
-  (* plans and decode systems, one per block size *)
-  let prepared = systems_of_plans ~tt_capacity ctx program plans in
-  let systems = Array.of_list (List.map (fun p -> p.prep_system) prepared) in
-  let images = Array.map (fun s -> s.Hardware.Reprogram.image) systems in
+  (* one stored image and its table writes per block size, read off the
+     plan: no decode hardware is needed to count a fixed image's bus *)
+  let stored =
+    Array.of_list
+      (List.map
+         (fun (_, plan) ->
+           Hardware.Reprogram.stored_image ~tt_capacity
+             ~bbit_capacity:ctx.bbit_capacity program plan)
+         plans)
+  in
+  let images = Array.map fst stored in
   let nimg = Array.length images in
-  let k_of_image = Array.of_list (List.map (fun p -> p.prep_k) prepared) in
+  let k_of_image = Array.of_list (List.map fst plans) in
+  (* Built systems only for the live paths that read them: [verify]'s
+     decoders, and a recording trace collector, which gets the TT writes'
+     [Tt_program] events. *)
+  let systems =
+    if verify || Trace.Collector.enabled () then
+      Array.of_list
+        (List.map (fun (_, plan) -> build_system ~tt_capacity ctx program plan)
+           plans)
+    else [||]
+  in
   let npc = Array.length words in
   (* pc -> basic-block index, for attribution and for Block_entry trace
      events; the blocks tile the program *)
@@ -680,9 +706,9 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
     in
     Array.of_list
       (List.map
-         (fun p ->
-           Array.of_list (List.filter_map region_of p.prep_plan.placements))
-         prepared)
+         (fun (_, plan) ->
+           Array.of_list (List.filter_map region_of plan.placements))
+         plans)
   in
   let coverage_pct =
     if nimg = 0 then 0.0
@@ -804,8 +830,8 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
          [
            (if verify then
               [
-                verify_sink ~ctx ~npc ~systems ~k_of_image ~totals ~attr
-                  ~meter ~live_attr:(new_attribution ())
+                verify_sink ~ctx ~npc ~systems ~stored ~k_of_image ~totals
+                  ~attr ~meter ~live_attr:(new_attribution ())
                   ~live_meter:(Option.map new_meter ledger);
               ]
             else []);
@@ -836,17 +862,17 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
   in
   let runs =
     List.mapi
-      (fun v p ->
+      (fun v (k, plan) ->
         {
-          k = p.prep_k;
+          k;
           transitions = totals.(v);
           reduction_pct = reduction_pct totals.(v);
-          tt_used = p.prep_plan.Powercode.Program_encoder.tt_used;
+          tt_used = plan.Powercode.Program_encoder.tt_used;
           blocks_encoded = Array.length regions.(v);
           (* every fetch passed every decoder, or the run raised *)
           verified_fetches = (if verify then instructions else 0);
         })
-      prepared
+      plans
   in
   let region_fetches rg =
     let n = ref 0 in
@@ -868,8 +894,7 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
     | None -> []
     | Some alts ->
         List.mapi
-          (fun v p ->
-            let k = p.prep_k in
+          (fun v (k, _) ->
             let rgs = regions.(v) and alts_v = alts.(v) in
             let fl = float_of_int in
             let tt_fetches = ref 0 and alt_fetches = ref 0 in
@@ -950,14 +975,12 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
               tt_energy_j;
               reverted;
             })
-          prepared
+          plans
   in
   let ledger_sheet =
     Option.map
       (fun m ->
-        Ledger.Meter.finalize m
-          ~reprogram_writes:
-            (Array.map Hardware.Reprogram.programming_writes systems))
+        Ledger.Meter.finalize m ~reprogram_writes:(Array.map snd stored))
       meter
   in
   {

@@ -6,14 +6,22 @@
     often each consecutive [(pc, next_pc)] pair occurred), its instruction
     count, exit code and output, and the image-independent baseline and
     bus-invert totals.  Then plan the encoding for each block size (hottest
-    basic blocks first, within the Transformation Table budget) and build
-    the stored image for each plan.  Every TT image drives one fixed word
-    per pc, so its bus transitions are
+    basic blocks first, within the Transformation Table budget) and read
+    each plan's stored image and table-write count off the plan
+    ({!Hardware.Reprogram.stored_image}): the TT/BBIT contents are fixed
+    offline, with the firmware, so no decode hardware is built to count
+    them.  Every TT image drives one fixed word per pc, so its bus
+    transitions are
     [Σ pairs count × popcount (image.(src) lxor image.(dst))], O(static pcs
     + jumps) with no second run; the attribution and ledger figures come
     from the same pair sums ({!Trace.Attribution.record_pairs},
     {!Ledger.Meter.record_pairs}).  The recording is cached with the plan
     in {!Plan_cache}, so a warm evaluate never executes the program.
+
+    Decode systems ({!Hardware.Reprogram.build}) are built only for the
+    two live paths that read them: [verify]'s decoders, and a recording
+    {!Trace.Collector}, which gets the table writes' [Tt_program] events.
+    {!prepare} builds them too, for the fault campaigns.
 
     A live run of the program remains only for the consumers that are
     truly per-fetch.  Each is a sink that sees every fetch in execution
@@ -26,9 +34,10 @@
       equivalence check (slower; used by tests and small runs).  The same
       sink recounts every replayed figure fetch by fetch, counts each pc's
       fetches against the recorded profile (the per-region fetch counts
-      of [schemes] are profile sums), and raises {!Replay_mismatch} on any
-      difference, so [verify] is also the per-fetch reference for the
-      replay.  Its decoders' trace events precede each fetch's [Bus]
+      of [schemes] are profile sums), checks each built system's image
+      and programming writes against the ones read off the plan, and
+      raises {!Replay_mismatch} on any difference, so [verify] is also the
+      per-fetch reference for the replay.  Its decoders' trace events precede each fetch's [Bus]
       event;
     - a recording {!Trace.Collector}, which gets [Bus] and [Block_entry]
       events;
@@ -209,9 +218,8 @@ val prepare :
     [attribution = true] additionally fills {!Trace.Attribution}
     accumulators from the recorded pairs and returns their summary in the
     report.  [ledger = model] books a {!Ledger.Meter} from the same pairs
-    (TT reads, BBIT probes, gate toggles, bus transitions), charges the
-    reprogramming writes of each built decode system, and returns the
-    priced {!Ledger.Sheet}.  Independently of these flags, whenever
+    (TT reads, BBIT probes, gate toggles, bus transitions), charges each
+    plan's TT and BBIT writes, and returns the priced {!Ledger.Sheet}.  Independently of these flags, whenever
     {!Trace.Collector} is recording, a live run emits [Bus] and
     [Block_entry] events into it. *)
 val evaluate :

@@ -1,5 +1,6 @@
 type 'a t = {
-  data : 'a array;
+  mutable data : 'a array;  (* empty until the first push *)
+  dummy : 'a;
   cap : int;
   mutable next : int;
   mutable pushed : int;
@@ -7,9 +8,10 @@ type 'a t = {
 
 let create ~capacity ~dummy =
   if capacity < 1 then invalid_arg "Telemetry.Ring.create: capacity < 1";
-  { data = Array.make capacity dummy; cap = capacity; next = 0; pushed = 0 }
+  { data = [||]; dummy; cap = capacity; next = 0; pushed = 0 }
 
 let push t x =
+  if Array.length t.data = 0 then t.data <- Array.make t.cap t.dummy;
   Array.unsafe_set t.data t.next x;
   t.next <- (t.next + 1) mod t.cap;
   t.pushed <- t.pushed + 1

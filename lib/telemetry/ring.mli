@@ -1,15 +1,18 @@
 (** A pre-sized overwrite-oldest ring buffer.
 
     The trace collector and each {!Log} shard allocate their whole window
-    up front, so recording is one array store and two integer bumps; once
-    full, new events displace the oldest.  {!dropped} says how many were
+    at their first push, so recording is a length test, one array store
+    and two integer bumps, and a ring nothing records into (a log shard's,
+    while logging is off) holds no window on the heap; once full, new
+    events displace the oldest.  {!dropped} says how many were
     displaced, so exporters can state that a trace is a suffix window of
     the run. *)
 
 type 'a t
 
-(** [create ~capacity ~dummy] — [dummy] fills the backing array and is
-    never returned by {!to_list}.  Raises on [capacity < 1]. *)
+(** [create ~capacity ~dummy] — [dummy] fills the backing array, which
+    the first {!push} allocates, and is never returned by {!to_list}.
+    Raises on [capacity < 1]. *)
 val create : capacity:int -> dummy:'a -> 'a t
 
 val push : 'a t -> 'a -> unit

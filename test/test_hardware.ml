@@ -41,17 +41,35 @@ let test_tt_bad_access () =
       ignore (Tt.read tt 0));
   Alcotest.check_raises "out of capacity"
     (Invalid_argument "Tt.write: index out of capacity") (fun () ->
-      Tt.write tt ~index:4 (entry (Array.make 32 0)))
+      Tt.write tt ~index:4 (entry (Array.make 32 0)));
+  Alcotest.check_raises "gate index past the gate set"
+    (Invalid_argument "Tt.write: function index out of range") (fun () ->
+      Tt.write tt ~index:0 (entry (Array.init 32 (fun l -> l / 3))));
+  Alcotest.check_raises "negative gate index"
+    (Invalid_argument "Tt.write: function index out of range") (fun () ->
+      Tt.write tt ~index:0 (entry (Array.make 32 (-1))));
+  check_int "rejected writes are not counted" 0 (Tt.writes_performed tt)
 
 let test_tt_load_rejects_unsupported_gate () =
   let tt = Tt.create ~functions:[| Boolfun.identity |] () in
   let pe_entry =
     { PE.taus = Array.make 32 Boolfun.xor; is_end = true; count = 2 }
   in
-  try
-    Tt.load tt ~base:0 [| pe_entry |];
-    Alcotest.fail "expected rejection"
-  with Invalid_argument _ -> ()
+  Alcotest.check_raises "xor is not a gate of this table"
+    (Invalid_argument
+       "Tt.load: transformation x^y is not a supported decode gate")
+    (fun () -> Tt.load tt ~base:0 [| pe_entry |]);
+  check_int "nothing written" 0 (Tt.writes_performed tt)
+
+(* A gate listed twice decodes through its first slot, as a scan of the
+   gate set in order would pick it. *)
+let test_tt_load_first_matching_gate () =
+  let tt =
+    Tt.create ~functions:[| Boolfun.xor; Boolfun.identity; Boolfun.xor |] ()
+  in
+  Tt.load tt ~base:0
+    [| { PE.taus = Array.make 32 Boolfun.xor; is_end = true; count = 1 } |];
+  check_int "first xor slot" 0 (Tt.read tt 0).Tt.tau_indices.(31)
 
 let test_tt_storage_bits () =
   let tt = Tt.create () in
@@ -198,6 +216,102 @@ let test_reprogram_does_not_fit () =
     ignore (Reprogram.build ~tt_capacity:16 program plan);
     Alcotest.fail "expected Does_not_fit"
   with Reprogram.Does_not_fit _ -> ()
+
+(* [stored_image] against [build]: the same image and table-write count,
+   or [Does_not_fit] from both with the same message.  Returns whether the
+   plan fit. *)
+let stored_matches_build ~what ?tt_capacity ?bbit_capacity program plan =
+  let outcome f =
+    match f () with v -> Ok v | exception Reprogram.Does_not_fit m -> Error m
+  in
+  match
+    ( outcome (fun () ->
+          Reprogram.stored_image ?tt_capacity ?bbit_capacity program plan),
+      outcome (fun () ->
+          Reprogram.build ?tt_capacity ?bbit_capacity program plan) )
+  with
+  | Ok (image, writes), Ok system ->
+      check_bool (what ^ ": image") true (image = system.Reprogram.image);
+      check_int (what ^ ": writes")
+        (Reprogram.programming_writes system)
+        writes;
+      true
+  | Error a, Error b ->
+      Alcotest.(check string) (what ^ ": Does_not_fit") b a;
+      false
+  | Ok _, Error m -> Alcotest.failf "%s: only build raised (%s)" what m
+  | Error m, Ok _ -> Alcotest.failf "%s: only stored_image raised (%s)" what m
+
+(* Each plan at the capacity it was made for, and again with one TT entry
+   or one BBIT slot too few, which must not fit. *)
+let check_plan_against_build ~what ~tt_capacity program (plan : PE.plan) =
+  let fits = stored_matches_build ~what ~tt_capacity program plan in
+  let blocks =
+    List.length
+      (List.filter (fun (p : PE.placement) -> p.encoding <> None)
+         plan.placements)
+  in
+  if plan.tt_used > 0 then
+    check_bool (what ^ ": TT one short") false
+      (stored_matches_build ~what ~tt_capacity:(plan.tt_used - 1) program plan);
+  if blocks > 0 then
+    check_bool (what ^ ": BBIT one short") false
+      (stored_matches_build ~what ~tt_capacity ~bbit_capacity:(blocks - 1)
+         program plan);
+  fits
+
+(* Every bench, k = 4..7, four TT sizes and both block selections.  The
+   small tables leave block heads partly covered, so the count of such
+   placements must be positive for the sweep to mean anything. *)
+let test_stored_image_matches_build () =
+  let partial = ref 0 and fitted = ref 0 in
+  List.iter
+    (fun (w : Workloads.t) ->
+      let program = (Workloads.compile w).Minic.Compile.program in
+      List.iter
+        (fun tt_capacity ->
+          List.iter
+            (fun (selection, sel) ->
+              List.iter
+                (fun (p : Pipeline.Evaluate.prepared) ->
+                  let plan = p.prep_plan in
+                  let what =
+                    Printf.sprintf "%s k=%d tt=%d %s" w.name p.prep_k
+                      tt_capacity sel
+                  in
+                  if check_plan_against_build ~what ~tt_capacity program plan
+                  then incr fitted;
+                  List.iter
+                    (fun (pl : PE.placement) ->
+                      match pl.encoding with
+                      | Some enc
+                        when Bitutil.Bitmat.rows enc.encoded
+                             < Bitutil.Bitmat.rows pl.cand.body ->
+                          incr partial
+                      | _ -> ())
+                    plan.placements)
+                (Pipeline.Evaluate.prepare ~tt_capacity ~selection program))
+            [ (`Hot_blocks, "blocks"); (`Hot_loops, "loops") ])
+        [ 2; 4; 16; 64 ])
+    (Workloads.scaled @ Workloads.extended);
+  check_bool "some plans fit" true (!fitted > 0);
+  check_bool "some block heads partly covered" true (!partial > 0)
+
+let prop_stored_image_random_programs =
+  QCheck.Test.make ~name:"random programs: stored_image = build" ~count:20
+    (QCheck.make ~print:Fun.id Minic_gen.gen_program) (fun src ->
+      let program = (Minic.Compile.compile src).Minic.Compile.program in
+      List.iter
+        (fun tt_capacity ->
+          List.iter
+            (fun (p : Pipeline.Evaluate.prepared) ->
+              ignore
+                (check_plan_against_build
+                   ~what:(Printf.sprintf "k=%d tt=%d" p.prep_k tt_capacity)
+                   ~tt_capacity program p.prep_plan))
+            (Pipeline.Evaluate.prepare ~tt_capacity program))
+        [ 2; 16 ];
+      true)
 
 let test_programming_writes_counted () =
   let _, system = tiny_system () in
@@ -716,6 +830,8 @@ let () =
           Alcotest.test_case "bad access" `Quick test_tt_bad_access;
           Alcotest.test_case "unsupported gate" `Quick
             test_tt_load_rejects_unsupported_gate;
+          Alcotest.test_case "first matching gate" `Quick
+            test_tt_load_first_matching_gate;
           Alcotest.test_case "storage bits" `Quick test_tt_storage_bits;
         ] );
       ( "bbit",
@@ -738,6 +854,8 @@ let () =
             test_decoder_bus_carries_stored_word;
           Alcotest.test_case "reset" `Quick test_decoder_reset;
           Alcotest.test_case "does not fit" `Quick test_reprogram_does_not_fit;
+          Alcotest.test_case "stored image = build, every bench" `Quick
+            test_stored_image_matches_build;
           Alcotest.test_case "write counting" `Quick
             test_programming_writes_counted;
           Alcotest.test_case "rejects non-sequential fetch" `Quick
@@ -780,5 +898,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_synthetic_block_through_hardware; prop_compiled_matches_reference ] );
+          [
+            prop_synthetic_block_through_hardware;
+            prop_compiled_matches_reference;
+            prop_stored_image_random_programs;
+          ] );
     ]
