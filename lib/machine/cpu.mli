@@ -1,12 +1,13 @@
 (** In-order, one-instruction-per-cycle functional simulator — the
     SimpleScalar stand-in.
 
-    The CPU executes the program's decoded instructions directly; what the
-    instruction {e bus} carries for each fetch is reported through the
-    [on_fetch] hook with the fetching PC, so observers can count transitions
-    for the baseline image, any number of encoded images, or a full
-    fetch-side decoder model, all in a single run (the dynamic PC sequence
-    is the same for every faithful image). *)
+    The CPU runs each program as one closure per instruction, built when
+    {!run} starts (see there); what the instruction {e bus} carries for
+    each fetch is reported through the [on_fetch] hook with the fetching
+    PC, so observers can count transitions for the baseline image, any
+    number of encoded images, or a full fetch-side decoder model, all in a
+    single run (the dynamic PC sequence is the same for every faithful
+    image). *)
 
 type state
 
@@ -59,6 +60,19 @@ type mmio = {
 (** [run ?max_instructions ?on_fetch program state] executes from
     instruction 0 until the exit syscall ([$v0] = 10).
 
+    Before the first fetch, [run] compiles each instruction of [program]
+    into a closure that executes it on [state] and returns the next pc,
+    with its register indices, immediates and branch targets already
+    resolved; the loop then only fetches and calls.  What does not change
+    during a run is decided when it starts: whether word loads and stores
+    test the [mmio] window at all, and whether the trace collector is on
+    ({!Trace.Collector.enabled} is read once, so a collector started by a
+    hook mid-run sees none of that run's fetches).
+
+    Each fetch does, in this order: the pc range check, the
+    [max_instructions] and [max_cycles] checks, the trace tick, the
+    [on_fetch] hook, the count, then the instruction.
+
     Syscalls: 1 print [$a0] as integer, 2 print [$f12], 4 print the
     NUL-terminated string at [$a0], 10 exit, 11 print [$a0] as a character.
 
@@ -69,16 +83,18 @@ type mmio = {
 
     - the PC escaping the program is {!Fault.Pc_out_of_range};
     - exceeding [max_cycles] (default unbounded; fault campaigns set it)
-      is {!Fault.Cycle_limit}, which campaigns classify as a hang;
+      is {!Fault.Cycle_limit}, which campaigns classify as a hang; when
+      both limits are reached at the same fetch the budget's {!Trap}
+      wins;
     - with [fetch_word], a delivered word that decodes to no instruction
       is {!Fault.Illegal_instruction} — never a bare [Invalid_argument]
       from the word decoder.
 
     [fetch_word ~pc] overrides the instruction source: the executed
     stream becomes whatever the (possibly corrupted or degraded) fetch
-    path delivers for each pc, decoded word by word with a per-pc cache
-    keyed on the delivered word.  Without it the program's pre-decoded
-    instructions run directly, as before. *)
+    path delivers for each pc.  The program is then not compiled up
+    front; a per-pc cache holds the last delivered word and its closure,
+    and a pc is compiled again whenever its delivered word changes. *)
 val run :
   ?max_instructions:int ->
   ?max_cycles:int ->

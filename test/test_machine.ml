@@ -217,6 +217,28 @@ let test_mult_div () =
   check_int "div remainder" 1
     (run_and_get "li $t1, 29\nli $t2, 7\ndiv $t1, $t2\nmfhi $t0" Reg.t0)
 
+(* The product of two 32-bit values needs 64 bits: INT_MIN * INT_MIN is
+   2^62, one past OCaml's largest int. *)
+let test_mult_int_min () =
+  let mult = "li $t1, -2147483648\nli $t2, -2147483648\nmult $t1, $t2\n" in
+  check_int "hi" 0x40000000 (run_and_get (mult ^ "mfhi $t0") Reg.t0);
+  check_int "lo" 0 (run_and_get (mult ^ "mflo $t0") Reg.t0)
+
+let mult_program = Asm.assemble "mult $t1, $t2\nmfhi $t3\nmflo $t4\nli $v0, 10\nsyscall"
+
+let prop_mult_int64 =
+  let int32 = QCheck.map Int32.to_int QCheck.int32 in
+  QCheck.Test.make ~name:"mult = Int64 product" ~count:500
+    (QCheck.pair int32 int32) (fun (a, b) ->
+      let p = Int64.mul (Int64.of_int a) (Int64.of_int b) in
+      let hi = Int64.to_int (Int64.shift_right p 32)
+      and lo = Int32.to_int (Int64.to_int32 p) in
+      let st = Cpu.create_state ~mem_bytes:(64 * 1024) () in
+      Cpu.set_reg st Reg.t1 a;
+      Cpu.set_reg st Reg.t2 b;
+      ignore (Cpu.run mult_program st);
+      (Cpu.reg st Reg.t3, Cpu.reg st Reg.t4) = (hi, lo))
+
 let test_slt_family () =
   check_int "slt true" 1 (run_and_get "li $t1, -5\nli $t2, 3\nslt $t0, $t1, $t2" Reg.t0);
   check_int "sltu: -5 is huge unsigned" 0
@@ -378,7 +400,15 @@ let test_fuzz_fetched_words () =
     | exception e ->
         Alcotest.failf "trial %d word %08x leaked %s" trial w
           (Printexc.to_string e)
-  done
+  done;
+  (* not a 32-bit word at all, on a pc never fetched before *)
+  let state = Cpu.create_state ~mem_bytes:(64 * 1024) () in
+  match Cpu.run ~max_cycles:200 ~fetch_word:(fun ~pc:_ -> -1) p state with
+  | _ -> Alcotest.fail "word -1 ran"
+  | exception Machine.Fault.Fault (Machine.Fault.Illegal_instruction { pc; word })
+    ->
+      check_int "pc" 0 pc;
+      check_int "word" (-1) word
 
 let test_fetch_hook_counts () =
   let p = Asm.assemble "nop\nnop\nnop\nli $v0, 10\nsyscall" in
@@ -512,6 +542,344 @@ let test_states_in_parallel () =
       Alcotest.(check bool) "same registers" true (regs = regs'))
     alone together
 
+(* ---- compiled interpreter vs the reference loop ------------------------------ *)
+
+module Oracle = Cpu_oracle
+
+(* Everything a caller can see of one run: how it ended (a result or the
+   exception), the fetches before that and their per-pc counts, the
+   output, and the integer and FP registers. *)
+type seen = {
+  ended : (Cpu.result, exn) result;
+  fetches : int;
+  counts : int array;
+  printed : string;
+  regs : (int * int64) list;
+}
+
+let observe program run ~printed ~regs =
+  let counts = Array.make (Isa.Program.length program) 0 and fetches = ref 0 in
+  let on_fetch ~pc =
+    counts.(pc) <- counts.(pc) + 1;
+    incr fetches
+  in
+  let ended = match run ~on_fetch with r -> Ok r | exception e -> Error e in
+  { ended; fetches = !fetches; counts; printed = printed (); regs = regs () }
+
+(* Runs [program] under both interpreters.  [fetch_word] and [mmio] are
+   factories, so each run gets a fetch stream or a window of its own. *)
+let run_both ?max_instructions ?max_cycles ?fetch_word ?mmio program =
+  let arg f = Option.map (fun make -> make ()) f in
+  let compiled =
+    let st = Cpu.create_state () in
+    observe program
+      (fun ~on_fetch ->
+        Cpu.run ?max_instructions ?max_cycles ~on_fetch ?fetch_word:(arg fetch_word)
+          ?mmio:(arg mmio) program st)
+      ~printed:(fun () -> Cpu.output st)
+      ~regs:(fun () -> registers st)
+  and reference =
+    let st = Oracle.create_state () in
+    observe program
+      (fun ~on_fetch ->
+        Oracle.run ?max_instructions ?max_cycles ~on_fetch
+          ?fetch_word:(arg fetch_word) ?mmio:(arg mmio) program st)
+      ~printed:(fun () -> Buffer.contents st.Oracle.out)
+      ~regs:(fun () ->
+        List.init 32 (fun i ->
+            (st.Oracle.regs.(i), Int64.bits_of_float st.Oracle.fregs.(i))))
+  in
+  (compiled, reference)
+
+let show_end = function
+  | Ok (r : Cpu.result) ->
+      Printf.sprintf "exit %d after %d (pc_final %d)" r.exit_code r.instructions
+        r.pc_final
+  | Error e -> Printexc.to_string e
+
+let same_seen what (compiled, reference) =
+  if compiled <> reference then
+    Alcotest.failf "%s: compiled %s after %d fetches, reference %s after %d" what
+      (show_end compiled.ended) compiled.fetches (show_end reference.ended)
+      reference.fetches
+
+let benches = Workloads.scaled @ Workloads.extended
+
+let test_oracle_benches () =
+  check_int "nine benches" 9 (List.length benches);
+  List.iter
+    (fun w ->
+      let program = (Workloads.compile w).Minic.Compile.program in
+      let both = run_both program in
+      same_seen w.Workloads.name both;
+      match (fst both).ended with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s raised %s" w.name (Printexc.to_string e))
+    benches
+
+let prop_oracle_minic =
+  QCheck.Test.make ~name:"random programs: compiled = reference" ~count:40
+    (QCheck.make ~print:Fun.id Minic_gen.gen_program) (fun src ->
+      let program = (Minic.Compile.compile src).Minic.Compile.program in
+      let compiled, reference = run_both program in
+      compiled = reference)
+
+(* Random programs over every instruction kind: memory mostly near [$sp],
+   branches and jumps forward.  [jr] and [jalr] can still loop, so runs
+   carry a cycle cap. *)
+let gen_insns =
+  let open QCheck.Gen in
+  (* a few registers most of the time, so instructions feed each other *)
+  let few k = frequency [ (3, k -- (k + 5)); (1, 0 -- 31) ] in
+  let r = map Reg.of_int (few 8) and f = map Reg.f_of_int (few 0) in
+  let simm = -32768 -- 32767 and uimm = 0 -- 0xffff and sa = 0 -- 31 in
+  let base = frequency [ (4, return Reg.sp); (1, r) ] in
+  (* [$sp] starts 16 bytes below the top of memory *)
+  let off = map (fun k -> k * 4) (-16 -- 3) and boff = -64 -- 15 in
+  let insn n pc =
+    let ahead = 0 -- min 3 (n - pc) in
+    let target = (pc + 1) -- min n (pc + 4) in
+    let r3 c = map3 c r r r and f3 c = map3 c f f f and f2 c = map2 c f f in
+    let open Isa.Insn in
+    frequency
+      (List.map (fun g -> (2, g))
+         [
+           r3 (fun d a b -> Add (d, a, b)); r3 (fun d a b -> Addu (d, a, b));
+           r3 (fun d a b -> Sub (d, a, b)); r3 (fun d a b -> Subu (d, a, b));
+           r3 (fun d a b -> And (d, a, b)); r3 (fun d a b -> Or (d, a, b));
+           r3 (fun d a b -> Xor (d, a, b)); r3 (fun d a b -> Nor (d, a, b));
+           r3 (fun d a b -> Slt (d, a, b)); r3 (fun d a b -> Sltu (d, a, b));
+           r3 (fun d a b -> Sllv (d, a, b)); r3 (fun d a b -> Srlv (d, a, b));
+           r3 (fun d a b -> Srav (d, a, b));
+           map3 (fun d t k -> Sll (d, t, k)) r r sa;
+           map3 (fun d t k -> Srl (d, t, k)) r r sa;
+           map3 (fun d t k -> Sra (d, t, k)) r r sa;
+           map2 (fun a b -> Mult (a, b)) r r;
+           map (fun d -> Mfhi d) r; map (fun d -> Mflo d) r;
+           map3 (fun t a v -> Slti (t, a, v)) r r simm;
+           map3 (fun t a v -> Andi (t, a, v)) r r uimm;
+           map3 (fun t a v -> Xori (t, a, v)) r r uimm;
+           map3 (fun t o b -> Lw (t, o, b)) r off base;
+           map3 (fun t o b -> Sw (t, o, b)) r off base;
+           map3 (fun t o b -> Lb (t, o, b)) r boff base;
+           map3 (fun t o b -> Sb (t, o, b)) r boff base;
+           map3 (fun t o b -> Lwc1 (t, o, b)) f off base;
+           map3 (fun t o b -> Swc1 (t, o, b)) f off base;
+           map3 (fun a b o -> Beq (a, b, o)) r r ahead;
+           map3 (fun a b o -> Bne (a, b, o)) r r ahead;
+           map2 (fun a o -> Blez (a, o)) r ahead;
+           map2 (fun a o -> Bgtz (a, o)) r ahead;
+           map2 (fun a o -> Bltz (a, o)) r ahead;
+           map2 (fun a o -> Bgez (a, o)) r ahead;
+           map (fun o -> Bc1t o) ahead; map (fun o -> Bc1f o) ahead;
+           map (fun t -> J t) target; map (fun t -> Jal t) target;
+           map2 (fun t x -> Mfc1 (t, x)) r f;
+           f3 (fun d a b -> Add_s (d, a, b)); f3 (fun d a b -> Sub_s (d, a, b));
+           f3 (fun d a b -> Mul_s (d, a, b)); f3 (fun d a b -> Div_s (d, a, b));
+           f2 (fun d a -> Abs_s (d, a)); f2 (fun d a -> Neg_s (d, a));
+           f2 (fun d a -> Mov_s (d, a)); f2 (fun d a -> Sqrt_s (d, a));
+           f2 (fun d a -> Cvt_s_w (d, a)); f2 (fun d a -> Cvt_w_s (d, a));
+           f2 (fun a b -> C_eq_s (a, b)); f2 (fun a b -> C_lt_s (a, b));
+           f2 (fun a b -> C_le_s (a, b)); return Nop;
+         ]
+      @ [
+          (* fill registers with varied values *)
+          (12, map3 (fun t a v -> Addiu (t, a, v)) r r simm);
+          (6, map3 (fun t a v -> Addi (t, a, v)) r r simm);
+          (8, map2 (fun t v -> Lui (t, v)) r uimm);
+          (8, map3 (fun t a v -> Ori (t, a, v)) r r uimm);
+          (8, map2 (fun t x -> Mtc1 (t, x)) r f);
+          (1, map2 (fun a b -> Div (a, b)) r r);
+          (1, map (fun a -> Jr a) r);
+          (1, map2 (fun d a -> Jalr (d, a)) r r);
+          (1, return Syscall);
+        ])
+  in
+  (* random values in $8..$13, and their bits in $f0..$f5 *)
+  let fill st =
+    List.concat_map
+      (fun k ->
+        let t = Reg.of_int (8 + k) in
+        Isa.Insn.
+          [
+            Lui (t, uimm st); Ori (t, t, uimm st); Mtc1 (t, Reg.f_of_int k);
+          ])
+      (List.init 6 Fun.id)
+  in
+  let exit = Isa.Insn.[ Addiu (Reg.v0, Reg.zero, 10); Syscall ] in
+  sized_size (10 -- 80) (fun n st ->
+      let fill = fill st in
+      let start = List.length fill in
+      let body = List.init n (fun i -> insn (start + n) (start + i) st) in
+      Isa.Program.of_insns (Array.of_list (fill @ body @ exit)))
+
+let prop_oracle_insns =
+  QCheck.Test.make ~name:"random instructions: compiled = reference" ~count:500
+    (QCheck.make
+       ~print:(fun p ->
+         String.concat "\n"
+           (Array.to_list (Array.map Isa.Insn.to_string (Isa.Program.insns p))))
+       gen_insns)
+    (fun program ->
+      let compiled, reference = run_both ~max_cycles:2_000 program in
+      compiled = reference)
+
+(* A fetch path that mostly delivers the program's words, sometimes a
+   random 32-bit word or the word of another pc, and from fetch [switch]
+   on delivers [replacement] at [victim] for good.  Seeded, so both
+   interpreters see the same stream. *)
+let corrupt_stream program seed () =
+  let words = Isa.Program.words program in
+  let n = Array.length words in
+  let rng = Random.State.make [| seed |] in
+  let switch = Random.State.int rng 400 and victim = Random.State.int rng n in
+  let replacement = words.(Random.State.int rng n) in
+  let fetches = ref 0 in
+  fun ~pc ->
+    incr fetches;
+    match Random.State.int rng 100 with
+    | 0 | 1 -> Random.State.bits rng lor ((Random.State.bits rng land 3) lsl 30)
+    | 2 | 3 | 4 -> words.(Random.State.int rng n)
+    | _ -> if pc = victim && !fetches > switch then replacement else words.(pc)
+
+let test_oracle_fetch_word () =
+  let programs =
+    Asm.assemble dirty_exit
+    :: List.map
+         (fun name ->
+           (Workloads.compile (Workloads.by_name benches name))
+             .Minic.Compile.program)
+         [ "fir"; "sor" ]
+  in
+  let ends = Hashtbl.create 8 in
+  List.iteri
+    (fun i program ->
+      for seed = 1 to 60 do
+        let both =
+          run_both ~max_cycles:20_000
+            ~fetch_word:(corrupt_stream program ((i * 1000) + seed))
+            program
+        in
+        same_seen (Printf.sprintf "program %d seed %d" i seed) both;
+        let kind =
+          match (fst both).ended with
+          | Ok _ -> "exit"
+          | Error (Machine.Fault.Fault c) -> Machine.Fault.label c
+          | Error e -> Printexc.exn_slot_name e
+        in
+        Hashtbl.replace ends kind ()
+      done)
+    programs;
+  (* the streams reach illegal words, not only clean exits *)
+  Alcotest.(check bool) "illegal instructions delivered" true
+    (Hashtbl.mem ends "illegal-instruction");
+  Alcotest.(check bool) "some runs still exit" true (Hashtbl.mem ends "exit")
+
+(* Budget and cycle cap at the same value (the budget's [Trap] wins), and
+   each one below the other. *)
+let test_oracle_limits () =
+  let program =
+    (Workloads.compile (Workloads.by_name benches "fir")).Minic.Compile.program
+  in
+  let l = 5_000 in
+  List.iter
+    (fun (max_instructions, max_cycles, want) ->
+      let compiled, _ as both = run_both ?max_instructions ?max_cycles program in
+      same_seen want both;
+      let got =
+        match compiled.ended with
+        | Error (Cpu.Trap m) -> m
+        | Error (Machine.Fault.Fault c) -> Machine.Fault.to_string c
+        | Error e -> Printexc.to_string e
+        | Ok _ -> "exit"
+      in
+      check_string "raised" want got;
+      let limit = Option.value ~default:max_int in
+      check_int "fetches before it"
+        (min (limit max_instructions) (limit max_cycles))
+        compiled.fetches)
+    [
+      (Some l, Some l, "instruction budget exceeded");
+      (Some l, Some (l + 1), "instruction budget exceeded");
+      (Some (l + 1), Some l, Machine.Fault.to_string (Cycle_limit { limit = l }));
+      (Some l, None, "instruction budget exceeded");
+      (None, Some l, Machine.Fault.to_string (Cycle_limit { limit = l }));
+    ]
+
+(* Stores and loads through the programming port's window next to
+   ordinary memory traffic. *)
+let mmio_program =
+  {|
+    li $t0, 0x40000000
+    li $t1, 5
+    sw $t1, 0($t0)
+    lw $a0, 0($t0)
+    li $v0, 1
+    syscall
+    li $t1, 0x1234
+    sw $t1, 28($t0)
+    lw $a0, 28($t0)
+    syscall
+    sw $t1, 20($t0)
+    sw $t1, 8($sp)
+    lw $a0, 8($sp)
+    syscall
+    lw $a0, 32($t0)
+    syscall
+    li $v0, 10
+    syscall
+  |}
+
+(* [logged_port logs ()] is a fresh programming port whose traffic is
+   logged in a list of its own, added to [logs]. *)
+let logged_port logs () =
+  let log = ref [] in
+  logs := log :: !logs;
+  let port =
+    Hardware.Peripheral.mmio
+      (Hardware.Peripheral.create ~tt:(Hardware.Tt.create ())
+         ~bbit:(Hardware.Bbit.create ()))
+  in
+  {
+    port with
+    Cpu.mmio_store =
+      (fun ~offset ~value ->
+        log := `Store (offset, value) :: !log;
+        port.mmio_store ~offset ~value);
+    mmio_load =
+      (fun ~offset ->
+        let v = port.mmio_load ~offset in
+        log := `Load (offset, v) :: !log;
+        v);
+  }
+
+let test_oracle_mmio () =
+  let script =
+    [ (0x00, 3); (0x04, 0x76543210); (0x14, 0x301); (0x18, 2); (0x1c, 40); (0x20, 3) ]
+  in
+  List.iter
+    (fun (what, program, uses_port) ->
+      let logs = ref [] in
+      let compiled, _ as both = run_both ~mmio:(logged_port logs) program in
+      same_seen what both;
+      (match !logs with
+      | [ a; b ] ->
+          Alcotest.(check bool) (what ^ ": same port traffic") true (!a = !b);
+          Alcotest.(check bool) (what ^ ": port used") uses_port (!a <> [])
+      | _ -> Alcotest.fail "one window per run");
+      match compiled.ended with
+      | Ok _ when uses_port -> ()
+      | Error (Memory.Fault _) when not uses_port -> ()
+      | e -> Alcotest.failf "%s: %s" what (show_end e))
+    [
+      ("mixed traffic", Asm.assemble mmio_program, true);
+      ("loader", Hardware.Peripheral.loader_program script, true);
+      (* a byte access to the window is no port access: data memory faults *)
+      ( "byte access",
+        Asm.assemble "li $t0, 0x40000000\nlb $a0, 0($t0)\nli $v0, 10\nsyscall",
+        false );
+    ]
+
 (* ---- instruction cache ------------------------------------------------------ *)
 
 let test_icache_hit_miss () =
@@ -584,6 +952,8 @@ let () =
           Alcotest.test_case "logic" `Quick test_logic;
           Alcotest.test_case "shifts" `Quick test_shifts;
           Alcotest.test_case "mult/div" `Quick test_mult_div;
+          Alcotest.test_case "mult INT_MIN" `Quick test_mult_int_min;
+          QCheck_alcotest.to_alcotest prop_mult_int64;
           Alcotest.test_case "slt family" `Quick test_slt_family;
           Alcotest.test_case "$zero" `Quick test_zero_register;
           Alcotest.test_case "loads/stores" `Quick test_memory_ops;
@@ -615,6 +985,15 @@ let () =
             test_zero_page_never_written;
           Alcotest.test_case "states in two domains" `Quick
             test_states_in_parallel;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "nine benches" `Quick test_oracle_benches;
+          QCheck_alcotest.to_alcotest prop_oracle_minic;
+          QCheck_alcotest.to_alcotest prop_oracle_insns;
+          Alcotest.test_case "fetch_word stream" `Quick test_oracle_fetch_word;
+          Alcotest.test_case "budget and cycle cap" `Quick test_oracle_limits;
+          Alcotest.test_case "mmio window" `Quick test_oracle_mmio;
         ] );
       ( "icache",
         [
