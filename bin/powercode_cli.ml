@@ -341,11 +341,22 @@ let read_file path =
   close_in ic;
   s
 
+(* Bad input of either language is an [Error] with a readable message. *)
 let load_program path =
-  let source = read_file path in
-  if Filename.check_suffix path ".mc" then
-    (Minic.Compile.compile source).Minic.Compile.program
-  else Isa.Asm.assemble source
+  match
+    let source = read_file path in
+    if Filename.check_suffix path ".mc" then
+      (Minic.Compile.compile source).Minic.Compile.program
+    else Isa.Asm.assemble source
+  with
+  | program -> Ok program
+  | exception e ->
+      let described =
+        match Minic.Compile.describe_error e with
+        | Some msg -> Some msg
+        | None -> Isa.Asm.describe_error e
+      in
+      Error (Option.value described ~default:(Printexc.to_string e))
 
 let file_arg =
   Arg.(
@@ -358,13 +369,8 @@ let file_arg =
 let encode path k subset_mask firmware_out stats =
   with_stats stats @@ fun () ->
   match load_program path with
-  | exception e ->
-      let msg =
-        Option.value (Minic.Compile.describe_error e)
-          ~default:(Printexc.to_string e)
-      in
-      `Error (false, msg)
-  | program ->
+  | Error msg -> `Error (false, msg)
+  | Ok program ->
       let report =
         Pipeline.Evaluate.evaluate ~ks:[ k ] ~subset_mask ~verify:true
           ~name:(Filename.basename path) program
@@ -432,13 +438,8 @@ let restore_cmd =
 let simulate path max_instructions trace_out stats =
   with_stats stats @@ fun () ->
   match load_program path with
-  | exception e ->
-      let msg =
-        Option.value (Minic.Compile.describe_error e)
-          ~default:(Printexc.to_string e)
-      in
-      `Error (false, msg)
-  | program ->
+  | Error msg -> `Error (false, msg)
+  | Ok program ->
       (* A plain simulation has no encoded images: the trace carries the
          baseline bus waveform (and icache pulses when a cache is modelled). *)
       with_trace trace_out ~encoded_names:[] @@ fun () ->
@@ -1182,13 +1183,8 @@ let logs_cmd =
 
 let disasm path =
   match load_program path with
-  | exception e ->
-      let msg =
-        Option.value (Minic.Compile.describe_error e)
-          ~default:(Printexc.to_string e)
-      in
-      `Error (false, msg)
-  | program ->
+  | Error msg -> `Error (false, msg)
+  | Ok program ->
       print_string (Isa.Disasm.to_source program);
       `Ok ()
 

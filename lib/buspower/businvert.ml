@@ -57,3 +57,16 @@ let count_stream ?width words =
   let t = create ?width () in
   Array.iter (step t) words;
   t.total
+
+(* Counting from a pair profile; the derivation is in the interface. *)
+type line_step = Keep | Toggle | Tie
+
+let pair_cost ~width a b =
+  let d = popcount (a lxor b) in
+  if 2 * d > width then width - d + 1 else d
+
+let line_step ~width a b =
+  let d2 = 2 * popcount (a lxor b) in
+  if d2 < width then Keep else if d2 > width then Toggle else Tie
+
+let first_invert ~width word = 2 * popcount word > width

@@ -9,10 +9,17 @@ type t = {
   jump_src : int array;
   jump_dst : int array;
   jump_count : int array;
+  businvert : int;
 }
 
-let run ?max_instructions ?on_fetch program =
+module Businvert = Buspower.Businvert
+
+(* the bus the program's own words drive *)
+let width = 32
+
+let run ?max_instructions program =
   let n = Isa.Program.length program in
+  let words = Isa.Program.words program in
   let counts = Array.make n 0 and seq = Array.make n 0 in
   (* the first destination seen from each source gets a slot in two flat
      arrays; further ones (a return to several call sites) go to a table *)
@@ -30,25 +37,49 @@ let run ?max_instructions ?on_fetch program =
       Hashtbl.replace more key
         (1 + Option.value ~default:0 (Hashtbl.find_opt more key))
   in
+  (* bus-invert's one path-dependent term: the invert line, walked through
+     each fetch's line step (looked up for the sequential pair, one
+     popcount for a jump), and the ties taken while it was high *)
+  let steps =
+    Array.init n (fun pc ->
+        if pc + 1 < n then Businvert.line_step ~width words.(pc) words.(pc + 1)
+        else Businvert.Keep)
+  in
+  let line = ref false and ties = ref 0 in
   let prev = ref (-2) and first = ref (-1) in
   let record ~pc =
     Array.unsafe_set counts pc (Array.unsafe_get counts pc + 1);
     let p = !prev in
-    if pc = p + 1 then Array.unsafe_set seq p (Array.unsafe_get seq p + 1)
-    else if p >= 0 then jump p pc
-    else first := pc;
+    let step =
+      if pc = p + 1 then begin
+        Array.unsafe_set seq p (Array.unsafe_get seq p + 1);
+        Array.unsafe_get steps p
+      end
+      else if p >= 0 then begin
+        jump p pc;
+        Businvert.line_step ~width (Array.unsafe_get words p)
+          (Array.unsafe_get words pc)
+      end
+      else begin
+        first := pc;
+        line := Businvert.first_invert ~width (Array.unsafe_get words pc);
+        Businvert.Keep
+      end
+    in
+    (match step with
+    | Keep -> ()
+    | Toggle -> line := not !line
+    | Tie ->
+        if !line then begin
+          incr ties;
+          line := false
+        end);
     prev := pc
   in
-  let on_fetch =
-    match on_fetch with
-    | None -> record
-    | Some f ->
-        fun ~pc ->
-          record ~pc;
-          f ~pc
-  in
   let state = Machine.Cpu.create_state () in
-  let result = Machine.Cpu.run ?max_instructions ~on_fetch program state in
+  let result =
+    Machine.Cpu.run ?max_instructions ~on_fetch:record program state
+  in
   let jumps =
     ref (Hashtbl.fold (fun key c acc -> (key / n, key mod n, c) :: acc) more [])
   in
@@ -56,6 +87,13 @@ let run ?max_instructions ?on_fetch program =
     (fun src dst -> if dst >= 0 then jumps := (src, dst, jcnt.(src)) :: !jumps)
     jdst;
   let jumps = Array.of_list (List.sort compare !jumps) in
+  let businvert = ref !ties in
+  let pair src dst count =
+    businvert :=
+      !businvert + (count * Businvert.pair_cost ~width words.(src) words.(dst))
+  in
+  Array.iteri (fun pc c -> if c > 0 then pair pc (pc + 1) c) seq;
+  Array.iter (fun (src, dst, c) -> pair src dst c) jumps;
   let t =
     {
       counts;
@@ -65,6 +103,7 @@ let run ?max_instructions ?on_fetch program =
       jump_src = Array.map (fun (s, _, _) -> s) jumps;
       jump_dst = Array.map (fun (_, d, _) -> d) jumps;
       jump_count = Array.map (fun (_, _, c) -> c) jumps;
+      businvert = !businvert;
     }
   in
   (t, result, state)
@@ -86,6 +125,7 @@ let block_fetches t (b : Block.t) =
 let total t = t.total
 let first_pc t = t.first_pc
 let sequential_count t pc = t.seq.(pc)
+let businvert_transitions t = t.businvert
 
 let iter_jumps t f =
   Array.iteri

@@ -9,7 +9,10 @@
     When every pc drives one fixed word on the bus — the baseline image and
     every TT-encoded image — the bus transitions of the whole run are a sum
     over those pairs ({!pair_transitions}), so the run need not be
-    repeated to count them. *)
+    repeated to count them.  Bus-invert coding keeps one bit of state, its
+    invert line, so the run also tracks that line and counts the ties that
+    find it high; with those, the bus-invert cost of the program's own
+    words is a pair sum too ({!businvert_transitions}). *)
 
 type t
 
@@ -20,12 +23,10 @@ type t
 val collect :
   ?max_instructions:int -> Isa.Program.t -> t * Machine.Cpu.result
 
-(** [run ?max_instructions ?on_fetch program] is {!collect} that also
-    hands every fetch to [on_fetch] (after recording it) and returns the
+(** [run ?max_instructions program] is {!collect} that also returns the
     final machine state, for the program's output. *)
 val run :
   ?max_instructions:int ->
-  ?on_fetch:(pc:int -> unit) ->
   Isa.Program.t ->
   t * Machine.Cpu.result * Machine.Cpu.state
 
@@ -67,6 +68,15 @@ val iter_pairs : t -> (src:int -> dst:int -> count:int -> unit) -> unit
     [image.(p)] (the first fetch counts nothing, the {!Buspower}
     convention).  O(static pcs + jumps). *)
 val pair_transitions : t -> int array -> int
+
+(** [businvert_transitions t] is what
+    {!Buspower.Businvert.count_stream} [~width:32] counts over the words
+    the run fetched, pc [p] driving the program's own word [p]: the sum
+    over consecutive pairs of [count * Buspower.Businvert.pair_cost], plus
+    the ties the run took while the invert line was high (the derivation
+    is in {!Buspower.Businvert}).  The run walks the invert line with one
+    array load per sequential fetch and one popcount per jump. *)
+val businvert_transitions : t -> int
 
 (** [hot_blocks t blocks] sorts blocks by {!block_fetches}, hottest first;
     never-executed blocks are dropped. *)

@@ -244,7 +244,14 @@ let parse_instruction line mnemonic ops =
 
 let parse source =
   let items = ref [] in
-  let push xs = items := List.rev_append xs !items in
+  (* encoding each resolved instruction here charges a field overflow (an
+     immediate or shift amount too wide for its field) to its line,
+     instead of surfacing as [Invalid_argument] when the program is
+     encoded *)
+  let push xs =
+    List.iter (function Sym.Op insn -> ignore (Word.encode insn) | _ -> ()) xs;
+    items := List.rev_append xs !items
+  in
   let lines = String.split_on_char '\n' source in
   List.iteri
     (fun lineno0 raw ->
@@ -277,3 +284,10 @@ let parse source =
   List.rev !items
 
 let assemble source = Program.of_items (parse source)
+
+let describe_error = function
+  | Parse_error { line; message } ->
+      Some (Printf.sprintf "line %d: %s" line message)
+  | Sym.Undefined_label label -> Some ("undefined label " ^ label)
+  | Sym.Duplicate_label label -> Some ("duplicate label " ^ label)
+  | _ -> None

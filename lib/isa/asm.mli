@@ -28,5 +28,12 @@ exception Parse_error of { line : int; message : string }
     Raises {!Parse_error} with a 1-based line number on bad input. *)
 val parse : string -> Sym.item list
 
-(** [assemble source] is [Program.of_items (parse source)]. *)
+(** [assemble source] is [Program.of_items (parse source)].  Raises
+    {!Parse_error}, {!Sym.Undefined_label} or {!Sym.Duplicate_label} on bad
+    input. *)
 val assemble : string -> Program.t
+
+(** [describe_error exn] renders the three exceptions {!assemble} raises
+    ("line 1: unknown mnemonic bogus", "undefined label nowhere",
+    "duplicate label a"), [None] for foreign ones. *)
+val describe_error : exn -> string option

@@ -94,8 +94,9 @@ let gc_phase (phase : Tel.gc_phase) f =
 (* Everything the one run of the program records and block selection
    produces, which both [evaluate] and the system preparation below need.
    Besides the profile, the run records every figure of a report that does
-   not depend on an encoded image; bus-invert is stateful, so it rides the
-   run instead of being summed over pc pairs afterwards. *)
+   not depend on an encoded image, both as sums over its pc pairs: the
+   baseline bus, and bus-invert, whose one path-dependent term (ties met
+   while the invert line is high) the profile counts during the run. *)
 type context = {
   profile : Cfg.Profile.t;
   run : Machine.Cpu.result;
@@ -113,14 +114,9 @@ type context = {
 let context ~subset_mask ~selection program =
   let words = Isa.Program.words program in
   let blocks = Cfg.Block.partition (Isa.Program.insns program) in
-  let businvert = Buspower.Businvert.create ~width:32 () in
   let profile, run, state =
     Metrics.with_span Tel.span_profile (fun () ->
-        gc_phase Tel.gc_profile (fun () ->
-            Cfg.Profile.run
-              ~on_fetch:(fun ~pc ->
-                Buspower.Businvert.step businvert (Array.unsafe_get words pc))
-              program))
+        gc_phase Tel.gc_profile (fun () -> Cfg.Profile.run program))
   in
   let hot_blocks =
     Array.to_list blocks
@@ -153,7 +149,7 @@ let context ~subset_mask ~selection program =
     run;
     output = Machine.Cpu.output state;
     baseline_transitions = Cfg.Profile.pair_transitions profile words;
-    businvert_transitions = Buspower.Businvert.transitions businvert;
+    businvert_transitions = Cfg.Profile.businvert_transitions profile;
     blocks;
     hot_blocks;
     candidates;

@@ -310,7 +310,8 @@ let span_evaluate =
 
 let span_profile =
   Metrics.span
-    ~doc:"The recording run (Cfg.Profile.run): profile, pc pairs, bus-invert"
+    ~doc:"The recording run (Cfg.Profile.run): profile, pc pairs and the \
+          bus-invert tie count"
     "pipeline.profile"
 
 let span_plan =

@@ -106,6 +106,111 @@ let prop_businvert_roundtrip =
         (fun w -> Businvert.decode ~width:16 (Businvert.encode t w) = w)
         words)
 
+(* ---- bus-invert from a pair profile --------------------------------------- *)
+
+(* The pair-profile form of count_stream: each distinct consecutive pair
+   of the walk counted once with its multiplicity, plus the ties the walk
+   took while the invert line was high. *)
+let pairs_plus_ties ~width words walk =
+  let pairs = Hashtbl.create 16 in
+  let line = ref false and ties = ref 0 in
+  Array.iteri
+    (fun i pc ->
+      if i = 0 then line := Businvert.first_invert ~width words.(pc)
+      else begin
+        let src = walk.(i - 1) in
+        let key = (src, pc) in
+        Hashtbl.replace pairs key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt pairs key));
+        match Businvert.line_step ~width words.(src) words.(pc) with
+        | Keep -> ()
+        | Toggle -> line := not !line
+        | Tie ->
+            if !line then incr ties;
+            line := false
+      end)
+    walk;
+  Hashtbl.fold
+    (fun (src, dst) count acc ->
+      acc + (count * Businvert.pair_cost ~width words.(src) words.(dst)))
+    pairs !ties
+
+let test_businvert_tie_while_high () =
+  (* 0xff leaves the line high; 0xf0 is a tie (4 of 8 lines), paid 4 plus
+     the line falling; 0x0f toggles it high again; 0x3c ties while high
+     again; 0x0f ties while low, paying 4 and nothing more *)
+  let words = [| 0xff; 0xf0; 0x0f; 0x3c; 0x0f |] in
+  let walk = Array.init 5 Fun.id in
+  check_bool "first word raises the line" true
+    (Businvert.first_invert ~width:8 0xff);
+  check_bool "0xff -> 0xf0 ties" true
+    (Businvert.line_step ~width:8 0xff 0xf0 = Tie);
+  check_int "tie costs its distance" 4 (Businvert.pair_cost ~width:8 0xff 0xf0);
+  check_int "toggle costs the complement plus the line" 1
+    (Businvert.pair_cost ~width:8 0xf0 0x0f);
+  check_int "encoder" 15 (Businvert.count_stream ~width:8 words);
+  check_int "pair sum 13 plus two ties" 15
+    (pairs_plus_ties ~width:8 words walk)
+
+(* Random word arrays and pc walks, biased towards what the tie term needs:
+   a step that flips exactly half the lines, a first word with more than
+   half its lines set, and sequential runs. *)
+let walk_gen =
+  let open QCheck.Gen in
+  let* width = oneofl [ 8; 16; 32 ] in
+  let mask = (1 lsl width) - 1 in
+  let flip_exactly k =
+    let+ lines = shuffle_l (List.init width Fun.id) in
+    List.filteri (fun j _ -> j < k) lines
+    |> List.fold_left (fun m i -> m lor (1 lsl i)) 0
+  in
+  let next_word prev =
+    let* k = frequency [ (3, return (width / 2)); (2, int_bound width) ] in
+    frequency
+      [ (4, map (fun m -> prev lxor m) (flip_exactly k)); (1, int_bound mask) ]
+  in
+  let* first =
+    frequency
+      [
+        (1, int_bound mask);
+        (1, map (fun m -> mask lxor m) (flip_exactly (width / 4)));
+      ]
+  in
+  let* n = int_range 1 10 in
+  let rec words acc prev i =
+    if i = n then return (Array.of_list (List.rev acc))
+    else
+      let* w = next_word prev in
+      words (w :: acc) w (i + 1)
+  in
+  let* words = words [ first ] first 1 in
+  let* len = int_range 1 60 in
+  let rec walk acc pc i =
+    if i = len then return (Array.of_list (List.rev acc))
+    else
+      let* next =
+        frequency [ (3, return ((pc + 1) mod n)); (1, int_bound (n - 1)) ]
+      in
+      walk (next :: acc) next (i + 1)
+  in
+  let* start = frequency [ (1, return 0); (1, int_bound (n - 1)) ] in
+  let+ walk = walk [ start ] start 1 in
+  (width, words, walk)
+
+let prop_businvert_pairs_plus_ties =
+  QCheck.Test.make ~name:"bus-invert: pair sum + ties = stream"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (width, words, walk) ->
+         let show f a = String.concat "; " (Array.to_list (Array.map f a)) in
+         Printf.sprintf "width %d words [%s] walk [%s]" width
+           (show (Printf.sprintf "0x%x") words)
+           (show string_of_int walk))
+       walk_gen)
+    (fun (width, words, walk) ->
+      pairs_plus_ties ~width words walk
+      = Businvert.count_stream ~width (Array.map (fun pc -> words.(pc)) walk))
+
 (* ---- T0 ---------------------------------------------------------------------- *)
 
 let test_t0_sequential_is_free () =
@@ -438,7 +543,15 @@ let () =
         :: Alcotest.test_case "halves worst case" `Quick
              test_businvert_halves_worst_case
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_businvert_per_step_bound; prop_businvert_roundtrip ] );
+             [
+               prop_businvert_per_step_bound;
+               prop_businvert_roundtrip;
+               prop_businvert_pairs_plus_ties;
+             ]
+        @ [
+            Alcotest.test_case "tie while the line is high" `Quick
+              test_businvert_tie_while_high;
+          ] );
       ( "t0",
         [
           Alcotest.test_case "sequential free" `Quick test_t0_sequential_is_free;

@@ -203,6 +203,27 @@ let test_parse_error_line () =
     Alcotest.fail "expected parse error"
   with Asm.Parse_error { line; _ } -> check_int "line" 2 line
 
+let test_immediate_range_line () =
+  (* a field overflow is a parse error on its own line, not an
+     Invalid_argument out of the encoder *)
+  match Asm.assemble "nop\naddiu $t0, $t0, 99999\nsyscall" with
+  | _ -> Alcotest.fail "expected parse error"
+  | exception Asm.Parse_error { line; message } ->
+      check_int "line" 2 line;
+      check_string "message"
+        "Word.encode: signed immediate out of range: 99999" message
+
+let test_describe_error () =
+  let described src =
+    match Asm.assemble src with
+    | _ -> "assembled"
+    | exception e -> Option.value (Asm.describe_error e) ~default:"foreign"
+  in
+  check_string "parse" "line 1: unknown mnemonic bogus" (described "bogus $t0");
+  check_string "undefined" "undefined label nowhere" (described "j nowhere");
+  check_string "duplicate" "duplicate label a" (described "a:\na:\nnop");
+  check_bool "foreign" true (Asm.describe_error Not_found = None)
+
 let test_program_words_match () =
   let p = Asm.assemble "addiu $t0, $zero, 7\nsyscall" in
   Alcotest.(check (array int))
@@ -287,6 +308,80 @@ let prop_encode_decode =
     (QCheck.make insn_gen) (fun insn ->
       Insn.equal (Word.decode (Word.encode insn)) insn)
 
+(* Mutated assembly, built from the compiled kernels' disassembly: lines
+   dropped, duplicated or swapped in from elsewhere, fragments spliced
+   into them, characters cut.  [assemble] must succeed or raise one of its
+   three typed exceptions, never anything else. *)
+let corpus =
+  Array.of_list
+    (List.map
+       (fun w ->
+         Array.of_list
+           (String.split_on_char '\n'
+              (Isa.Disasm.to_source
+                 (Minic.Compile.compile w.Workloads.source).Minic.Compile.program)))
+       Workloads.scaled)
+
+let fragments =
+  [| ""; " "; ","; "("; ")"; ":"; "#"; ";"; "\t"; "$"; "$t0"; "$zero";
+     "$f2"; "$f"; "$32"; "$bogus"; "0"; "-1"; "31"; "32"; "0x7fff";
+     "32768"; "-32769"; "70000"; "0xffffffff"; "99999999999999999999";
+     "4($sp)"; "($t1)"; "x("; "loop"; "nowhere"; "a:"; ":b"; "li"; "la";
+     "beq"; "blt"; "j"; "jal"; "lw"; "sll"; "lui"; "mul.s"; "bc1t"; "nop";
+     "syscall"; "bogus" |]
+
+let mutated_source =
+  let open QCheck.Gen in
+  let* source = int_bound (Array.length corpus - 1) in
+  let lines = Array.copy corpus.(source) in
+  let n = Array.length lines in
+  let mutate =
+    let* i = int_bound (n - 1) in
+    oneof
+      [
+        return (fun () -> lines.(i) <- "");
+        return (fun () -> lines.(i) <- lines.((i + 1) mod n) ^ "\n" ^ lines.(i));
+        map
+          (fun k () ->
+            let other = corpus.(k mod Array.length corpus) in
+            lines.(i) <- other.(i mod Array.length other))
+          nat;
+        map2
+          (fun f at () ->
+            let l = lines.(i) in
+            let at = at mod (String.length l + 1) in
+            lines.(i) <-
+              String.sub l 0 at ^ fragments.(f)
+              ^ String.sub l at (String.length l - at))
+          (int_bound (Array.length fragments - 1))
+          nat;
+        map2
+          (fun at len () ->
+            let l = lines.(i) in
+            let at = at mod (String.length l + 1) in
+            let len = min len (String.length l - at) in
+            lines.(i) <-
+              String.sub l 0 at ^ String.sub l (at + len)
+                (String.length l - at - len))
+          nat (int_range 1 6);
+      ]
+  in
+  let+ edits = list_size (int_range 1 4) mutate in
+  List.iter (fun edit -> edit ()) edits;
+  String.concat "\n" (Array.to_list lines)
+
+let prop_assembler_fuzz =
+  QCheck.Test.make ~name:"mutated assembly: typed errors only" ~count:1000
+    (QCheck.make mutated_source) (fun src ->
+      match Asm.assemble src with
+      | _ -> true
+      | exception
+          (Asm.Parse_error _ | Isa.Sym.Undefined_label _
+          | Isa.Sym.Duplicate_label _) ->
+          true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "isa"
     [
@@ -314,6 +409,9 @@ let () =
           Alcotest.test_case "duplicate label" `Quick test_duplicate_label;
           Alcotest.test_case "error line" `Quick test_parse_error_line;
           Alcotest.test_case "words match" `Quick test_program_words_match;
+          Alcotest.test_case "immediate range line" `Quick
+            test_immediate_range_line;
+          Alcotest.test_case "describe error" `Quick test_describe_error;
         ] );
       ( "disassembler",
         [
@@ -326,5 +424,7 @@ let () =
           Alcotest.test_case "compiler corpus" `Quick test_disasm_compiler_output;
           Alcotest.test_case "single line" `Quick test_disasm_line;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_encode_decode ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_encode_decode; prop_assembler_fuzz ] );
     ]

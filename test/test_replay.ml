@@ -127,6 +127,33 @@ let test_all_sinks_one_run () =
           probes.(time) images)
     buses
 
+(* Bus-invert is replayed from the pc pairs plus the profile's tie count;
+   it must equal the encoder run over every fetched word. *)
+let businvert_replayed_and_streamed program =
+  let report = Evaluate.evaluate ~ks:[ 4 ] ~name:"businvert" program in
+  let words = Isa.Program.words program in
+  let fetched = Array.make report.instructions 0 and i = ref 0 in
+  ignore
+    (Machine.Cpu.run
+       ~on_fetch:(fun ~pc ->
+         fetched.(!i) <- words.(pc);
+         incr i)
+       program (Machine.Cpu.create_state ()));
+  ( report.businvert_transitions,
+    Buspower.Businvert.count_stream ~width:32 fetched )
+
+let businvert_equals_stream (w : Workloads.t) () =
+  let program = (Workloads.compile w).Minic.Compile.program in
+  let replayed, streamed = businvert_replayed_and_streamed program in
+  check_int w.Workloads.name streamed replayed
+
+let prop_random_businvert =
+  QCheck.Test.make ~name:"random programs: bus-invert" ~count:20
+    (QCheck.make ~print:Fun.id Minic_gen.gen_program) (fun src ->
+      let program = (Minic.Compile.compile src).Minic.Compile.program in
+      let replayed, streamed = businvert_replayed_and_streamed program in
+      replayed = streamed)
+
 let prop_random_programs =
   QCheck.Test.make ~name:"random programs: replay = live" ~count:20
     (QCheck.make ~print:Fun.id Minic_gen.gen_program) (fun src ->
@@ -145,6 +172,12 @@ let () =
               (Printf.sprintf "%s k=4..7" w.Workloads.name)
               `Quick (replay_equals_live w))
           (Workloads.scaled @ Workloads.extended) );
+      ( "bus-invert",
+        List.map
+          (fun (w : Workloads.t) ->
+            Alcotest.test_case w.Workloads.name `Quick
+              (businvert_equals_stream w))
+          (Workloads.scaled @ Workloads.extended) );
       ( "live fallback",
         [
           Alcotest.test_case "fixed businvert" `Quick
@@ -153,5 +186,6 @@ let () =
             test_all_sinks_one_run;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_random_programs ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_programs; prop_random_businvert ] );
     ]
