@@ -445,7 +445,7 @@ let storage_invariance () =
   let words = Isa.Program.words program in
   let system =
     (List.hd (Pipeline.Evaluate.prepare ~ks:[ 5 ] program))
-      .Pipeline.Evaluate.prep_system
+      .Pipeline.Evaluate.rebuild ()
   in
   let cache_cfg = { Machine.Icache.lines = 8; words_per_line = 4 } in
   let cache_base = Machine.Icache.create cache_cfg ~image:words in

@@ -385,7 +385,7 @@ let encode path k subset_mask firmware_out stats =
           in
           let oc = open_out out in
           output_string oc
-            (Hardware.Firmware.to_string prepared.Pipeline.Evaluate.prep_system);
+            (Hardware.Firmware.to_string (prepared.Pipeline.Evaluate.rebuild ()));
           close_out oc;
           Format.printf "firmware bundle written to %s@." out);
       `Ok ()

@@ -76,7 +76,7 @@ let () =
   (* how many peripheral writes would the software need before the loop *)
   let system =
     (List.hd (Pipeline.Evaluate.prepare ~ks:[ 5 ] program))
-      .Pipeline.Evaluate.prep_system
+      .Pipeline.Evaluate.rebuild ()
   in
   Format.printf
     "Programming the tables costs %d peripheral writes; the TT stores %d bits.@."

@@ -84,7 +84,7 @@ type pair = {
   rebuild : unit -> Hardware.Reprogram.system;
   recovery : Hardware.Fetch_decoder.recovery;
   pair_space : Model.space;
-      (* read off the pristine system once: every rebuild yields a
+      (* read off a pristine system once: every rebuild yields a
          structurally identical system, so the space — and therefore the
          RNG stream sampling from it — is the same one the historical
          rebuild-then-sample order produced *)
@@ -95,37 +95,61 @@ type pair = {
   slots : live_slot list;
 }
 
-let prepare_pairs config =
-  List.concat_map
-    (fun w ->
-      let compiled = Workloads.compile w in
-      let program = compiled.Minic.Compile.program in
-      let preps = Pipeline.Evaluate.prepare ~ks:config.ks program in
-      List.map
-        (fun (p : Pipeline.Evaluate.prepared) ->
-          (* derived while the system is pristine: this is the copy the
-             degraded fetch path serves *)
-          let recovery =
-            Hardware.Reprogram.recovery p.Pipeline.Evaluate.prep_system
-          in
-          {
-            pair_bench = w.Workloads.name;
-            pair_k = p.Pipeline.Evaluate.prep_k;
-            program;
-            rebuild = p.Pipeline.Evaluate.rebuild;
-            recovery;
-            pair_space =
-              Model.space p.Pipeline.Evaluate.prep_system
-                ~regions:recovery.Hardware.Fetch_decoder.regions
-                ~fetches:p.Pipeline.Evaluate.prep_instructions;
-            baseline_output = p.Pipeline.Evaluate.prep_output;
-            baseline_exit = p.Pipeline.Evaluate.prep_exit_code;
-            baseline_instructions = p.Pipeline.Evaluate.prep_instructions;
-            profile = p.Pipeline.Evaluate.prep_profile;
-            slots = live_slots p.Pipeline.Evaluate.prep_system;
-          })
-        preps)
-    config.benches
+(* One workload's pairs for one [ks], kept in the plan-cache entry of
+   their plans, so they live exactly as long as the plans do. *)
+type derived = {
+  workload : Workloads.t;
+  ks : int list;
+  compiled : Isa.Program.t;
+  pairs : pair list;
+}
+
+type Pipeline.Evaluate.Plan_cache.attachment += Pairs of derived
+
+let derive (w : Workloads.t) program (p : Pipeline.Evaluate.prepared) =
+  (* derived while the system is pristine: this is the copy the degraded
+     fetch path serves *)
+  let system = p.Pipeline.Evaluate.rebuild () in
+  let recovery = Hardware.Reprogram.recovery system in
+  {
+    pair_bench = w.Workloads.name;
+    pair_k = p.Pipeline.Evaluate.prep_k;
+    program;
+    rebuild = p.Pipeline.Evaluate.rebuild;
+    recovery;
+    pair_space =
+      Model.space system ~regions:recovery.Hardware.Fetch_decoder.regions
+        ~fetches:p.Pipeline.Evaluate.prep_instructions;
+    baseline_output = p.Pipeline.Evaluate.prep_output;
+    baseline_exit = p.Pipeline.Evaluate.prep_exit_code;
+    baseline_instructions = p.Pipeline.Evaluate.prep_instructions;
+    profile = p.Pipeline.Evaluate.prep_profile;
+    slots = live_slots system;
+  }
+
+(* The workload's pairs: compiled, planned and derived on the first call,
+   then reused while the plan cache holds their plans. *)
+let workload_pairs ks w =
+  match
+    Pipeline.Evaluate.Plan_cache.find_attached (function
+      | Pairs d when d.ks = ks && d.workload = w -> Some d
+      | _ -> None)
+  with
+  | Some d ->
+      (* the cache's hits, misses, LRU order and log events stay those of
+         a campaign that derives afresh *)
+      ignore (Pipeline.Evaluate.prepare ~ks d.compiled);
+      d.pairs
+  | None ->
+      let program = (Workloads.compile w).Minic.Compile.program in
+      let preps = Pipeline.Evaluate.prepare ~ks program in
+      let pairs = List.map (derive w program) preps in
+      (match preps with
+      | p :: _ ->
+          Pipeline.Evaluate.Plan_cache.attach p.Pipeline.Evaluate.prep_plan
+            (Pairs { workload = w; ks; compiled = program; pairs })
+      | [] -> ());
+      pairs
 
 (* Address-order decode of the corrupted stored state through a strict
    decoder, diffed against the pristine raw words.  A fetch the decoder
@@ -231,6 +255,36 @@ let future_fallbacks (pair : pair) dec fetched =
    reference run (see campaign.mli). *)
 exception Rejoined
 
+(* The encoded region [(start, len)] holding [pc], if any. *)
+let region_of (pair : pair) pc =
+  Array.find_opt
+    (fun (start, len) -> pc >= start && pc < start + len)
+    pair.recovery.Hardware.Fetch_decoder.regions
+
+(* [(until, lo, hi)]: the injection's fetches run without the decoder
+   while their index is below [until] and their pc lies outside
+   [lo, hi) — up to its first affected fetch (see campaign.mli).  [None]
+   when every fetch must go through the decoder. *)
+let prefix_window (pair : pair) target =
+  let whole (start, len) = (max_int, start, start + len) in
+  if Trace.Collector.enabled () then None
+  else
+    match target with
+    | Model.Bbit_field _ -> None
+    | Model.Bus_glitch { fetch; _ } -> Some (fetch, 0, 0)
+    | Model.Image_bit { pc; _ } ->
+        Some
+          (match region_of pair pc with
+          | Some r -> whole r
+          | None -> (max_int, pc, pc + 1))
+    | Model.Tt_field { index; _ } -> (
+        let regions = pair.recovery.Hardware.Fetch_decoder.regions in
+        match
+          List.filter (fun s -> List.mem_assoc index s.chain) pair.slots
+        with
+        | [ s ] -> Some (whole regions.(s.slot))
+        | _ -> None)
+
 (* Run one pre-sampled injection.  Touches nothing shared mutably — the
    rebuilt system, decoder and CPU state are local — so injections fan out
    over the domain pool; [pair.recovery] is shared read-only. *)
@@ -250,9 +304,11 @@ let inject_target ~id (pair : pair) target =
      count this run's fetches per pc: if the run rejoins there, the counts
      give the fallbacks it did not run. *)
   let watching = ref true and fetched = Array.make (Array.length raw) 0 in
-  let fetch_word ~pc =
-    let this = !fetches in
-    incr fetches;
+  let window = prefix_window pair target in
+  let skipping = ref (window <> None) and handover = ref 0 in
+  let until, lo, hi = Option.value window ~default:(0, 0, 0) in
+  (* The hardened fetch path, from the handover on. *)
+  let decode ~pc this =
     let word =
       match glitch with
       | Some (f, bit) when this = f ->
@@ -278,6 +334,31 @@ let inject_target ~id (pair : pair) target =
         end
       end;
     word
+  in
+  let hand_over ~pc this =
+    skipping := false;
+    handover := this;
+    (* a glitch inside a block: bring the decoder to the state that the
+       block's earlier fetches left it in *)
+    match (glitch, region_of pair pc) with
+    | Some _, Some (start, _) ->
+        for q = start to pc - 1 do
+          ignore (Hardware.Fetch_decoder.fetch dec ~pc:q)
+        done
+    | _ -> ()
+  in
+  let fetch_word ~pc =
+    let this = !fetches in
+    incr fetches;
+    if !skipping && this < until && (pc < lo || pc >= hi) then begin
+      (* the pristine prefix: the decoder would deliver the original *)
+      fetched.(pc) <- fetched.(pc) + 1;
+      raw.(pc)
+    end
+    else begin
+      if !skipping then hand_over ~pc this;
+      decode ~pc this
+    end
   in
   let cap = (pair.baseline_instructions * 4) + 10_000 in
   let outcome =
@@ -330,6 +411,8 @@ let inject_target ~id (pair : pair) target =
     | exception Machine.Memory.Fault _ -> Trap { cause = "memory-fault" }
     | exception Invalid_argument _ -> Trap { cause = "machine-abort" }
   in
+  Telemetry.Metrics.add Telemetry.Registry.fault_fast_forward_fetches
+    (if !skipping then !fetches else !handover);
   let record =
     {
       id;
@@ -356,7 +439,9 @@ let inject_target ~id (pair : pair) target =
 let run config =
   if config.injections < 0 then
     invalid_arg "Fault.Campaign.run: negative injection count";
-  let pairs = Array.of_list (prepare_pairs config) in
+  let pairs =
+    Array.of_list (List.concat_map (workload_pairs config.ks) config.benches)
+  in
   let npairs = Array.length pairs in
   if npairs = 0 then invalid_arg "Fault.Campaign.run: no (benchmark, k) pairs";
   (* Phase A, sequential: draw every target in injection order from the

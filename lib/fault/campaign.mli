@@ -6,6 +6,16 @@
     inject it, and run the program through the hardened fetch path under a
     cycle cap.  Each experiment lands in exactly one outcome class.
 
+    Each (benchmark, k) pair is derived once per plan: the workload is
+    compiled, and the pair's recovery copy, sampling space and live slots
+    read off a pristine system, on the first campaign that meets the
+    plan.  They are kept in the plan's {!Pipeline.Evaluate.Plan_cache}
+    entry, so later campaigns over the same workloads and block sizes
+    reuse them for as long as the cache holds that plan, and drop them
+    with it (on [clear], on eviction, and at once while the cache is
+    disabled).  Every campaign still calls [prepare], so the cache's hits,
+    misses and LRU order are those of a campaign that derives afresh.
+
     Execution is two-phase: every target is drawn sequentially in
     injection order from the one campaign RNG (sampling reads only each
     pair's deterministic {!Model.space}), then the independent experiments
@@ -58,7 +68,56 @@
     full run would have ([fault.fallback_fetches], [cpu.instructions],
     [fault.recoveries]), and adds the fetches it did not run to
     [fault.fetches_skipped].  A traced recovered injection's event stream
-    ends at the rejoin fetch. *)
+    ends at the rejoin fetch.
+
+    {2 Skipping the pristine prefix}
+
+    Each target names, before its run starts, the first fetch its upset
+    can reach:
+    - a stored image bit at [p]: the first fetch of any pc of [p]'s
+      encoded region, or of [p] itself when [p] lies outside every region;
+    - a TT entry: the first fetch of any pc of the region of the one BBIT
+      slot whose chain holds the entry (an entry in no chain or in several
+      names fetch 0);
+    - a bus glitch: its own fetch index;
+    - a BBIT field: fetch 0, since the scrub detects it on the first fetch.
+
+    Every fetch before that one delivers the original word at its pc
+    without calling the decoder (it still counts toward the per-pc
+    fetches the early stop reads), and the decoder takes over at that
+    fetch.  A traced campaign skips nothing: the trace records every
+    fetch's decode.  [fault.fast_forward_fetches] counts the fetches
+    delivered this way.
+
+    Why no delivered word before the handover can differ.  The argument
+    rests on the pristine system restoring every word the reference run
+    fetches (what [--verify] checks).  The decoder reads the stored word
+    of the fetched pc only; it reads a TT entry only while it decodes the
+    block of a slot whose chain holds it, which starts at that slot's
+    head; and a bus glitch changes nothing before its own fetch.  Before
+    the named fetch the upset is therefore never read, the corrupted
+    system behaves as the pristine one, and each word delivered is the
+    original: by induction the CPU follows the reference run fetch for
+    fetch, so the pcs skipped are the reference's.  A traced run would
+    differ only in its events, and is not skipped.
+
+    Why the decoder at the handover is the pristine decoder.  Its
+    detection and fallback counters are zero there, as in the pristine
+    run, since nothing corrupted was read: no parity failed, no region
+    degraded.  The BBIT scrub runs on the first fetch the decoder sees and
+    finds every slot pristine, as it did on fetch 0.  For the sequencing
+    state: the decoder is active only between a block's head and the end
+    of its TT chain, over consecutive pcs of the block's region, and the
+    pristine run never faults.  So at a fetch of a pc outside every region
+    it is idle, and at the first fetch of any pc of a region it is idle
+    too (no earlier fetch of that region began a decode; a decode of
+    another region expects a pc of that region next).  A fresh decoder is
+    idle, and an idle decoder carries no state into the next block: the
+    head reloads the history registers.  A bus glitch may land inside a
+    block.  Basic blocks are entered only at their head ({!Cfg.Block}),
+    so the fetches just before it were the block's head to [pc - 1] in
+    order.  The decoder first re-fetches those from the pristine image,
+    which leaves its sequencing state where the pristine decoder's is. *)
 
 (** Decoded-image damage measured by a strict address-order sweep of the
     corrupted stored state against the pristine raw words. *)

@@ -256,6 +256,7 @@ let parse source =
   List.iteri
     (fun lineno0 raw ->
       let lineno = lineno0 + 1 in
+      push [ Sym.Line lineno ];
       let rec process text =
         let text = String.trim (strip_comment text) in
         if text <> "" then
@@ -283,7 +284,10 @@ let parse source =
     lines;
   List.rev !items
 
-let assemble source = Program.of_items (parse source)
+let assemble source =
+  match Program.of_items (parse source) with
+  | p -> p
+  | exception Sym.Out_of_range { line; message } -> fail line message
 
 let describe_error = function
   | Parse_error { line; message } ->

@@ -30,7 +30,8 @@ val parse : string -> Sym.item list
 
 (** [assemble source] is [Program.of_items (parse source)].  Raises
     {!Parse_error}, {!Sym.Undefined_label} or {!Sym.Duplicate_label} on bad
-    input. *)
+    input; a branch too far from its label is a {!Parse_error} on the
+    branch's line. *)
 val assemble : string -> Program.t
 
 (** [describe_error exn] renders the three exceptions {!assemble} raises

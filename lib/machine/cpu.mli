@@ -15,10 +15,10 @@ exception Trap of string
 
 (** [create_state ?mem_bytes ()] is a fresh machine state: registers zero,
     [$sp] at the top of a [mem_bytes] (default 4 MiB) data memory.  The
-    memory is paged (see {!Memory}), so a state costs a page table, and a
-    run on it pays for the pages it writes, not for [mem_bytes]: the
-    scaled workload programs write two to four 4 KiB pages, the
-    paper-sized ones at most 66. *)
+    memory is paged (see {!Memory}), so a state costs a small page
+    directory, and a run on it pays for the pages it writes, not for
+    [mem_bytes]: the scaled workload programs write two to four 4 KiB
+    pages, the paper-sized ones at most 66. *)
 val create_state : ?mem_bytes:int -> unit -> state
 
 val memory : state -> Memory.t

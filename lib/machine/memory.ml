@@ -6,14 +6,22 @@ let offset_mask = page_size - 1
    [writable] swaps in a page of the memory's own first. *)
 let zero_page = Bytes.make page_size '\000'
 
-type t = { pages : Bytes.t array; size : int }
+(* The page table has two levels: [dir] holds one leaf per 32 pages, and
+   every leaf no store has reached is this one, so a memory costs a
+   directory small enough for the minor heap.  Stores never write it. *)
+let leaf_bits = 5
+let leaf_mask = (1 lsl leaf_bits) - 1
+let zero_leaf = Array.make (1 lsl leaf_bits) zero_page
+
+type t = { dir : Bytes.t array array; size : int }
 
 exception Fault of { address : int; message : string }
 
 let create ~bytes =
   if bytes <= 0 then invalid_arg "Memory.create: non-positive size";
   let size = (bytes + 3) land lnot 3 in
-  { pages = Array.make ((size + offset_mask) lsr page_bits) zero_page; size }
+  let pages = (size + offset_mask) lsr page_bits in
+  { dir = Array.make ((pages + leaf_mask) lsr leaf_bits) zero_leaf; size }
 
 let size m = m.size
 
@@ -29,14 +37,27 @@ let check_byte m addr =
 
 (* After a check: the address is in bounds, and an aligned word never
    crosses a page. *)
-let page m addr = Array.unsafe_get m.pages (addr lsr page_bits)
+let page m addr =
+  Array.unsafe_get
+    (Array.unsafe_get m.dir (addr lsr (page_bits + leaf_bits)))
+    ((addr lsr page_bits) land leaf_mask)
 
 let writable m addr =
   let p = page m addr in
   if p != zero_page then p
   else begin
+    let d = addr lsr (page_bits + leaf_bits) in
+    let leaf =
+      let l = Array.unsafe_get m.dir d in
+      if l != zero_leaf then l
+      else begin
+        let l = Array.make (1 lsl leaf_bits) zero_page in
+        Array.unsafe_set m.dir d l;
+        l
+      end
+    in
     let p = Bytes.make page_size '\000' in
-    Array.unsafe_set m.pages (addr lsr page_bits) p;
+    Array.unsafe_set leaf ((addr lsr page_bits) land leaf_mask) p;
     p
   end
 

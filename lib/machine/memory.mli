@@ -2,25 +2,29 @@
     own image, as in the paper's target systems, so data traffic never
     pollutes the instruction bus).
 
-    The memory is split into 4 KiB pages.  Every page no store has
-    reached is one shared, read-only page of zeros, so {!create} allocates
-    only the page table, and a store allocates its page on the first write
-    to it.  The shared zero page is never written: every store to a page
-    that still points at it first swaps in a zeroed page of this memory's
-    own.  An aligned word never crosses a page, so an access costs one
-    page-table load more than a flat memory.
+    The memory is split into 4 KiB pages under a two-level page table: a
+    directory of leaves, each leaf covering 32 pages.  Every page no store
+    has reached is one shared, read-only page of zeros, and every leaf no
+    store has reached is one shared leaf of zero pages, so {!create}
+    allocates only the directory (32 slots for 4 MiB, small enough for the
+    minor heap), and a store allocates its leaf and page on the first
+    write to them.  The shared zero page and zero leaf are never written:
+    a store first swaps in a leaf and a zeroed page of this memory's own.
+    An aligned word never crosses a page, so an access costs two
+    page-table loads more than a flat memory.
 
     A memory belongs to the one domain that runs on it.  Distinct memories
-    share only the zero page, which nothing writes, so they are safe to use
-    in parallel. *)
+    share only the zero page and the zero leaf, which nothing writes, so
+    they are safe to use in parallel. *)
 
 type t
 
 exception Fault of { address : int; message : string }
 
 (** [create ~bytes] is a zeroed memory of [bytes] bytes (rounded up to a
-    multiple of 4).  Its cost is one page-table slot per 4 KiB, not
-    [bytes]; the pages a run writes are paid as it writes them. *)
+    multiple of 4).  Its cost is one directory slot per 128 KiB, not
+    [bytes]; the leaves and pages a run writes are paid as it writes
+    them. *)
 val create : bytes:int -> t
 
 (** [size m] is the capacity in bytes. *)

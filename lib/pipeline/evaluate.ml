@@ -161,7 +161,6 @@ let context ~subset_mask ~selection program =
 type prepared = {
   prep_k : int;
   prep_plan : Powercode.Program_encoder.plan;
-  prep_system : Hardware.Reprogram.system;
   rebuild : unit -> Hardware.Reprogram.system;
   prep_instructions : int;
   prep_exit_code : int;
@@ -203,8 +202,11 @@ let plan_only ~tt_capacity ~optimal_chain ctx ks =
    selection or encoding — and nothing else: the scheme only acts after
    planning, so every scheme shares one entry.  The FNV fingerprint only
    short-circuits comparisons — a lookup succeeds on full structural
-   equality, never on hash alone. *)
+   equality, never on hash alone.  An entry also carries what callers
+   derived from its plans ([attach]), so that data is dropped with it. *)
 module Plan_cache = struct
+  type attachment = ..
+
   type key = {
     key_words : int array;
     key_ks : int list;
@@ -219,6 +221,7 @@ module Plan_cache = struct
     key : key;
     ctx : context;
     plans : (int * Powercode.Program_encoder.plan) list;
+    mutable attached : attachment list;
   }
 
   let fnv_prime = 0x100000001b3
@@ -297,8 +300,28 @@ module Plan_cache = struct
   let insert hash key ctx plans =
     Mutex.lock mutex;
     let keep = List.filteri (fun i _ -> i < max_entries - 1) !entries in
-    entries := { hash; key; ctx; plans } :: keep;
+    entries := { hash; key; ctx; plans; attached = [] } :: keep;
     Mutex.unlock mutex
+
+  let locked f =
+    Mutex.lock mutex;
+    Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+
+  let attach plan a =
+    locked (fun () ->
+        match
+          List.find_opt
+            (fun e -> List.exists (fun (_, p) -> p == plan) e.plans)
+            !entries
+        with
+        | Some e -> e.attached <- a :: e.attached
+        | None -> ())
+
+  let find_attached f =
+    if not !enabled_flag then None
+    else
+      locked (fun () ->
+          List.find_map (fun e -> List.find_map f e.attached) !entries)
 end
 
 (* The shared front half of [prepare] and [evaluate]: context (the recorded
@@ -344,12 +367,10 @@ let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
   in
   List.map
     (fun (k, plan) ->
-      let build () = build_system ~tt_capacity ctx program plan in
       {
         prep_k = k;
         prep_plan = plan;
-        prep_system = build ();
-        rebuild = build;
+        rebuild = (fun () -> build_system ~tt_capacity ctx program plan);
         prep_instructions = ctx.run.Machine.Cpu.instructions;
         prep_exit_code = ctx.run.Machine.Cpu.exit_code;
         prep_output = ctx.output;

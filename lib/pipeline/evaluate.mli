@@ -21,7 +21,7 @@
     Decode systems ({!Hardware.Reprogram.build}) are built only for the
     two live paths that read them: [verify]'s decoders, and a recording
     {!Trace.Collector}, which gets the table writes' [Tt_program] events.
-    {!prepare} builds them too, for the fault campaigns.
+    {!prepare} builds none: its callers build through [rebuild].
 
     A live run of the program remains only for the consumers that are
     truly per-fetch.  Each is a sink that sees every fetch in execution
@@ -143,10 +143,11 @@ exception Replay_mismatch of string
     belonging to natural loops are candidates (ranked the same way). *)
 type selection = [ `Hot_blocks | `Hot_loops ]
 
-(** One planned block size with its built decode system.  [rebuild]
-    assembles a {e fresh} system from the same plan — fault campaigns
-    corrupt a rebuilt copy per injection so upsets never leak between
-    experiments (the plan itself, the expensive part, is shared).  The
+(** One planned block size.  [rebuild] assembles a {e fresh} decode
+    system from the plan — fault campaigns corrupt a rebuilt copy per
+    injection so upsets never leak between experiments (the plan itself,
+    the expensive part, is shared); it raises what
+    {!Hardware.Reprogram.build} raises.  The
     [prep_instructions], [prep_exit_code], [prep_output] and
     [prep_profile] fields are the recording run's dynamic instruction
     count, exit code, printed output and per-pc fetch counts: the
@@ -155,7 +156,6 @@ type selection = [ `Hot_blocks | `Hot_loops ]
 type prepared = {
   prep_k : int;
   prep_plan : Powercode.Program_encoder.plan;
-  prep_system : Hardware.Reprogram.system;
   rebuild : unit -> Hardware.Reprogram.system;
   prep_instructions : int;
   prep_exit_code : int;
@@ -195,12 +195,27 @@ module Plan_cache : sig
 
   (** [stats ()] is [(hits, misses)] since the last {!clear}. *)
   val stats : unit -> int * int
+
+  (** What a caller derived from a cached plan, kept in that plan's entry
+      so it is dropped with the entry: on {!clear}, on eviction, and never
+      kept while the cache is disabled.  Callers add their own
+      constructors. *)
+  type attachment = ..
+
+  (** [attach plan a] keeps [a] in the entry that holds [plan] (physical
+      equality); a no-op when no entry holds it. *)
+  val attach : Powercode.Program_encoder.plan -> attachment -> unit
+
+  (** [find_attached f] is the first [Some] that [f] returns over the
+      attachments of the live entries, most recently used first; [None]
+      while the cache is disabled.  It counts no hit and moves no entry. *)
+  val find_attached : (attachment -> 'a option) -> 'a option
 end
 
 (** [prepare ?ks ?tt_capacity ?subset_mask ?optimal_chain ?selection
     program] runs the recording and planning front half of {!evaluate}
-    (same defaults, same block selection) and returns the per-[k] systems
-    without counting anything.  The front half is served from
+    (same defaults, same block selection) and returns the per-[k] plans
+    without building a decode system or counting anything.  The front half is served from
     {!Plan_cache} when enabled. *)
 val prepare :
   ?ks:int list ->

@@ -134,6 +134,13 @@ let fault_fetches_skipped =
           the fault-free reference run"
     "fault.fetches_skipped"
 
+(* Runtime: a traced campaign sends every fetch through the decoder. *)
+let fault_fast_forward_fetches =
+  counter ~stability:runtime
+    ~doc:"Campaign fetches delivered without the decoder because they come \
+          before the first fetch the injected upset can affect"
+    "fault.fast_forward_fetches"
+
 (* ---- pipeline (stable) ------------------------------------------------ *)
 
 let pipeline_evaluations =

@@ -50,6 +50,7 @@ val fault_bbit_parity : Metrics.counter
 val fault_fallback_fetches : Metrics.counter
 val fault_recoveries : Metrics.counter
 val fault_fetches_skipped : Metrics.counter
+val fault_fast_forward_fetches : Metrics.counter
 
 (** {1 Pipeline — stable} *)
 

@@ -108,6 +108,7 @@ type oracle_pair = {
   o_bench : string;
   o_program : Isa.Program.t;
   o_prep : Pipeline.Evaluate.prepared;
+  o_system : Hardware.Reprogram.system;  (* pristine *)
   o_recovery : Hardware.Fetch_decoder.recovery;
   o_space : Model.space;
 }
@@ -118,16 +119,16 @@ let oracle_pairs (config : Campaign.config) =
       let program = (Workloads.compile w).Minic.Compile.program in
       List.map
         (fun (p : Pipeline.Evaluate.prepared) ->
-          let recovery =
-            Hardware.Reprogram.recovery p.Pipeline.Evaluate.prep_system
-          in
+          let system = p.Pipeline.Evaluate.rebuild () in
+          let recovery = Hardware.Reprogram.recovery system in
           {
             o_bench = w.Workloads.name;
             o_program = program;
             o_prep = p;
+            o_system = system;
             o_recovery = recovery;
             o_space =
-              Model.space p.Pipeline.Evaluate.prep_system
+              Model.space system
                 ~regions:recovery.Hardware.Fetch_decoder.regions
                 ~fetches:p.Pipeline.Evaluate.prep_instructions;
           })
@@ -293,9 +294,13 @@ let with_metrics f =
   Telemetry.Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Telemetry.Metrics.set_enabled was) f
 
+let fast_forwarded () =
+  Telemetry.Metrics.counter_total
+    Telemetry.Registry.fault_fast_forward_fetches
+
 let test_early_stop_matches_full_run () =
   with_metrics @@ fun () ->
-  let before = skipped () in
+  let before = skipped () and forwarded = fast_forwarded () in
   List.iter
     (fun seed ->
       let config =
@@ -320,7 +325,159 @@ let test_early_stop_matches_full_run () =
         (campaign "POWERCODE_SEQ" "0"))
     [ 1; 2; 3; 4; 5; 6 ];
   check_bool "fault.fetches_skipped > 0: the early stop fired" true
-    (skipped () > before)
+    (skipped () > before);
+  check_bool "fault.fast_forward_fetches > 0: prefixes ran without the decoder"
+    true
+    (fast_forwarded () > forwarded)
+
+(* ---- start rules ---------------------------------------------------------- *)
+
+(* The reference run's pc at every fetch (forced only where needed: dct's
+   run is 1.88 M fetches). *)
+let reference_pcs o =
+  let pcs = Array.make o.o_prep.Pipeline.Evaluate.prep_instructions 0 in
+  let i = ref 0 in
+  ignore
+    (Machine.Cpu.run
+       ~on_fetch:(fun ~pc ->
+         pcs.(!i) <- pc;
+         incr i)
+       o.o_program
+       (Machine.Cpu.create_state ()));
+  pcs
+
+(* The encoded region [(start, len)] holding [pc], if any. *)
+let region_of o pc =
+  Array.find_opt
+    (fun (start, len) -> pc >= start && pc < start + len)
+    o.o_recovery.Hardware.Fetch_decoder.regions
+
+(* The first one-injection campaign, over five benches, k = 4..7 and seeds
+   from 0, whose one target satisfies [pred]; with its oracle pair.  Of
+   the nine benches only dct has pcs that its run never fetches (3 of
+   344). *)
+let find_case what pred =
+  let from (name, k) =
+    let config =
+      { Campaign.seed = 0; injections = 1; ks = [ k ]; benches = [ bench name ] }
+    in
+    let o = List.hd (oracle_pairs config) in
+    let pcs = lazy (reference_pcs o) in
+    let rec go seed =
+      if seed > 5000 then None
+      else
+        let target = Model.sample (Random.State.make [| seed |]) o.o_space in
+        if pred o pcs target then
+          Some ({ config with Campaign.seed }, o, pcs, target)
+        else go (seed + 1)
+    in
+    go 0
+  in
+  let candidates =
+    List.concat_map
+      (fun name -> List.map (fun k -> (name, k)) [ 4; 5; 6; 7 ])
+      [ "sor"; "fft"; "tri"; "ej"; "dct" ]
+  in
+  match List.find_map from candidates with
+  | Some case -> case
+  | None -> Alcotest.failf "no seed draws %s" what
+
+(* The campaign's record equals the full-run oracle's, and the injection
+   ran [expected] fetches without the decoder. *)
+let check_start_rule what pred expected =
+  with_metrics @@ fun () ->
+  let config, o, pcs, target = find_case what pred in
+  let before = fast_forwarded () in
+  let records = (Campaign.run config).Campaign.records in
+  let label = what ^ " " ^ Model.label target in
+  check_records label (oracle_records config) records;
+  check_int (label ^ ": fetches without the decoder") (expected o pcs target)
+    (fast_forwarded () - before)
+
+let test_glitch_inside_block () =
+  check_start_rule "a bus glitch inside a block"
+    (fun o pcs -> function
+      | Model.Bus_glitch { fetch; _ } -> (
+          let pc = (Lazy.force pcs).(fetch) in
+          match region_of o pc with
+          | Some (start, _) -> pc > start
+          | None -> false)
+      | _ -> false)
+    (fun _ _ -> function Model.Bus_glitch { fetch; _ } -> fetch | _ -> -1)
+
+let test_image_never_fetched () =
+  check_start_rule "an image upset at a pc never fetched"
+    (fun o _ -> function
+      | Model.Image_bit { pc; _ } ->
+          Cfg.Profile.instruction_count o.o_prep.Pipeline.Evaluate.prep_profile
+            pc
+          = 0
+      | _ -> false)
+    (fun o _ _ -> o.o_prep.Pipeline.Evaluate.prep_instructions)
+
+(* the slot whose TT chain holds [index] after its head entry *)
+let chain_tail_slot o index =
+  List.find_opt
+    (fun (_, (e : Hardware.Bbit.entry)) ->
+      let tt = o.o_system.Hardware.Reprogram.tt in
+      let rec holds i =
+        i = index || ((not (Hardware.Tt.read tt i).Hardware.Tt.e_bit) && holds (i + 1))
+      in
+      index > e.Hardware.Bbit.tt_base && holds e.Hardware.Bbit.tt_base)
+    (Hardware.Bbit.programmed o.o_system.Hardware.Reprogram.bbit)
+
+let test_tt_chain_tail () =
+  check_start_rule "a TT upset after its chain's head"
+    (fun o pcs -> function
+      | Model.Tt_field { index; _ } -> (
+          match chain_tail_slot o index with
+          | Some (_, e) -> Array.mem e.Hardware.Bbit.pc (Lazy.force pcs)
+          | None -> false)
+      | _ -> false)
+    (fun o pcs -> function
+      | Model.Tt_field { index; _ } -> (
+          match chain_tail_slot o index with
+          | Some (_, e) ->
+              let pcs = Lazy.force pcs in
+              let rec first i =
+                if pcs.(i) = e.Hardware.Bbit.pc then i else first (i + 1)
+              in
+              first 0
+          | None -> -1)
+      | _ -> -1)
+
+let test_bbit_from_fetch_zero () =
+  check_start_rule "a BBIT upset"
+    (fun _ _ -> function Model.Bbit_field _ -> true | _ -> false)
+    (fun _ _ _ -> 0)
+
+(* A trace records every fetch's decode, so a traced campaign runs every
+   injection through the decoder from fetch 0; its records are the
+   untraced ones, and the ring holds one [Fault_inject] per injection. *)
+let test_traced_campaign () =
+  with_metrics @@ fun () ->
+  let config =
+    { Campaign.seed = 5; injections = 6; ks = [ 4 ]; benches = [ bench "tri" ] }
+  in
+  let untraced = (Campaign.run config).Campaign.records in
+  let before = fast_forwarded () in
+  Trace.Collector.start ~capacity:(1 lsl 20) ();
+  let traced =
+    Fun.protect ~finally:Trace.Collector.stop (fun () ->
+        (Campaign.run config).Campaign.records)
+  in
+  let injects =
+    List.length
+      (List.filter
+         (function Trace.Event.Fault_inject _ -> true | _ -> false)
+         (Trace.Collector.events ()))
+  in
+  let dropped = Trace.Collector.dropped () in
+  Trace.Collector.clear ();
+  check_records "traced" untraced traced;
+  check_int "no event displaced" 0 dropped;
+  check_int "one Fault_inject per injection" config.Campaign.injections injects;
+  check_int "no fetch skipped the decoder" 0 (fast_forwarded () - before)
 
 (* A BBIT tag flipped onto another programmed slot's pc shadows that live
    slot: [Bbit.corrupt] re-points the associative match, the scrub
@@ -343,7 +500,7 @@ let test_bbit_tag_shadow () =
     let o = List.hd (oracle_pairs config) in
     let slots =
       Hardware.Bbit.programmed
-        o.o_prep.Pipeline.Evaluate.prep_system.Hardware.Reprogram.bbit
+        o.o_system.Hardware.Reprogram.bbit
     in
     let tag_bits = List.init o.o_space.Model.pc_bits Fun.id in
     List.find_map
@@ -394,7 +551,7 @@ let test_model_sampling_deterministic () =
   match Pipeline.Evaluate.prepare ~ks:[ 4 ] program with
   | [] -> Alcotest.fail "no prepared system"
   | p :: _ ->
-      let system = p.Pipeline.Evaluate.prep_system in
+      let system = p.Pipeline.Evaluate.rebuild () in
       let recovery = Hardware.Reprogram.recovery system in
       let space =
         Model.space system ~regions:recovery.Hardware.Fetch_decoder.regions
@@ -430,9 +587,7 @@ let run_through decoder program =
 
 let test_tt_parity_recovery () =
   let program, baseline, p = prep "tri" 4 in
-  let recovery =
-    Hardware.Reprogram.recovery p.Pipeline.Evaluate.prep_system
-  in
+  let recovery = Hardware.Reprogram.recovery (p.Pipeline.Evaluate.rebuild ()) in
   let system = p.Pipeline.Evaluate.rebuild () in
   (match Hardware.Tt.programmed system.Hardware.Reprogram.tt with
   | [] -> Alcotest.fail "no programmed TT entries"
@@ -448,9 +603,7 @@ let test_tt_parity_recovery () =
 
 let test_bbit_parity_recovery () =
   let program, baseline, p = prep "ej" 5 in
-  let recovery =
-    Hardware.Reprogram.recovery p.Pipeline.Evaluate.prep_system
-  in
+  let recovery = Hardware.Reprogram.recovery (p.Pipeline.Evaluate.rebuild ()) in
   let system = p.Pipeline.Evaluate.rebuild () in
   (match Hardware.Bbit.programmed system.Hardware.Reprogram.bbit with
   | [] -> Alcotest.fail "no programmed BBIT slots"
@@ -536,6 +689,19 @@ let () =
             test_early_stop_matches_full_run;
           Alcotest.test_case "bbit tag shadow runs to completion" `Quick
             test_bbit_tag_shadow;
+        ] );
+      ( "start rules",
+        [
+          Alcotest.test_case "bus glitch inside a block replays its head"
+            `Quick test_glitch_inside_block;
+          Alcotest.test_case "image upset never fetched skips the run" `Quick
+            test_image_never_fetched;
+          Alcotest.test_case "tt upset after the chain head" `Quick
+            test_tt_chain_tail;
+          Alcotest.test_case "bbit upset starts at fetch 0" `Quick
+            test_bbit_from_fetch_zero;
+          Alcotest.test_case "traced campaign skips nothing" `Quick
+            test_traced_campaign;
         ] );
       ( "model",
         [

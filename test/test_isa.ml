@@ -213,6 +213,17 @@ let test_immediate_range_line () =
       check_string "message"
         "Word.encode: signed immediate out of range: 99999" message
 
+let test_branch_range_line () =
+  (* a branch resolved too far from its label is a parse error on the
+     branch's line, not an Invalid_argument out of the encoder *)
+  let nops = String.concat "" (List.init 40_000 (fun _ -> "nop\n")) in
+  match Asm.assemble ("nop\nbeq $t0, $zero, far\n" ^ nops ^ "far:\nsyscall") with
+  | _ -> Alcotest.fail "expected parse error"
+  | exception Asm.Parse_error { line; message } ->
+      check_int "line" 2 line;
+      check_string "message"
+        "Word.encode: branch offset immediate out of range: 40000" message
+
 let test_describe_error () =
   let described src =
     match Asm.assemble src with
@@ -411,6 +422,7 @@ let () =
           Alcotest.test_case "words match" `Quick test_program_words_match;
           Alcotest.test_case "immediate range line" `Quick
             test_immediate_range_line;
+          Alcotest.test_case "branch range line" `Quick test_branch_range_line;
           Alcotest.test_case "describe error" `Quick test_describe_error;
         ] );
       ( "disassembler",

@@ -97,8 +97,9 @@ let show_op = function
   | Load_byte a -> Printf.sprintf "load_byte %d" a
   | Load_float a -> Printf.sprintf "load_float %d" a
 
-(* 6000 B ends inside its second page. *)
-let mem_sizes = [ 16; 6000; 64 * 1024; 4 * 1024 * 1024 ]
+(* 6000 B ends inside its second page, 200 000 B inside its second
+   page-table leaf. *)
+let mem_sizes = [ 16; 6000; 64 * 1024; 200_000; 4 * 1024 * 1024 ]
 
 (* Addresses anywhere, near either end, and on both sides of a page
    boundary, aligned or not. *)
