@@ -330,7 +330,7 @@ let test_early_stop_matches_full_run () =
     true
     (fast_forwarded () > forwarded)
 
-(* ---- start rules ---------------------------------------------------------- *)
+(* ---- run starts ----------------------------------------------------------- *)
 
 (* The reference run's pc at every fetch (forced only where needed: dct's
    run is 1.88 M fetches). *)
@@ -690,7 +690,7 @@ let () =
           Alcotest.test_case "bbit tag shadow runs to completion" `Quick
             test_bbit_tag_shadow;
         ] );
-      ( "start rules",
+      ( "run starts",
         [
           Alcotest.test_case "bus glitch inside a block replays its head"
             `Quick test_glitch_inside_block;
