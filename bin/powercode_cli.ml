@@ -410,17 +410,24 @@ let encode_cmd =
 let restore path run =
   match Hardware.Firmware.of_string (read_file path) with
   | exception Hardware.Firmware.Parse_error msg -> `Error (false, msg)
-  | system ->
-      let program = Hardware.Firmware.restore_program system in
-      if run then begin
-        let state = Machine.Cpu.create_state () in
-        let result = Machine.Cpu.run program state in
-        print_string (Machine.Cpu.output state);
-        Format.printf "@.[%d instructions, exit %d]@."
-          result.Machine.Cpu.instructions result.Machine.Cpu.exit_code
-      end
-      else print_string (Isa.Disasm.to_source program);
-      `Ok ()
+  | system -> (
+      try
+        let program = Hardware.Firmware.restore_program system in
+        if run then begin
+          let state = Machine.Cpu.create_state () in
+          let result = Machine.Cpu.run program state in
+          print_string (Machine.Cpu.output state);
+          Format.printf "@.[%d instructions, exit %d]@."
+            result.Machine.Cpu.instructions result.Machine.Cpu.exit_code
+        end
+        else print_string (Isa.Disasm.to_source program);
+        `Ok ()
+      with
+      | Isa.Word.Unknown_instruction w ->
+          `Error
+            (false, Printf.sprintf "restored word %08x is no instruction" w)
+      | Machine.Fault.Fault c -> `Error (false, Machine.Fault.to_string c)
+      | Machine.Cpu.Trap msg -> `Error (false, msg))
 
 let restore_cmd =
   let run_arg =

@@ -64,10 +64,7 @@ let () =
       program
   in
   Format.printf "%a@." Pipeline.Evaluate.pp_report report;
-  List.iter
-    (fun (run : Pipeline.Evaluate.encoded_run) ->
-      assert (run.Pipeline.Evaluate.verified_fetches = report.Pipeline.Evaluate.instructions))
-    report.Pipeline.Evaluate.runs;
+  (* [~verify:true] raised unless every fetch decoded to its original *)
   Format.printf
     "Every fetch of every configuration went through the hardware decoder \
      model and matched the original instruction.@.";

@@ -30,6 +30,19 @@ val run :
   Isa.Program.t ->
   t * Machine.Cpu.result * Machine.Cpu.state
 
+(** [recorder program] is [(record, finish)]: [record ~pc] takes one fetch
+    of [program] in execution order, the hook {!run} hands
+    {!Machine.Cpu.run}, and [finish ()], called once the fetches have
+    ended, is their profile.  Feeding a second, live run's fetches to a
+    recorder and comparing with {!equal} checks that the run retraced a
+    recorded one pair for pair. *)
+val recorder : Isa.Program.t -> (pc:int -> unit) * (unit -> t)
+
+(** [equal a b] holds when two profiles record the same fetch stream up to
+    its pc pairs: the same per-pc counts, sequential and jump pair counts,
+    first pc and bus-invert tie count. *)
+val equal : t -> t -> bool
+
 (** [instruction_count t i] is the number of times instruction [i] was
     fetched. *)
 val instruction_count : t -> int -> int

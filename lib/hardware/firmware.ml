@@ -42,14 +42,29 @@ let next cur =
       cur.lineno <- cur.lineno + 1;
       String.trim l
 
+let error cur fmt =
+  Printf.ksprintf (fun m -> fail (Printf.sprintf "line %d: %s" cur.lineno m)) fmt
+
 let expect_kv cur key =
   let l = next cur in
   match String.split_on_char ' ' l with
   | [ k; v ] when k = key -> (
       match int_of_string_opt v with
       | Some n -> n
-      | None -> fail (Printf.sprintf "line %d: bad %s count" cur.lineno key))
-  | _ -> fail (Printf.sprintf "line %d: expected '%s <n>'" cur.lineno key)
+      | None -> error cur "bad %s count" key)
+  | _ -> error cur "expected '%s <n>'" key
+
+(* a section's count, checked against the lines left before anything is
+   allocated for it *)
+let expect_count cur key =
+  let n = expect_kv cur key in
+  if n < 0 || n > List.length cur.lines then
+    error cur "%s count %d is not in 0..%d, the lines left" key n
+      (List.length cur.lines);
+  n
+
+(* the table layer's own checks, reported on the line being read *)
+let checked cur f = try f () with Invalid_argument m -> error cur "%s" m
 
 let of_string text =
   let cur =
@@ -57,24 +72,25 @@ let of_string text =
   in
   if next cur <> "POWERCODE-FIRMWARE v1" then fail "bad magic";
   let k = expect_kv cur "k" in
-  let nfn = expect_kv cur "functions" in
+  if k < 2 then error cur "block size %d below 2" k;
+  let nfn = expect_count cur "functions" in
   let functions =
     Array.init nfn (fun _ ->
         match int_of_string_opt (next cur) with
         | Some i when i >= 0 && i <= 15 -> Powercode.Boolfun.of_index i
-        | Some _ | None ->
-            fail (Printf.sprintf "line %d: bad function index" cur.lineno))
+        | Some _ | None -> error cur "bad function index")
   in
-  let nimg = expect_kv cur "image" in
+  let nimg = expect_count cur "image" in
   let image =
     Array.init nimg (fun _ ->
         match int_of_string_opt ("0x" ^ next cur) with
         | Some w when w >= 0 && w <= 0xffffffff -> w
-        | Some _ | None ->
-            fail (Printf.sprintf "line %d: bad image word" cur.lineno))
+        | Some _ | None -> error cur "bad image word")
   in
-  let ntt = expect_kv cur "tt" in
-  let tt = Tt.create ~capacity:(max 16 ntt) ~functions () in
+  let ntt = expect_count cur "tt" in
+  let tt =
+    checked cur (fun () -> Tt.create ~capacity:(max 16 ntt) ~functions ())
+  in
   for _ = 1 to ntt do
     let l = next cur in
     match String.split_on_char ' ' l with
@@ -83,31 +99,32 @@ let of_string text =
           Array.init 32 (fun i ->
               match int_of_string_opt (Printf.sprintf "0x%c" taus.[i]) with
               | Some v -> v
-              | None -> fail (Printf.sprintf "line %d: bad gate index" cur.lineno))
+              | None -> error cur "bad gate index")
         in
         let get name v =
           match int_of_string_opt v with
           | Some n -> n
-          | None -> fail (Printf.sprintf "line %d: bad %s" cur.lineno name)
+          | None -> error cur "bad %s" name
         in
-        Tt.write tt ~index:(get "index" index)
-          {
-            Tt.tau_indices;
-            e_bit = get "E" e = 1;
-            ct = get "CT" ct;
-          }
-    | _ -> fail (Printf.sprintf "line %d: bad tt entry" cur.lineno)
+        let entry =
+          { Tt.tau_indices; e_bit = get "E" e = 1; ct = get "CT" ct }
+        in
+        checked cur (fun () -> Tt.write tt ~index:(get "index" index) entry)
+    | _ -> error cur "bad tt entry"
   done;
-  let nbb = expect_kv cur "bbit" in
+  let nbb = expect_count cur "bbit" in
   let bbit = Bbit.create ~capacity:(max 16 nbb) () in
   for slot = 0 to nbb - 1 do
     let l = next cur in
     match String.split_on_char ' ' l with
     | [ pc; base ] -> (
         match (int_of_string_opt pc, int_of_string_opt base) with
-        | Some pc, Some tt_base -> Bbit.write bbit ~slot { Bbit.pc; tt_base }
-        | _ -> fail (Printf.sprintf "line %d: bad bbit entry" cur.lineno))
-    | _ -> fail (Printf.sprintf "line %d: bad bbit entry" cur.lineno)
+        | Some pc, Some tt_base ->
+            if Tt.read_opt tt tt_base = None then
+              error cur "BBIT base %d has no TT entry" tt_base;
+            checked cur (fun () -> Bbit.write bbit ~slot { Bbit.pc; tt_base })
+        | _ -> error cur "bad bbit entry")
+    | _ -> error cur "bad bbit entry"
   done;
   if next cur <> "end" then fail "missing end marker";
   { Reprogram.tt; bbit; image; k }

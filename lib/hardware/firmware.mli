@@ -24,11 +24,18 @@ exception Parse_error of string
 val to_string : Reprogram.system -> string
 
 (** [of_string text] rebuilds the system (fresh tables, programmed to the
-    recorded contents).  Raises {!Parse_error} on malformed input. *)
+    recorded contents).  Raises {!Parse_error} on malformed input, and
+    nothing else: a count that exceeds the lines left, a block size below
+    2, a row the TT or BBIT rejects (no identity gate, an index past the
+    capacity, a gate digit past the gate set, a duplicate block pc) and a
+    BBIT base with no TT entry are each a ["line N: ..."] error. *)
 val of_string : string -> Reprogram.system
 
 (** [restore_program system] statically decodes the stored image back to an
     executable program, walking the TT/BBIT exactly as the fetch hardware
     would — what the processor "sees" after decode.  Raises
-    [Isa.Word.Unknown_instruction] if the bundle is corrupt. *)
+    [Isa.Word.Unknown_instruction] for a restored word that encodes no
+    instruction, and {!Machine.Fault.Fault} when the tables do not decode
+    the image (a chain running into an unprogrammed TT entry, a block
+    entered inside another). *)
 val restore_program : Reprogram.system -> Isa.Program.t

@@ -8,7 +8,6 @@ type encoded_run = {
   reduction_pct : float;
   tt_used : int;
   blocks_encoded : int;
-  verified_fetches : int;
 }
 
 (* Per-region scheme selection (the multi-backend auto-tuner). *)
@@ -492,40 +491,26 @@ let check figure ~replay ~live =
          (Printf.sprintf "%s: replay %d, live %d" figure replay live))
 
 (* [verify]: each built system's decoder must restore every fetched word,
-   and every figure the replay produced is recounted fetch by fetch, over
-   the systems' own images, into the fresh [live_attr] and [live_meter];
-   [finish] raises on the first difference from the replayed [totals],
-   [attr] and [meter], and from the plan-derived [stored] images and table
-   writes.  The attribution recount covers the baseline and every image
-   whether or not the caller asked for attribution. *)
-let verify_sink ~ctx ~npc ~systems ~stored ~k_of_image ~totals ~attr ~meter
-    ~live_attr ~live_meter =
-  let images = Array.map (fun s -> s.Hardware.Reprogram.image) systems in
+   and the run must retrace the recording: its pc-pair profile must equal
+   [ctx.profile], so every figure replayed from those pairs holds for it.
+   [finish] also checks each built system's image and programming writes
+   against the plan-derived [stored] ones, and the run's result. *)
+let verify_sink ~ctx ~program ~systems ~stored ~k_of_image =
   let decoders = Array.map Hardware.Reprogram.decoder systems in
-  let nimg = Array.length systems in
-  let businvert = Buspower.Businvert.create ~width:32 () in
-  let fetches = Array.make npc 0 in
-  (* one word per image, rewritten every fetch: the recounts keep none *)
-  let encoded = Array.make nimg 0 in
+  let record, recorded = Cfg.Profile.recorder program in
   let fetch pc w =
-    Buspower.Businvert.step businvert w;
-    fetches.(pc) <- fetches.(pc) + 1;
-    for v = 0 to nimg - 1 do
+    record ~pc;
+    for v = 0 to Array.length decoders - 1 do
       let _bus, decoded = Hardware.Fetch_decoder.fetch decoders.(v) ~pc in
       if decoded <> w then
-        raise (Verification_failed { pc; expected = w; got = decoded });
-      encoded.(v) <- images.(v).(pc)
-    done;
-    Trace.Attribution.record live_attr ~pc ~baseline:w ~encoded;
-    match live_meter with
-    | Some m -> Ledger.Meter.record m ~pc ~baseline:w ~encoded
-    | None -> ()
+        raise (Verification_failed { pc; expected = w; got = decoded })
+    done
   in
   let finish (result : Machine.Cpu.result) state =
     Array.iteri
       (fun v (image, writes) ->
         let k = k_of_image.(v) in
-        if image <> images.(v) then
+        if image <> systems.(v).Hardware.Reprogram.image then
           raise (Replay_mismatch (Printf.sprintf "k=%d stored image" k));
         check
           (Printf.sprintf "k=%d programming writes" k)
@@ -538,34 +523,8 @@ let verify_sink ~ctx ~npc ~systems ~stored ~k_of_image ~totals ~attr ~meter
       ~live:result.exit_code;
     if not (String.equal ctx.output (Machine.Cpu.output state)) then
       raise (Replay_mismatch "program output");
-    (* per-region fetch counts are profile sums, so the profile must hold
-       every pc's live count *)
-    Array.iteri
-      (fun pc live ->
-        let replay = Cfg.Profile.instruction_count ctx.profile pc in
-        if live <> replay then
-          check (Printf.sprintf "pc %d fetches" pc) ~replay ~live)
-      fetches;
-    check "bus-invert transitions" ~replay:ctx.businvert_transitions
-      ~live:(Buspower.Businvert.transitions businvert);
-    let live = Trace.Attribution.summarize live_attr in
-    check "baseline transitions" ~replay:ctx.baseline_transitions
-      ~live:live.total_baseline;
-    Array.iteri
-      (fun v live ->
-        check
-          (Printf.sprintf "k=%d transitions" k_of_image.(v))
-          ~replay:totals.(v) ~live)
-      live.total_encoded;
-    Option.iter
-      (fun a ->
-        if Trace.Attribution.summarize a <> live then
-          raise (Replay_mismatch "attribution summary"))
-      attr;
-    match (meter, live_meter) with
-    | Some a, Some b when not (Ledger.Meter.same_counts a b) ->
-        raise (Replay_mismatch "ledger counts")
-    | _ -> ()
+    if not (Cfg.Profile.equal (recorded ()) ctx.profile) then
+      raise (Replay_mismatch "pc-pair profile")
   in
   { fetch; finish }
 
@@ -586,10 +545,8 @@ let trace_sink ~images ~blocks ~pc_block =
 (* The auto selector's mixed bus, per image: a region whose entry in
    [alts] left TT steps that backend's stateful encoder, and every other
    fetch drives the stored image while the aux lines hold.  The returned
-   array fills with the transitions over data and aux lines.  With every
-   region TT the mixed bus is the TT bus, so [finish] checks the count
-   against [tt_bus] when given. *)
-let mixed_bus_sink ~images ~region_of_pc ~alts ~k_of_image ~tt_bus =
+   array fills with the transitions over data and aux lines. *)
+let mixed_bus_sink ~images ~region_of_pc ~alts =
   let nimg = Array.length images in
   let step b =
     let module B = (val b : Buspower.Encoder.S) in
@@ -625,16 +582,7 @@ let mixed_bus_sink ~images ~region_of_pc ~alts ~k_of_image ~tt_bus =
     done;
     primed := true
   in
-  let finish _ _ =
-    Option.iter
-      (Array.iteri (fun v tt ->
-           if totals.(v) <> tt then
-             raise
-               (Replay_mismatch
-                  (Printf.sprintf "k=%d mixed bus" k_of_image.(v)))))
-      tt_bus
-  in
-  ({ fetch; finish }, totals)
+  ({ fetch; finish = (fun _ _ -> ()) }, totals)
 
 (* One run of [program] through [sinks], each fetch to every sink in list
    order.  The sinks are chained into one closure before the run:
@@ -747,18 +695,6 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
            map)
          regions)
   in
-  let new_attribution () =
-    Trace.Attribution.create
-      ~labels:(Array.of_list (List.map (fun k -> "k" ^ string_of_int k) ks))
-      ~block_starts:(Array.map (fun (b : Cfg.Block.t) -> b.start) blocks)
-      ~block_of_pc
-  in
-  let new_meter model =
-    let region_of_pc = Lazy.force region_of_pc in
-    Ledger.Meter.create ~name ~model ~ks:k_of_image
-      ~encoded_region:(fun ~image ~pc ->
-        pc >= 0 && pc < npc && region_of_pc.(image).(pc) >= 0)
-  in
   (* Scheme auto-selection: score each encoded region against the
      fetch-path alternatives.  The choice is static, a pure function of
      the plan and the model: per image, each region's backend, [None]
@@ -824,21 +760,31 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
     in
     let attr =
       if attribution then
-        Some (replayed Trace.Attribution.record_pairs (new_attribution ()))
+        Some
+          (replayed Trace.Attribution.record_pairs
+             (Trace.Attribution.create
+                ~labels:(Array.map (Printf.sprintf "k%d") k_of_image)
+                ~block_starts:
+                  (Array.map (fun (b : Cfg.Block.t) -> b.start) blocks)
+                ~block_of_pc))
       else None
     in
     let meter =
       Option.map
-        (fun model -> replayed Ledger.Meter.record_pairs (new_meter model))
+        (fun model ->
+          let region_of_pc = Lazy.force region_of_pc in
+          replayed Ledger.Meter.record_pairs
+            (Ledger.Meter.create ~name ~model ~ks:k_of_image
+               ~encoded_region:(fun ~image ~pc ->
+                 pc >= 0 && pc < npc && region_of_pc.(image).(pc) >= 0)))
         ledger
     in
     let mixed =
       match alts with
-      | Some alts when stateful || verify ->
+      | Some alts when stateful ->
           Some
             (mixed_bus_sink ~images ~region_of_pc:(Lazy.force region_of_pc)
-               ~alts ~k_of_image
-               ~tt_bus:(if stateful then None else Some totals))
+               ~alts)
       | _ -> None
     in
     (* verify first: its decoders' trace events precede each fetch's Bus *)
@@ -846,11 +792,7 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
       (List.concat
          [
            (if verify then
-              [
-                verify_sink ~ctx ~npc ~systems ~stored ~k_of_image ~totals
-                  ~attr ~meter ~live_attr:(new_attribution ())
-                  ~live_meter:(Option.map new_meter ledger);
-              ]
+              [ verify_sink ~ctx ~program ~systems ~stored ~k_of_image ]
             else []);
            (if Trace.Collector.enabled () then
               [ trace_sink ~images ~blocks ~pc_block:(Lazy.force pc_block) ]
@@ -886,8 +828,6 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
           reduction_pct = reduction_pct totals.(v);
           tt_used = plan.Powercode.Program_encoder.tt_used;
           blocks_encoded = Array.length regions.(v);
-          (* every fetch passed every decoder, or the run raised *)
-          verified_fetches = (if verify then instructions else 0);
         })
       plans
   in

@@ -32,19 +32,20 @@
       {!Hardware.Fetch_decoder} model for each block size and the restored
       word is compared against the true program — the full hardware
       equivalence check (slower; used by tests and small runs).  The same
-      sink recounts every replayed figure fetch by fetch, counts each pc's
-      fetches against the recorded profile (the per-region fetch counts
-      of [schemes] are profile sums), checks each built system's image
-      and programming writes against the ones read off the plan, and
-      raises {!Replay_mismatch} on any difference, so [verify] is also the
-      per-fetch reference for the replay.  Its decoders' trace events precede each fetch's [Bus]
-      event;
+      sink records the live run's pc pairs ({!Cfg.Profile.recorder}) and
+      requires them to equal the recorded profile: every replayed figure
+      is a sum over those pairs, so it then holds for the live run too.
+      It also checks each built system's image and programming writes
+      against the ones read off the plan, and the run's instruction count,
+      exit code and output, raising {!Replay_mismatch} on any difference.
+      A verified report equals the unverified one.  Its decoders' trace
+      events precede each fetch's [Bus] event;
     - a recording {!Trace.Collector}, which gets [Bus] and [Block_entry]
       events;
     - the mixed bus of a [scheme] under which some region left TT: those
       backends are stateful encoders, so only a live run can count their
-      bus.  Under [verify] it also runs when every region stayed TT, and
-      must then equal the TT bus. *)
+      bus.  When every region stayed TT the mixed bus is the TT bus, and
+      no live run counts it. *)
 
 type encoded_run = {
   k : int;
@@ -52,9 +53,6 @@ type encoded_run = {
   reduction_pct : float;  (** versus the baseline image *)
   tt_used : int;
   blocks_encoded : int;
-  verified_fetches : int;
-      (** the report's [instructions] under [verify] (every fetch passed
-          every decoder, or the run raised); 0 when [verify] was off *)
 }
 
 (** Per-region encoding-scheme selection for the fetch path.
@@ -124,17 +122,18 @@ type report = {
   ledger : Ledger.Sheet.t option;
       (** itemized energy account; [Some] iff a [ledger] model was passed.
           Its counts come from the same pair sums as the transition
-          totals; under [verify] a per-fetch {!Ledger.Meter} recounts
-          them, and a mismatch raises {!Replay_mismatch} rather than
-          returning an inconsistent ledger. *)
+          totals. *)
   schemes : scheme_run list;
       (** one per [k], empty under the default [`Tt] scheme *)
 }
 
 exception Verification_failed of { pc : int; expected : int; got : int }
 
-(** Raised under [verify] when a figure recounted fetch by fetch differs
-    from its replay; the message names the figure and both values. *)
+(** Raised under [verify] when the live run departs from the recording
+    or the plan: its pc-pair profile (["pc-pair profile"]), instruction
+    count, exit code or output, or a built system's stored image or
+    programming writes.  The message names what differed, and both values
+    where they are counts. *)
 exception Replay_mismatch of string
 
 (** Which basic blocks compete for the Transformation Table:

@@ -301,6 +301,29 @@ let test_pair_profile_pinned () =
   check_int "pair transitions" 28
     (Profile.pair_transitions profile (Array.init (Program.length p) Fun.id))
 
+(* A recorder fed a live run's fetches holds the profile [collect]
+   records; the same stream with one jump more does not. *)
+let test_recorder_equals_collect () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      let p = (Workloads.compile w).Minic.Compile.program in
+      let collected, _ = Profile.collect p in
+      let live () =
+        let record, finish = Profile.recorder p in
+        ignore
+          (Machine.Cpu.run ~on_fetch:record p (Machine.Cpu.create_state ()));
+        (record, finish)
+      in
+      let _, finish = live () in
+      check_bool (w.name ^ ": recorder = collect") true
+        (Profile.equal (finish ()) collected);
+      let record, finish = live () in
+      (* from the exit back to the entry *)
+      record ~pc:(Profile.first_pc collected);
+      check_bool (w.name ^ ": one jump more") false
+        (Profile.equal (finish ()) collected))
+    (Workloads.scaled @ Workloads.extended)
+
 let test_coverage () =
   let p = Asm.assemble simple_loop in
   let profile, _ = Profile.collect p in
@@ -342,5 +365,7 @@ let () =
           Alcotest.test_case "pair sums" `Quick test_pair_profile_sums;
           Alcotest.test_case "pairs of a loop with a call" `Quick
             test_pair_profile_pinned;
+          Alcotest.test_case "recorder = collect" `Quick
+            test_recorder_equals_collect;
         ] );
     ]

@@ -449,20 +449,136 @@ let test_firmware_restored_program_runs () =
   Alcotest.(check string)
     "same output" (Machine.Cpu.output s1) (Machine.Cpu.output s2)
 
+(* A bundle from its sections' lines; each count line is given whole, so
+   a count can disagree with the lines that follow it. *)
+let bundle ?(k = "k 5") ?(functions = [ "functions 1"; "12" ])
+    ?(image = [ "image 0" ]) ?(tt = [ "tt 0" ]) ?(bbit = [ "bbit 0" ]) () =
+  String.concat "\n"
+    ([ "POWERCODE-FIRMWARE v1"; k ] @ functions @ image @ tt @ bbit @ [ "end" ])
+
+(* one TT entry: [index] E=1 CT=1, every line on gate [gate] *)
+let tt_row ?(gate = '0') index =
+  Printf.sprintf "%d 1 1 %s" index (String.make 32 gate)
+
 let test_firmware_rejects_garbage () =
+  let tt1 = [ "tt 1"; tt_row 0 ] in
   List.iter
-    (fun text ->
-      try
-        ignore (Hardware.Firmware.of_string text);
-        Alcotest.fail "expected Parse_error"
-      with Hardware.Firmware.Parse_error _ -> ())
+    (fun (what, text) ->
+      match Hardware.Firmware.of_string text with
+      | _ -> Alcotest.failf "%s: expected Parse_error" what
+      | exception Hardware.Firmware.Parse_error msg ->
+          check_bool (what ^ ": on a line") true
+            (what = "short" || String.starts_with ~prefix:"line " msg))
     [
-      "";
-      "WRONG MAGIC";
-      "POWERCODE-FIRMWARE v1\nk x";
-      "POWERCODE-FIRMWARE v1\nk 5\nfunctions 1\n99";
-      "POWERCODE-FIRMWARE v1\nk 5\nfunctions 0\nimage 1\nzzzz";
-    ]
+      ("short", "");
+      ("short", "WRONG MAGIC");
+      ("k x", "POWERCODE-FIRMWARE v1\nk x");
+      ("gate 99", "POWERCODE-FIRMWARE v1\nk 5\nfunctions 1\n99");
+      ("zzzz", "POWERCODE-FIRMWARE v1\nk 5\nfunctions 0\nimage 1\nzzzz");
+      ("functions -1", bundle ~functions:[ "functions -1" ] ());
+      ("functions 0", bundle ~functions:[ "functions 0" ] ());
+      ("no identity gate", bundle ~functions:[ "functions 1"; "3" ] ());
+      ("tt index 40", bundle ~tt:[ "tt 1"; tt_row 40 ] ());
+      ("gate digit 5", bundle ~tt:[ "tt 1"; tt_row ~gate:'5' 0 ] ());
+      ("duplicate bbit pc", bundle ~tt:tt1 ~bbit:[ "bbit 2"; "3 0"; "3 0" ] ());
+      ("k 0", bundle ~k:"k 0" ());
+      ("unprogrammed base", bundle ~tt:tt1 ~bbit:[ "bbit 1"; "3 7" ] ());
+      ("image count past the end", bundle ~image:[ "image 3"; "0" ] ());
+      ("tt count past the end", bundle ~tt:[ "tt 9" ] ());
+    ];
+  (* a word no instruction encodes parses, but does not restore *)
+  let system = Hardware.Firmware.of_string (bundle ~image:[ "image 1"; "ffffffff" ] ()) in
+  match Hardware.Firmware.restore_program system with
+  | _ -> Alcotest.fail "expected Unknown_instruction"
+  | exception Isa.Word.Unknown_instruction w -> check_int "word" 0xffffffff w
+
+(* Mutated bundles, built from real [to_string] output (the tiny system
+   and two compiled kernels, k = 4..7): lines dropped, duplicated or
+   swapped in from another bundle, fragments spliced into them,
+   characters cut.  [of_string] must return or raise [Parse_error], and a
+   bundle it returns must restore or raise one of [restore_program]'s two
+   typed exceptions.  Every spliced count stays small. *)
+let bundle_corpus =
+  let systems =
+    List.map (fun k -> snd (tiny_system ~k ())) [ 4; 5; 6; 7 ]
+    @ List.concat_map
+        (fun name ->
+          let w = Workloads.by_name Workloads.scaled name in
+          List.map
+            (fun p -> p.Pipeline.Evaluate.rebuild ())
+            (Pipeline.Evaluate.prepare
+               (Workloads.compile w).Minic.Compile.program))
+        [ "tri"; "mmul" ]
+  in
+  Array.of_list
+    (List.map
+       (fun s ->
+         Array.of_list
+           (String.split_on_char '\n' (Hardware.Firmware.to_string s)))
+       systems)
+
+let bundle_fragments =
+  [| ""; " "; "-1"; "0"; "1"; "2"; "3"; "5"; "7"; "12"; "15"; "16"; "40";
+     "ffffffff"; "99999999999999999999"; "zz"; "end"; "k"; "functions";
+     "image"; "tt"; "bbit" |]
+
+let mutated_bundle =
+  let open QCheck.Gen in
+  let corpus = bundle_corpus in
+  let* source = int_bound (Array.length corpus - 1) in
+  let lines = Array.copy corpus.(source) in
+  let n = Array.length lines in
+  let mutate =
+    let* i = int_bound (n - 1) in
+    oneof
+      [
+        return (fun () -> lines.(i) <- "");
+        return (fun () -> lines.(i) <- lines.((i + 1) mod n) ^ "\n" ^ lines.(i));
+        map
+          (fun k () ->
+            let other = corpus.(k mod Array.length corpus) in
+            lines.(i) <- other.(i mod Array.length other))
+          nat;
+        map2
+          (fun f at () ->
+            let l = lines.(i) in
+            let at = at mod (String.length l + 1) in
+            lines.(i) <-
+              String.sub l 0 at ^ bundle_fragments.(f)
+              ^ String.sub l at (String.length l - at))
+          (int_bound (Array.length bundle_fragments - 1))
+          nat;
+        map2
+          (fun at len () ->
+            let l = lines.(i) in
+            let at = at mod (String.length l + 1) in
+            let len = min len (String.length l - at) in
+            lines.(i) <-
+              String.sub l 0 at ^ String.sub l (at + len)
+                (String.length l - at - len))
+          nat (int_range 1 6);
+      ]
+  in
+  let+ edits = list_size (int_range 1 4) mutate in
+  List.iter (fun edit -> edit ()) edits;
+  String.concat "\n" (Array.to_list lines)
+
+let prop_firmware_fuzz =
+  QCheck.Test.make ~name:"mutated bundles: typed errors only" ~count:500
+    (QCheck.make mutated_bundle) (fun text ->
+      match Hardware.Firmware.of_string text with
+      | exception Hardware.Firmware.Parse_error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "of_string raised %s" (Printexc.to_string e)
+      | system -> (
+          match Hardware.Firmware.restore_program system with
+          | _ -> true
+          | exception (Isa.Word.Unknown_instruction _ | Machine.Fault.Fault _)
+            ->
+              true
+          | exception e ->
+              QCheck.Test.fail_reportf "restore_program raised %s"
+                (Printexc.to_string e)))
 
 (* ---- property: synthetic programs through the whole hardware path ---------- *)
 
@@ -880,6 +996,7 @@ let () =
             test_firmware_restored_program_runs;
           Alcotest.test_case "rejects garbage" `Quick
             test_firmware_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_firmware_fuzz;
         ] );
       ( "compiled",
         [

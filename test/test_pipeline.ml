@@ -16,14 +16,23 @@ let test_report_shape () =
   check_bool "baseline positive" true (r.Evaluate.baseline_transitions > 0);
   check_bool "instructions positive" true (r.Evaluate.instructions > 0)
 
+(* every fetch meets each image's decoder: one BBIT probe per fetch per
+   image, and the verified report is the unverified one *)
 let test_verification_covers_every_fetch () =
-  let r = Evaluate.evaluate_workload ~ks:[ 4; 6 ] ~verify:true (scaled "tri") in
-  List.iter
-    (fun run ->
-      check_int
-        (Printf.sprintf "k=%d verified" run.Evaluate.k)
-        r.Evaluate.instructions run.Evaluate.verified_fetches)
-    r.Evaluate.runs
+  let w = scaled "tri" in
+  let plain = Evaluate.evaluate_workload ~ks:[ 4; 6 ] w in
+  Trace.Collector.start ~capacity:(1 lsl 16) ();
+  let r, probes =
+    Fun.protect ~finally:Trace.Collector.clear (fun () ->
+        let r = Evaluate.evaluate_workload ~ks:[ 4; 6 ] ~verify:true w in
+        ( r,
+          List.length
+            (List.filter
+               (function Trace.Event.Bbit_probe _ -> true | _ -> false)
+               (Trace.Collector.events ())) ))
+  in
+  check_bool "verified report = plain report" true (r = plain);
+  check_int "a probe per fetch per image" (2 * r.Evaluate.instructions) probes
 
 let test_reduction_positive_on_loop_kernels () =
   List.iter
@@ -129,9 +138,7 @@ let test_loop_selection_policy () =
   match (blocks_r.Evaluate.runs, loops_r.Evaluate.runs) with
   | [ b ], [ l ] ->
       check_bool "loop policy close to block policy" true
-        (Float.abs (b.Evaluate.reduction_pct -. l.Evaluate.reduction_pct) < 5.0);
-      check_int "verified" loops_r.Evaluate.instructions
-        l.Evaluate.verified_fetches
+        (Float.abs (b.Evaluate.reduction_pct -. l.Evaluate.reduction_pct) < 5.0)
   | _ -> Alcotest.fail "one run each"
 
 (* ---- plan cache ----------------------------------------------------------- *)
