@@ -600,11 +600,11 @@ let scheme_table () =
       List.iter
         (fun (s : Pipeline.Evaluate.scheme_run) ->
           Format.printf "%-5s %3d | %12.4e %12.4e %9b |" name
-            s.Pipeline.Evaluate.srun_k s.Pipeline.Evaluate.auto_energy_j
-            s.Pipeline.Evaluate.tt_energy_j s.Pipeline.Evaluate.reverted;
+            s.Pipeline.Scheme.srun_k s.Pipeline.Scheme.auto_energy_j
+            s.Pipeline.Scheme.tt_energy_j s.Pipeline.Scheme.reverted;
           List.iter
             (fun (scheme, n) -> Format.printf " %s=%d" scheme n)
-            s.Pipeline.Evaluate.scheme_counts;
+            s.Pipeline.Scheme.scheme_counts;
           Format.printf "@.")
         r.Pipeline.Evaluate.schemes)
     reports;
@@ -1057,16 +1057,16 @@ let bench_encoding_json () =
         (fun j (s : Pipeline.Evaluate.scheme_run) ->
           p "%s{\"k\": %d, \"transitions\": %d, \"reduction_pct\": %.4f, "
             (if j > 0 then ", " else "")
-            s.Pipeline.Evaluate.srun_k s.Pipeline.Evaluate.auto_transitions
-            s.Pipeline.Evaluate.auto_reduction_pct;
+            s.Pipeline.Scheme.srun_k s.Pipeline.Scheme.auto_transitions
+            s.Pipeline.Scheme.auto_reduction_pct;
           p "\"energy_j\": %.6e, \"tt_energy_j\": %.6e, \"reverted\": %b, \
              \"regions\": {"
-            s.Pipeline.Evaluate.auto_energy_j s.Pipeline.Evaluate.tt_energy_j
-            s.Pipeline.Evaluate.reverted;
+            s.Pipeline.Scheme.auto_energy_j s.Pipeline.Scheme.tt_energy_j
+            s.Pipeline.Scheme.reverted;
           List.iteri
             (fun m (scheme, n) ->
               p "%s\"%s\": %d" (if m > 0 then ", " else "") scheme n)
-            s.Pipeline.Evaluate.scheme_counts;
+            s.Pipeline.Scheme.scheme_counts;
           p "}}")
         r.Pipeline.Evaluate.schemes;
       p "]}%s\n" (if i = nev - 1 then "" else ","))

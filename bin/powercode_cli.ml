@@ -364,10 +364,24 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Assembly (.s) or Minic (.mc) source file.")
 
+(* The instruction budget of a user's program: [simulate]'s default, and
+   the one [restore --run] runs under. *)
+let default_max_instructions = 1_000_000_000
+
+(* A user's program that traps, faults or runs past its budget is an
+   error naming the cause, not an uncaught exception. *)
+let run_errors f =
+  try f () with
+  | Machine.Cpu.Trap msg -> `Error (false, msg)
+  | Machine.Fault.Fault c -> `Error (false, Machine.Fault.to_string c)
+  | Machine.Memory.Fault { address; message } ->
+      `Error (false, Printf.sprintf "%s at 0x%08x" message address)
+
 (* ---- encode ------------------------------------------------------------------- *)
 
 let encode path k subset_mask firmware_out stats =
   with_stats stats @@ fun () ->
+  run_errors @@ fun () ->
   match load_program path with
   | Error msg -> `Error (false, msg)
   | Ok program ->
@@ -411,23 +425,23 @@ let restore path run =
   match Hardware.Firmware.of_string (read_file path) with
   | exception Hardware.Firmware.Parse_error msg -> `Error (false, msg)
   | system -> (
+      run_errors @@ fun () ->
       try
         let program = Hardware.Firmware.restore_program system in
         if run then begin
           let state = Machine.Cpu.create_state () in
-          let result = Machine.Cpu.run program state in
+          let result =
+            Machine.Cpu.run ~max_instructions:default_max_instructions program
+              state
+          in
           print_string (Machine.Cpu.output state);
           Format.printf "@.[%d instructions, exit %d]@."
             result.Machine.Cpu.instructions result.Machine.Cpu.exit_code
         end
         else print_string (Isa.Disasm.to_source program);
         `Ok ()
-      with
-      | Isa.Word.Unknown_instruction w ->
-          `Error
-            (false, Printf.sprintf "restored word %08x is no instruction" w)
-      | Machine.Fault.Fault c -> `Error (false, Machine.Fault.to_string c)
-      | Machine.Cpu.Trap msg -> `Error (false, msg))
+      with Isa.Word.Unknown_instruction w ->
+        `Error (false, Printf.sprintf "restored word %08x is no instruction" w))
 
 let restore_cmd =
   let run_arg =
@@ -444,6 +458,7 @@ let restore_cmd =
 
 let simulate path max_instructions trace_out stats =
   with_stats stats @@ fun () ->
+  run_errors @@ fun () ->
   match load_program path with
   | Error msg -> `Error (false, msg)
   | Ok program ->
@@ -461,7 +476,7 @@ let simulate_cmd =
   let max_arg =
     Arg.(
       value
-      & opt int 1_000_000_000
+      & opt int default_max_instructions
       & info [ "max-instructions" ] ~docv:"N" ~doc:"Instruction budget.")
   in
   Cmd.v
@@ -487,16 +502,12 @@ let resolve_benchmarks set names =
         ("unknown benchmark " ^ n ^ " (mmul, sor, ej, fft, tri, lu, fir, iir, dct)")
   | [] -> Ok (List.map (Workloads.by_name set) names)
 
-let apply_plan_cache_flag no_plan_cache =
-  if no_plan_cache then Pipeline.Evaluate.Plan_cache.set_enabled false
-
-let evaluate names scaled verify trace_out csv energy sets stats no_plan_cache
-    scheme_name metrics_out series series_interval log_out =
+let evaluate names scaled verify trace_out csv energy sets stats scheme_name
+    metrics_out series series_interval log_out =
   with_stats stats @@ fun () ->
   with_live_metrics ~metrics_out ~series ~interval_ms:series_interval
   @@ fun () ->
   with_event_log ~log_out @@ fun () ->
-  apply_plan_cache_flag no_plan_cache;
   (* --energy asks for the ledger explicitly; --stats implies the on-chip
      preset so the telemetry view comes with its energy account. *)
   let ledger_model =
@@ -557,16 +568,6 @@ let verify_arg =
     value & flag
     & info [ "verify" ] ~doc:"Push every fetch through the decoder model.")
 
-let no_plan_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-plan-cache" ]
-        ~doc:
-          "Disable the content-addressed plan cache: profile and re-plan \
-           every evaluation from scratch.  Results are identical either \
-           way; this is the escape hatch for timing the cold path and for \
-           differential tests.")
-
 let evaluate_cmd =
   let names_arg =
     Arg.(
@@ -606,7 +607,7 @@ let evaluate_cmd =
     Term.(
       ret (const evaluate $ names_arg $ scaled_arg $ verify_arg
            $ trace_out_arg $ csv_arg $ energy_arg $ set_arg $ stats_arg
-           $ no_plan_cache_arg $ scheme_arg $ metrics_out_arg $ series_arg
+           $ scheme_arg $ metrics_out_arg $ series_arg
            $ series_interval_arg $ log_out_arg))
 
 (* ---- report -------------------------------------------------------------------- *)
@@ -642,11 +643,11 @@ let report names scaled format out energy sets stats scheme_name =
                   (fun (s : Pipeline.Evaluate.scheme_run) ->
                     {
                       Ledger.Render.bench = r.Pipeline.Evaluate.name;
-                      k = s.Pipeline.Evaluate.srun_k;
-                      counts = s.Pipeline.Evaluate.scheme_counts;
-                      energy_j = s.Pipeline.Evaluate.auto_energy_j;
-                      tt_energy_j = s.Pipeline.Evaluate.tt_energy_j;
-                      reverted = s.Pipeline.Evaluate.reverted;
+                      k = s.Pipeline.Scheme.srun_k;
+                      counts = s.Pipeline.Scheme.scheme_counts;
+                      energy_j = s.Pipeline.Scheme.auto_energy_j;
+                      tt_energy_j = s.Pipeline.Scheme.tt_energy_j;
+                      reverted = s.Pipeline.Scheme.reverted;
                     })
                   r.Pipeline.Evaluate.schemes)
               reports
@@ -796,8 +797,7 @@ let trace_cmd =
 
 (* ---- profile ------------------------------------------------------------------- *)
 
-let profile name scaled out no_plan_cache =
-  apply_plan_cache_flag no_plan_cache;
+let profile name scaled out =
   match resolve_benchmarks (workload_set scaled) [ name ] with
   | Error msg -> `Error (false, msg)
   | Ok [] -> assert false
@@ -844,9 +844,7 @@ let profile_cmd =
          "Run one benchmark and emit a speedscope flamegraph plus a span \
           self-time table"
        ~man:man_observability)
-    Term.(
-      ret (const profile $ name_arg $ scaled_arg $ out_arg
-           $ no_plan_cache_arg))
+    Term.(ret (const profile $ name_arg $ scaled_arg $ out_arg))
 
 (* ---- stats --------------------------------------------------------------------- *)
 
@@ -973,9 +971,8 @@ let stats_cmd =
 
 let all_bench_names = paper_bench_names @ [ "fir"; "iir"; "dct" ]
 
-let fault seed injections ks names format out stats no_plan_cache =
+let fault seed injections ks names format out stats =
   with_stats stats @@ fun () ->
-  apply_plan_cache_flag no_plan_cache;
   if injections < 0 then `Error (false, "--injections must be non-negative")
   else if List.exists (fun k -> k < 2 || k > 10) ks then
     `Error (false, "--ks values must be in 2..10")
@@ -1065,7 +1062,7 @@ let fault_cmd =
          ])
     Term.(
       ret (const fault $ seed_arg $ injections_arg $ ks_arg $ names_arg
-           $ format_arg $ out_arg $ stats_arg $ no_plan_cache_arg))
+           $ format_arg $ out_arg $ stats_arg))
 
 (* ---- logs --------------------------------------------------------------------- *)
 

@@ -76,22 +76,18 @@ let live_slots (system : Hardware.Reprogram.system) =
     (Hardware.Bbit.programmed system.Hardware.Reprogram.bbit)
 
 (* One (benchmark, k) experiment: everything needed to rebuild a pristine
-   system per injection and judge the outcome against the fault-free run. *)
+   system per injection ([prep.rebuild]) and judge the outcome against the
+   fault-free run ([prep]'s recording). *)
 type pair = {
   pair_bench : string;
-  pair_k : int;
   program : Isa.Program.t;
-  rebuild : unit -> Hardware.Reprogram.system;
+  prep : Pipeline.Evaluate.prepared;
   recovery : Hardware.Fetch_decoder.recovery;
   pair_space : Model.space;
       (* read off a pristine system once: every rebuild yields a
          structurally identical system, so the space — and therefore the
          RNG stream sampling from it — is the same one the historical
          rebuild-then-sample order produced *)
-  baseline_output : string;
-  baseline_exit : int;
-  baseline_instructions : int;
-  profile : Cfg.Profile.t;  (* the reference run's fetches per pc *)
   slots : live_slot list;
 }
 
@@ -106,24 +102,19 @@ type derived = {
 
 type Pipeline.Evaluate.Plan_cache.attachment += Pairs of derived
 
-let derive (w : Workloads.t) program (p : Pipeline.Evaluate.prepared) =
+let derive (w : Workloads.t) program (prep : Pipeline.Evaluate.prepared) =
   (* derived while the system is pristine: this is the copy the degraded
      fetch path serves *)
-  let system = p.Pipeline.Evaluate.rebuild () in
+  let system = prep.rebuild () in
   let recovery = Hardware.Reprogram.recovery system in
   {
     pair_bench = w.Workloads.name;
-    pair_k = p.Pipeline.Evaluate.prep_k;
     program;
-    rebuild = p.Pipeline.Evaluate.rebuild;
+    prep;
     recovery;
     pair_space =
       Model.space system ~regions:recovery.Hardware.Fetch_decoder.regions
-        ~fetches:p.Pipeline.Evaluate.prep_instructions;
-    baseline_output = p.Pipeline.Evaluate.prep_output;
-    baseline_exit = p.Pipeline.Evaluate.prep_exit_code;
-    baseline_instructions = p.Pipeline.Evaluate.prep_instructions;
-    profile = p.Pipeline.Evaluate.prep_profile;
+        ~fetches:prep.prep_instructions;
     slots = live_slots system;
   }
 
@@ -245,7 +236,9 @@ let future_fallbacks (pair : pair) dec fetched =
       let acc = ref acc in
       for pc = start to start + len - 1 do
         acc :=
-          !acc + Cfg.Profile.instruction_count pair.profile pc - fetched.(pc)
+          !acc
+          + Cfg.Profile.instruction_count pair.prep.prep_profile pc
+          - fetched.(pc)
       done;
       !acc)
     0
@@ -289,7 +282,7 @@ let prefix_window (pair : pair) target =
    rebuilt system, decoder and CPU state are local — so injections fan out
    over the domain pool; [pair.recovery] is shared read-only. *)
 let inject_target ~id (pair : pair) target =
-  let system = pair.rebuild () in
+  let system = pair.prep.rebuild () in
   Model.apply system target;
   let dec = Hardware.Reprogram.decoder ~recovery:pair.recovery system in
   let glitch =
@@ -360,7 +353,7 @@ let inject_target ~id (pair : pair) target =
       decode ~pc this
     end
   in
-  let cap = (pair.baseline_instructions * 4) + 10_000 in
+  let cap = (pair.prep.prep_instructions * 4) + 10_000 in
   let outcome =
     let state = Machine.Cpu.create_state () in
     match Machine.Cpu.run ~max_cycles:cap ~fetch_word pair.program state with
@@ -369,9 +362,9 @@ let inject_target ~id (pair : pair) target =
         let future = future_fallbacks pair dec fetched in
         Telemetry.Metrics.add Telemetry.Registry.fault_fallback_fetches future;
         Telemetry.Metrics.add Telemetry.Registry.cpu_instructions
-          pair.baseline_instructions;
+          pair.prep.prep_instructions;
         Telemetry.Metrics.add Telemetry.Registry.fault_fetches_skipped
-          (pair.baseline_instructions - !fetches);
+          (pair.prep.prep_instructions - !fetches);
         Telemetry.Metrics.incr Telemetry.Registry.fault_recoveries;
         Recovered
           {
@@ -384,8 +377,8 @@ let inject_target ~id (pair : pair) target =
           + Hardware.Fetch_decoder.bbit_detections dec
         in
         if
-          Machine.Cpu.output state = pair.baseline_output
-          && result.Machine.Cpu.exit_code = pair.baseline_exit
+          Machine.Cpu.output state = pair.prep.prep_output
+          && result.Machine.Cpu.exit_code = pair.prep.prep_exit_code
         then
           if detections > 0 then begin
             Telemetry.Metrics.incr Telemetry.Registry.fault_recoveries;
@@ -417,7 +410,7 @@ let inject_target ~id (pair : pair) target =
     {
       id;
       bench = pair.pair_bench;
-      k = pair.pair_k;
+      k = pair.prep.prep_k;
       target = Model.label target;
       outcome;
     }

@@ -83,10 +83,17 @@ let tokenize source =
           while !i < n && is_digit source.[!i] do
             incr i
           done
-        end;
-        push (FLOAT_LIT (float_of_string (String.sub source start (!i - start))))
-      end
-      else push (INT_LIT (int_of_string (String.sub source start (!i - start))))
+        end
+      end;
+      let lit = String.sub source start (!i - start) in
+      if is_float then (
+        match float_of_string_opt lit with
+        | Some f -> push (FLOAT_LIT f)
+        | None -> fail ("float literal with no digits in its exponent: " ^ lit))
+      else
+        match int_of_string_opt lit with
+        | Some v -> push (INT_LIT v)
+        | None -> fail ("integer literal above 4611686018427387903: " ^ lit)
     end
     else if is_alpha c then begin
       let start = !i in

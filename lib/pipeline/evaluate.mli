@@ -42,7 +42,7 @@
       events precede each fetch's [Bus] event;
     - a recording {!Trace.Collector}, which gets [Bus] and [Block_entry]
       events;
-    - the mixed bus of a [scheme] under which some region left TT: those
+    - {!Scheme.mixed_bus}, when some region of a [scheme] left TT: those
       backends are stateful encoders, so only a live run can count their
       bus.  When every region stayed TT the mixed bus is the TT bus, and
       no live run counts it. *)
@@ -55,56 +55,13 @@ type encoded_run = {
   blocks_encoded : int;
 }
 
-(** Per-region encoding-scheme selection for the fetch path.
+(** The per-region scheme selection, re-exported from {!Scheme}. *)
+type scheme = Scheme.t
 
-    [`Tt] (default): every encoded region uses the paper's TT scheme —
-    byte-identical behaviour and reports to previous versions.  [`Auto]:
-    each encoded region is scored against every registered word-at-a-time
-    {!Buspower.Encoder} backend through the energy model (the [ledger]
-    model when one is passed, {!Ledger.Model.on_chip} otherwise) and takes
-    the cheapest, TT winning ties; the mixed bus (data plus the chosen
-    backends' redundant lines) is then accounted {e exactly} — by a live
-    run when some region left TT, and as the TT bus itself when none did —
-    and a selection that measured worse than all-TT is discarded
-    ([reverted]), so auto never reports higher energy than TT.
-    [`Fixed name]: force every encoded region to backend [name] (["tt"]
-    included), bypassing the scoring and the commit rule — the report
-    carries honest numbers even when the override measures worse than TT;
-    unknown or non-fetch-path names (a [latency_words > 0] backend such as
-    the streaming TT, or one not covering 32 lines) raise
-    [Invalid_argument].  Selection is deterministic: scores are pure
-    functions of the plan and model, and backend registration order breaks
-    ties. *)
-type scheme = [ `Tt | `Auto | `Fixed of string ]
-
-(** [scheme_of_string s] parses a scheme name: ["tt"], ["auto"], or a
-    fetch-path backend, which it reads as [`Fixed].  Any other name is an
-    [Error] naming the accepted ones — exactly the names {!evaluate}
-    accepts without raising. *)
 val scheme_of_string : string -> (scheme, string) result
 
-type region_choice = {
-  rc_start : int;  (** instruction index of the encoded region head *)
-  rc_len : int;  (** words actually stored encoded *)
-  rc_weight : int;  (** dynamic execution count *)
-  rc_scheme : string;  (** ["tt"] or a registered backend name *)
-}
-
-type scheme_run = {
-  srun_k : int;
-  choices : region_choice list;
-  scheme_counts : (string * int) list;  (** scheme -> regions, ["tt"] first *)
-  auto_transitions : int;
-      (** exact bus transitions (data + redundant lines) under the
-          committed selection *)
-  auto_reduction_pct : float;  (** versus the baseline image *)
-  auto_energy_j : float;
-      (** bus energy + side-table reads + one-time table writes under the
-          committed selection; never exceeds [tt_energy_j] under [`Auto]
-          (a [`Fixed] override may report worse) *)
-  tt_energy_j : float;  (** the same accounting with every region TT *)
-  reverted : bool;  (** [`Auto] commit rule fell back to all-TT *)
-}
+type region_choice = Scheme.region_choice
+type scheme_run = Scheme.run
 
 type report = {
   name : string;
@@ -136,11 +93,10 @@ exception Verification_failed of { pc : int; expected : int; got : int }
     where they are counts. *)
 exception Replay_mismatch of string
 
-(** Which basic blocks compete for the Transformation Table:
-    [`Hot_blocks] (default) ranks every executed block by dynamic fetches;
-    [`Hot_loops] implements the paper's stated policy — only blocks
-    belonging to natural loops are candidates (ranked the same way). *)
-type selection = [ `Hot_blocks | `Hot_loops ]
+(** The recording + planning cache, and its block selection. *)
+module Plan_cache = Plan_cache
+
+type selection = Plan_cache.selection
 
 (** One planned block size.  [rebuild] assembles a {e fresh} decode
     system from the plan — fault campaigns corrupt a rebuilt copy per
@@ -161,55 +117,6 @@ type prepared = {
   prep_output : string;
   prep_profile : Cfg.Profile.t;
 }
-
-(** Content-addressed cache of the recording + planning front half shared
-    by {!prepare} and {!evaluate}.
-
-    Entries are keyed on exactly the content that determines a plan: the
-    program image words, [ks], [tt_capacity], the resolved [subset_mask]
-    (omitting it and passing {!Powercode.Subset.paper_eight_mask} share
-    one entry), [optimal_chain] and [selection] — an FNV-1a fingerprint
-    short-circuits comparisons, but a hit requires full structural key
-    equality.  [scheme] is not part of the key: it only acts after
-    planning, so [`Tt], [`Auto] and every [`Fixed] backend share one
-    entry.  Cached recordings, plans and contexts are immutable; decode
-    systems are always rebuilt fresh, so repeated evaluations of the same
-    program (bench loops, fault campaigns, multi-benchmark CLI runs) skip
-    the program run and the encoding entirely without observable
-    difference.
-    Hits and misses are counted in the stable [plan.cache_hits] /
-    [plan.cache_misses] telemetry; the CLI's [--no-plan-cache] flag maps
-    to {!Plan_cache.set_enabled}[ false]. *)
-module Plan_cache : sig
-  (** [set_enabled b] turns the cache on or off ([true] initially).
-      Turning it off affects lookups only; entries are kept until
-      {!clear}. *)
-  val set_enabled : bool -> unit
-
-  val enabled : unit -> bool
-
-  (** [clear ()] drops every entry — recordings included — and zeroes the
-      {!stats} counters. *)
-  val clear : unit -> unit
-
-  (** [stats ()] is [(hits, misses)] since the last {!clear}. *)
-  val stats : unit -> int * int
-
-  (** What a caller derived from a cached plan, kept in that plan's entry
-      so it is dropped with the entry: on {!clear}, on eviction, and never
-      kept while the cache is disabled.  Callers add their own
-      constructors. *)
-  type attachment = ..
-
-  (** [attach plan a] keeps [a] in the entry that holds [plan] (physical
-      equality); a no-op when no entry holds it. *)
-  val attach : Powercode.Program_encoder.plan -> attachment -> unit
-
-  (** [find_attached f] is the first [Some] that [f] returns over the
-      attachments of the live entries, most recently used first; [None]
-      while the cache is disabled.  It counts no hit and moves no entry. *)
-  val find_attached : (attachment -> 'a option) -> 'a option
-end
 
 (** [prepare ?ks ?tt_capacity ?subset_mask ?optimal_chain ?selection
     program] runs the recording and planning front half of {!evaluate}

@@ -53,6 +53,30 @@ let test_campaign_deterministic () =
   let b = Campaign.run small_config in
   check_string "bit-identical JSON" (Campaign.to_json a) (Campaign.to_json b)
 
+(* The plan cache changes no result: a campaign planned from an empty
+   cache, one served from the warm cache and one planned with the cache
+   off render the same bytes. *)
+let test_campaign_without_plan_cache () =
+  let module Cache = Pipeline.Evaluate.Plan_cache in
+  let config =
+    {
+      Campaign.seed = 7;
+      injections = 8;
+      ks = [ 4; 5 ];
+      benches = [ bench "tri"; bench "ej" ];
+    }
+  in
+  let json () = Campaign.to_json (Campaign.run config) in
+  Cache.clear ();
+  let cold = json () in
+  let warm = json () in
+  let uncached =
+    Cache.set_enabled false;
+    Fun.protect ~finally:(fun () -> Cache.set_enabled true) json
+  in
+  check_string "warm cache" cold warm;
+  check_string "cache off" cold uncached
+
 (* Nothing one campaign leaves behind reaches the next: campaigns back to
    back, and a switch of seed and back, must each render what the first
    campaign at that seed rendered. *)
@@ -682,6 +706,8 @@ let () =
             test_campaign_state_reuse;
           Alcotest.test_case "exactly one class" `Quick test_exactly_one_class;
           Alcotest.test_case "render stability" `Quick test_render_stability;
+          Alcotest.test_case "same bytes without the plan cache" `Quick
+            test_campaign_without_plan_cache;
         ] );
       ( "early stop",
         [

@@ -46,6 +46,19 @@ let test_lex_error () =
     Alcotest.fail "expected error"
   with Lexer.Lex_error { line; _ } -> check_int "line" 1 line
 
+let test_lex_bad_literal () =
+  Alcotest.check_raises "integer too wide"
+    (Lexer.Lex_error
+       {
+         line = 2;
+         message = "integer literal above 4611686018427387903: 99999999999999999999999";
+       })
+    (fun () -> ignore (Lexer.tokenize "x =\n 99999999999999999999999;"));
+  Alcotest.check_raises "exponent without digits"
+    (Lexer.Lex_error
+       { line = 1; message = "float literal with no digits in its exponent: 1.5e" })
+    (fun () -> ignore (Lexer.tokenize "x = 1.5e;"))
+
 (* ---- parser --------------------------------------------------------------- *)
 
 let test_parse_precedence () =
@@ -361,6 +374,61 @@ let test_break_outside_loop_rejected () =
   check_rejected "break outside" "int main() { break; return 0; }";
   check_rejected "continue outside" "int main() { continue; return 0; }"
 
+(* ---- fuzz ----------------------------------------------------------------- *)
+
+(* Mutated benchmark sources: bytes and tokens inserted, deleted and
+   replaced.  Compiling one must succeed or raise one of the four typed
+   errors [Compile.compile] documents, never a stray exception. *)
+let corpus =
+  Array.of_list
+    (List.map
+       (fun w -> w.Workloads.source)
+       (Workloads.scaled @ Workloads.extended))
+
+let fuzz_tokens =
+  [| "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "="; "=="; "+"; "-"; "*"; "/";
+     "%"; "<"; "<="; "&&"; "||"; "!"; "int"; "float"; "void"; "if"; "else";
+     "while"; "for"; "return"; "break"; "continue"; "main"; "x"; "0"; "1";
+     "3.5"; "1.5e"; "2147483648"; "99999999999999999999999"; "/*"; "*/";
+     "//"; "\n"; "print_int"; "print_char" |]
+
+let mutated_minic =
+  let open QCheck.Gen in
+  let splice s at len inserted =
+    let n = String.length s in
+    let at = at mod (n + 1) in
+    let len = min len (n - at) in
+    String.sub s 0 at ^ inserted ^ String.sub s (at + len) (n - at - len)
+  in
+  let edit =
+    let* at = nat in
+    oneof
+      [
+        map (fun c s -> splice s at 0 (String.make 1 c)) char;
+        map (fun t s -> splice s at 0 t) (oneofa fuzz_tokens);
+        map (fun len s -> splice s at len "") (int_range 1 8);
+        map (fun c s -> splice s at 1 (String.make 1 c)) char;
+        map2
+          (fun len t s -> splice s at len t)
+          (int_range 1 8) (oneofa fuzz_tokens);
+      ]
+  in
+  let* source = oneofa corpus in
+  let+ edits = list_size (int_range 1 4) edit in
+  List.fold_left (fun s edit -> edit s) source edits
+
+let prop_compile_fuzz =
+  QCheck.Test.make ~name:"mutated sources: typed errors only" ~count:1000
+    (QCheck.make mutated_minic) (fun src ->
+      match Compile.compile src with
+      | _ -> true
+      | exception
+          ( Lexer.Lex_error _ | Parser.Parse_error _ | Typecheck.Type_error _
+          | Minic.Codegen.Codegen_error _ ) ->
+          true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 
 let () =
   Alcotest.run "minic"
@@ -372,6 +440,7 @@ let () =
           Alcotest.test_case "operators" `Quick test_lex_operators;
           Alcotest.test_case "line numbers" `Quick test_lex_line_numbers;
           Alcotest.test_case "error" `Quick test_lex_error;
+          Alcotest.test_case "bad literal" `Quick test_lex_bad_literal;
         ] );
       ( "parser",
         [
@@ -379,6 +448,7 @@ let () =
           Alcotest.test_case "associativity" `Quick test_parse_associativity;
           Alcotest.test_case "program shape" `Quick test_parse_program_shape;
           Alcotest.test_case "error line" `Quick test_parse_error_reports_line;
+          QCheck_alcotest.to_alcotest prop_compile_fuzz;
         ] );
       ( "typecheck",
         [

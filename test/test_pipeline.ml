@@ -1,4 +1,5 @@
 module Evaluate = Pipeline.Evaluate
+module Scheme = Pipeline.Scheme
 module Subset = Powercode.Subset
 module Boolfun = Powercode.Boolfun
 
@@ -216,8 +217,8 @@ let test_cache_key_sensitivity () =
       expect "the default subset_mask spelled out hits the same entry" 3 7)
 
 let test_cache_disabled_equivalence () =
-  (* the CLI's --no-plan-cache maps to set_enabled false; bypassing the
-     cache must not change any result, and must not touch the counters *)
+  (* bypassing the cache (set_enabled false, as bench/perf times the cold
+     path) must not change any result, and must not touch the counters *)
   with_fresh_cache (fun () ->
       let program = (Workloads.compile (scaled "tri")).Minic.Compile.program in
       let cached = Evaluate.evaluate ~name:"tri" program in
@@ -238,12 +239,12 @@ let test_cache_disabled_equivalence () =
 let scheme_summary (r : Evaluate.report) =
   List.map
     (fun (s : Evaluate.scheme_run) ->
-      ( s.Evaluate.srun_k,
-        s.Evaluate.auto_transitions,
-        s.Evaluate.scheme_counts,
-        s.Evaluate.auto_energy_j,
-        s.Evaluate.tt_energy_j,
-        s.Evaluate.reverted ))
+      ( s.Scheme.srun_k,
+        s.Scheme.auto_transitions,
+        s.Scheme.scheme_counts,
+        s.Scheme.auto_energy_j,
+        s.Scheme.tt_energy_j,
+        s.Scheme.reverted ))
     r.Evaluate.schemes
 
 (* planning never reads the scheme, so every scheme shares one entry *)
@@ -297,16 +298,16 @@ let test_auto_never_worse_than_tt () =
       List.iter
         (fun (s : Evaluate.scheme_run) ->
           check_bool
-            (Printf.sprintf "%s k=%d auto <= tt" name s.Evaluate.srun_k)
+            (Printf.sprintf "%s k=%d auto <= tt" name s.Scheme.srun_k)
             true
-            (s.Evaluate.auto_energy_j <= s.Evaluate.tt_energy_j);
+            (s.Scheme.auto_energy_j <= s.Scheme.tt_energy_j);
           check_bool
             (Printf.sprintf "%s k=%d counts cover every region" name
-               s.Evaluate.srun_k)
+               s.Scheme.srun_k)
             true
             (List.fold_left (fun acc (_, n) -> acc + n) 0
-               s.Evaluate.scheme_counts
-            = List.length s.Evaluate.choices))
+               s.Scheme.scheme_counts
+            = List.length s.Scheme.choices))
         r.Evaluate.schemes)
     [ "mmul"; "sor"; "ej"; "fft"; "tri"; "lu"; "fir"; "iir"; "dct" ]
 
@@ -321,10 +322,10 @@ let test_fixed_scheme_forces_backend () =
       List.iter
         (fun (c : Evaluate.region_choice) ->
           Alcotest.(check string) "every region forced" "businvert"
-            c.Evaluate.rc_scheme)
-        s.Evaluate.choices;
+            c.Scheme.rc_scheme)
+        s.Scheme.choices;
       check_bool "override reports honest numbers" true
-        (not s.Evaluate.reverted)
+        (not s.Scheme.reverted)
   | _ -> Alcotest.fail "expected one scheme run");
   (* an unknown or non-fetch-path backend is rejected up front *)
   Alcotest.check_raises "streaming tt is not a fetch-path backend"
