@@ -364,10 +364,6 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Assembly (.s) or Minic (.mc) source file.")
 
-(* The instruction budget of a user's program: [simulate]'s default, and
-   the one [restore --run] runs under. *)
-let default_max_instructions = 1_000_000_000
-
 (* A user's program that traps, faults or runs past its budget is an
    error naming the cause, not an uncaught exception. *)
 let run_errors f =
@@ -430,10 +426,7 @@ let restore path run =
         let program = Hardware.Firmware.restore_program system in
         if run then begin
           let state = Machine.Cpu.create_state () in
-          let result =
-            Machine.Cpu.run ~max_instructions:default_max_instructions program
-              state
-          in
+          let result = Machine.Cpu.run program state in
           print_string (Machine.Cpu.output state);
           Format.printf "@.[%d instructions, exit %d]@."
             result.Machine.Cpu.instructions result.Machine.Cpu.exit_code
@@ -463,10 +456,16 @@ let simulate path max_instructions trace_out stats =
   | Error msg -> `Error (false, msg)
   | Ok program ->
       (* A plain simulation has no encoded images: the trace carries the
-         baseline bus waveform (and icache pulses when a cache is modelled). *)
+         baseline bus waveform, one tick per fetch. *)
       with_trace trace_out ~encoded_names:[] @@ fun () ->
+      let words = Isa.Program.words program in
+      let on_fetch =
+        Option.map
+          (fun _ ~pc -> Trace.Collector.fetch ~pc ~word:words.(pc))
+          trace_out
+      in
       let state = Machine.Cpu.create_state () in
-      let result = Machine.Cpu.run ~max_instructions program state in
+      let result = Machine.Cpu.run ~max_instructions ?on_fetch program state in
       print_string (Machine.Cpu.output state);
       Format.printf "@.[%d instructions, exit %d]@."
         result.Machine.Cpu.instructions result.Machine.Cpu.exit_code;
@@ -476,7 +475,7 @@ let simulate_cmd =
   let max_arg =
     Arg.(
       value
-      & opt int default_max_instructions
+      & opt int Machine.Cpu.default_max_instructions
       & info [ "max-instructions" ] ~docv:"N" ~doc:"Instruction budget.")
   in
   Cmd.v
@@ -517,7 +516,7 @@ let evaluate names scaled verify trace_out csv energy sets stats scheme_name
         if stats then Result.map Option.some (resolve_model "on-chip" sets)
         else Ok None
   in
-  match (ledger_model, Pipeline.Evaluate.scheme_of_string scheme_name) with
+  match (ledger_model, Pipeline.Scheme.of_string scheme_name) with
   | Error msg, _ | _, Error msg -> `Error (false, msg)
   | Ok ledger, Ok scheme -> (
       match resolve_benchmarks (workload_set scaled) names with
@@ -618,7 +617,7 @@ let report names scaled format out energy sets stats scheme_name =
   with_stats stats @@ fun () ->
   let names = if names = [] then paper_bench_names else names in
   match
-    (resolve_model energy sets, Pipeline.Evaluate.scheme_of_string scheme_name)
+    (resolve_model energy sets, Pipeline.Scheme.of_string scheme_name)
   with
   | Error msg, _ | _, Error msg -> `Error (false, msg)
   | Ok model, Ok scheme -> (

@@ -16,7 +16,7 @@
       code: the complement-flag construction bounds every codeword's
       weight by [ceil (width / 2)] using one redundant line;
     - ["ballcode"] — a Chee–Colbourn-style optimal memoryless code for
-      small widths (≤ {!ballcode_max_width}): the image set is the
+      small widths (at most 12 lines): the image set is the
       [2^width] lowest-weight vectors of [{0,1}^(width+1)] (a Hamming
       ball around 0), minimizing expected pairwise bus distance over
       memoryless sources at the price of one redundant line and two
@@ -27,6 +27,3 @@
     transformation tables. *)
 
 val ensure : unit -> unit
-
-(** Widest bus the ["ballcode"] lookup tables are built for. *)
-val ballcode_max_width : int

@@ -89,13 +89,11 @@ val mask_mem : t -> int -> bool
 (** [full_mask] contains all 16 functions. *)
 val full_mask : int
 
-(** [preference] is the deterministic tie-break order used whenever several
-    transformations are admissible: the paper's named functions first
-    (identity, inversion, ¬y, XOR, XNOR, NOR, NAND, y), then truth-table
-    order.  Shared by {!Solver} and {!Codetable} so standalone and chained
-    encodings pick identical transformations. *)
-val preference : t list
-
-(** [choose_preferred mask] is the first member of {!preference} contained
-    in [mask].  Raises [Invalid_argument] on the empty mask. *)
+(** [choose_preferred mask] is the first member of [mask] in the
+    deterministic tie-break order used whenever several transformations
+    are admissible: the paper's named functions first (identity,
+    inversion, ¬y, XOR, XNOR, NOR, NAND, y), then truth-table order.
+    Shared by {!Solver} and {!Codetable} so standalone and chained
+    encodings pick identical transformations.  Raises [Invalid_argument]
+    on the empty mask. *)
 val choose_preferred : int -> t

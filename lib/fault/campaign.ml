@@ -260,23 +260,19 @@ let region_of (pair : pair) pc =
    when every fetch must go through the decoder. *)
 let prefix_window (pair : pair) target =
   let whole (start, len) = (max_int, start, start + len) in
-  if Trace.Collector.enabled () then None
-  else
-    match target with
-    | Model.Bbit_field _ -> None
-    | Model.Bus_glitch { fetch; _ } -> Some (fetch, 0, 0)
-    | Model.Image_bit { pc; _ } ->
-        Some
-          (match region_of pair pc with
-          | Some r -> whole r
-          | None -> (max_int, pc, pc + 1))
-    | Model.Tt_field { index; _ } -> (
-        let regions = pair.recovery.Hardware.Fetch_decoder.regions in
-        match
-          List.filter (fun s -> List.mem_assoc index s.chain) pair.slots
-        with
-        | [ s ] -> Some (whole regions.(s.slot))
-        | _ -> None)
+  match target with
+  | Model.Bbit_field _ -> None
+  | Model.Bus_glitch { fetch; _ } -> Some (fetch, 0, 0)
+  | Model.Image_bit { pc; _ } ->
+      Some
+        (match region_of pair pc with
+        | Some r -> whole r
+        | None -> (max_int, pc, pc + 1))
+  | Model.Tt_field { index; _ } -> (
+      let regions = pair.recovery.Hardware.Fetch_decoder.regions in
+      match List.filter (fun s -> List.mem_assoc index s.chain) pair.slots with
+      | [ s ] -> Some (whole regions.(s.slot))
+      | _ -> None)
 
 (* Run one pre-sampled injection.  Touches nothing shared mutably — the
    rebuilt system, decoder and CPU state are local — so injections fan out

@@ -67,8 +67,7 @@
     this run's fetches of it so far.  It books the Stable counters as the
     full run would have ([fault.fallback_fetches], [cpu.instructions],
     [fault.recoveries]), and adds the fetches it did not run to
-    [fault.fetches_skipped].  A traced recovered injection's event stream
-    ends at the rejoin fetch.
+    [fault.fetches_skipped].
 
     {2 Skipping the pristine prefix}
 
@@ -85,9 +84,8 @@
     Every fetch before that one delivers the original word at its pc
     without calling the decoder (it still counts toward the per-pc
     fetches the early stop reads), and the decoder takes over at that
-    fetch.  A traced campaign skips nothing: the trace records every
-    fetch's decode.  [fault.fast_forward_fetches] counts the fetches
-    delivered this way.
+    fetch.  [fault.fast_forward_fetches] counts the fetches delivered this
+    way.
 
     Why no delivered word before the handover can differ.  The argument
     rests on the pristine system restoring every word the reference run
@@ -98,8 +96,7 @@
     the named fetch the upset is therefore never read, the corrupted
     system behaves as the pristine one, and each word delivered is the
     original: by induction the CPU follows the reference run fetch for
-    fetch, so the pcs skipped are the reference's.  A traced run would
-    differ only in its events, and is not skipped.
+    fetch, so the pcs skipped are the reference's.
 
     Why the decoder at the handover is the pristine decoder.  Its
     detection and fallback counters are zero there, as in the pristine

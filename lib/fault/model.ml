@@ -116,10 +116,6 @@ let label = function
 
 let apply system target =
   Telemetry.Metrics.incr Telemetry.Registry.fault_injections;
-  if Trace.Collector.enabled () then
-    Trace.Collector.emit
-      (Trace.Event.Fault_inject
-         { time = Trace.Collector.now (); target = label target });
   match target with
   | Image_bit { pc; bit } ->
       let image = system.Hardware.Reprogram.image in

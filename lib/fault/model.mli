@@ -41,11 +41,12 @@ val space :
 val sample : Random.State.t -> space -> target
 
 (** [label t] is the target's stable slug (e.g. ["tt:3:tau:12:1"],
-    ["bus:8812:17"]) used in reports and traces. *)
+    ["bus:8812:17"]) used in reports and the [fault.injection] log
+    event. *)
 val label : target -> string
 
 (** [apply system t] injects the upset into the live system (bumps
-    [fault.injections], emits a [Fault_inject] trace event).  For
+    [fault.injections]).  For
     {!Bus_glitch} nothing stored changes — the campaign splices the flip
     into the fetch stream instead. *)
 val apply : Hardware.Reprogram.system -> target -> unit

@@ -116,38 +116,20 @@ let degraded_slots t =
   Array.iteri (fun slot d -> if d then out := slot :: !out) t.degraded;
   List.rev !out
 
-let region_start t slot =
-  match t.recovery with
-  | Some r when slot >= 0 && slot < Array.length r.regions ->
-      fst r.regions.(slot)
-  | _ -> -1
-
 let degrade t slot =
   if slot >= 0 && slot < Array.length t.degraded && not t.degraded.(slot) then begin
     t.degraded.(slot) <- true;
     t.degraded_count <- t.degraded_count + 1;
-    if Trace.Collector.enabled () then
-      Trace.Collector.emit
-        (Trace.Event.Fault_fallback
-           { time = Trace.Collector.now (); pc = region_start t slot });
     if t.current_slot = slot then deactivate t
   end
 
-let detect_tt t index =
+let detect_tt t =
   t.tt_detections <- t.tt_detections + 1;
-  Telemetry.Metrics.incr Telemetry.Registry.fault_tt_parity;
-  if Trace.Collector.enabled () then
-    Trace.Collector.emit
-      (Trace.Event.Fault_detect
-         { time = Trace.Collector.now (); where = "tt"; index })
+  Telemetry.Metrics.incr Telemetry.Registry.fault_tt_parity
 
-let detect_bbit t slot =
+let detect_bbit t =
   t.bbit_detections <- t.bbit_detections + 1;
-  Telemetry.Metrics.incr Telemetry.Registry.fault_bbit_parity;
-  if Trace.Collector.enabled () then
-    Trace.Collector.emit
-      (Trace.Event.Fault_detect
-         { time = Trace.Collector.now (); where = "bbit"; index = slot })
+  Telemetry.Metrics.incr Telemetry.Registry.fault_bbit_parity
 
 let lower t (entry : Tt.entry) =
   let taus = entry.Tt.tau_indices in
@@ -219,7 +201,7 @@ let tt_entry_checked t index =
   | Some c ->
       if c.parity_ok then c
       else begin
-        detect_tt t index;
+        detect_tt t;
         match t.recovery with
         | Some _ when t.current_slot >= 0 ->
             degrade t t.current_slot;
@@ -235,7 +217,7 @@ let scrub_bbit t =
     List.iter
       (fun (slot, _) ->
         if (not t.degraded.(slot)) && not (Bbit.parity_ok t.bbit slot) then begin
-          detect_bbit t slot;
+          detect_bbit t;
           degrade t slot
         end)
       (Bbit.programmed t.bbit);
@@ -325,7 +307,7 @@ let fetch t ~pc =
                hardened mode the scrub already degraded bad slots, so the
                match is clean by construction. *)
             if not (Bbit.parity_ok t.bbit slot) then begin
-              detect_bbit t slot;
+              detect_bbit t;
               fault (Machine.Fault.Bbit_parity { slot })
             end;
             if t.is_active then

@@ -25,9 +25,6 @@ val length : t -> int
 (** [labels p] is the label map sorted by address. *)
 val labels : t -> (string * int) list
 
-(** [label_at p index] is the first label defined at [index], if any. *)
-val label_at : t -> int -> string option
-
 (** [address_of p name] is the label's word index.
     Raises [Not_found] if undefined. *)
 val address_of : t -> string -> int

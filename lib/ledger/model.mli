@@ -43,9 +43,6 @@ val by_name : string -> t option
     [gate_toggle_j] or [table_write_j].  [Error] names the unknown field. *)
 val override : t -> string -> float -> (t, string) result
 
-(** The field names {!override} accepts, for error messages and docs. *)
-val field_names : string list
-
 val pp : Format.formatter -> t -> unit
 
 (** One JSON object with every parameter in scientific notation. *)

@@ -42,7 +42,6 @@ let set_reg s r v =
   if i <> 0 then s.regs.(i) <- sign32 v
 
 let freg s r = s.fregs.(Isa.Reg.f_to_int r)
-let set_freg s r v = s.fregs.(Isa.Reg.f_to_int r) <- single v
 let output s = Buffer.contents s.out
 
 type result = { instructions : int; exit_code : int; pc_final : int }
@@ -331,13 +330,12 @@ let compile s ~routed ~exit pc (insn : Isa.Insn.t) : unit -> int =
 let j0_word = Isa.Word.encode (Isa.Insn.J 0)
 let j0 () = 0
 
-let run ?(max_instructions = max_int / 2) ?max_cycles ?on_fetch ?fetch_word
-    ?mmio program state =
+let default_max_instructions = 1_000_000_000
+
+let run ?(max_instructions = default_max_instructions) ?max_cycles ?on_fetch
+    ?fetch_word ?mmio program state =
   let insns = Isa.Program.insns program in
   let n = Array.length insns in
-  (* Bus words for the tracer; the array is a cached field of the program,
-     so this is a pointer copy, not an encode. *)
-  let bus_words = Isa.Program.words program in
   let exit = { code = 0; pc_final = 0 } in
   let compile = compile state ~routed:(routes state mmio) ~exit in
   (* With a [fetch_word] override the executed stream is whatever the
@@ -374,16 +372,12 @@ let run ?(max_instructions = max_int / 2) ?max_cycles ?on_fetch ?fetch_word
         raise (Fault.Fault (Fault.Cycle_limit { limit = cap }))
     | _ -> raise (Trap "instruction budget exceeded")
   in
-  let traced = Trace.Collector.enabled () in
   let pc = ref 0 and count = ref 0 in
   while !pc <> halt do
     let p = !pc in
     if p < 0 || p >= n then
       raise (Fault.Fault (Fault.Pc_out_of_range { pc = p; limit = n }));
     if !count >= limit then exceeded !count;
-    (* Tick the trace clock before the fetch hook, so events the hook (or
-       anything below it) emits are stamped with this fetch's tick. *)
-    if traced then Trace.Collector.fetch ~pc:p ~word:(Array.unsafe_get bus_words p);
     (match on_fetch with Some hook -> hook ~pc:p | None -> ());
     incr count;
     let insn =

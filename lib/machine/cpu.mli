@@ -33,10 +33,6 @@ val set_reg : state -> Isa.Reg.t -> int -> unit
 (** [freg s r] reads a floating-point register. *)
 val freg : state -> Isa.Reg.f -> float
 
-(** [set_freg s r v] writes a floating-point register (value is rounded to
-    single precision). *)
-val set_freg : state -> Isa.Reg.f -> float -> unit
-
 (** [output s] is everything the program printed via syscalls so far. *)
 val output : state -> string
 
@@ -57,27 +53,31 @@ type mmio = {
   mmio_load : offset:int -> int;
 }
 
+(** The instruction budget of a run that names none: 10^9, far above any
+    shipped workload, so a user's program that never exits (the recording
+    run of [powercode encode] included) stops with {!Trap} in seconds. *)
+val default_max_instructions : int
+
 (** [run ?max_instructions ?on_fetch program state] executes from
     instruction 0 until the exit syscall ([$v0] = 10).
 
     Before the first fetch, [run] compiles each instruction of [program]
     into a closure that executes it on [state] and returns the next pc,
     with its register indices, immediates and branch targets already
-    resolved; the loop then only fetches and calls.  What does not change
-    during a run is decided when it starts: whether word loads and stores
-    test the [mmio] window at all, and whether the trace collector is on
-    ({!Trace.Collector.enabled} is read once, so a collector started by a
-    hook mid-run sees none of that run's fetches).
+    resolved; the loop then only fetches and calls.  Whether word loads
+    and stores test the [mmio] window at all is decided when it starts.
 
     Each fetch does, in this order: the pc range check, the
-    [max_instructions] and [max_cycles] checks, the trace tick, the
-    [on_fetch] hook, the count, then the instruction.
+    [max_instructions] and [max_cycles] checks, the [on_fetch] hook, the
+    count, then the instruction.  The simulator records no trace: a
+    caller that exports one ticks the trace clock from its [on_fetch]
+    hook, so the timeline holds only the run it exports.
 
     Syscalls: 1 print [$a0] as integer, 2 print [$f12], 4 print the
     NUL-terminated string at [$a0], 10 exit, 11 print [$a0] as a character.
 
     Raises {!Trap} on unknown syscalls or on exceeding [max_instructions]
-    (default 2^62, the fixed test-suite budget).  Conditions a hardened
+    (default {!default_max_instructions}).  Conditions a hardened
     fetch path must classify instead raise the typed
     {!Machine.Fault.Fault} channel:
 

@@ -67,9 +67,6 @@ let access (t : t) ~pc =
     done;
     Telemetry.Metrics.add Telemetry.Registry.icache_refill_words !streamed
   end;
-  if Trace.Collector.enabled () then
-    Trace.Collector.emit
-      (Trace.Event.Icache { time = Trace.Collector.now (); pc; hit });
   if Telemetry.Metrics.enabled () then begin
     Telemetry.Metrics.incr Telemetry.Registry.icache_accesses;
     Telemetry.Metrics.incr

@@ -53,14 +53,6 @@ type func = {
 
 type program = { globals : global list; funcs : func list }
 
-let scalar_to_string = function Tint -> "int" | Tfloat -> "float"
-
-let typ_to_string = function
-  | Scalar s -> scalar_to_string s
-  | Void -> "void"
-
-let etyp_to_string = function Eint -> "int" | Efloat -> "float"
-
 let binop_to_string = function
   | Add -> "+"
   | Sub -> "-"

@@ -74,7 +74,4 @@ type func = {
 
 type program = { globals : global list; funcs : func list }
 
-val scalar_to_string : scalar -> string
-val typ_to_string : typ -> string
-val etyp_to_string : etyp -> string
 val binop_to_string : binop -> string

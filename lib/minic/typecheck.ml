@@ -249,8 +249,3 @@ let check (program : Ast.program) =
         f.Ast.f_params;
       check_block env f.Ast.f_ret f.Ast.f_body)
     program.Ast.funcs
-
-let type_of (e : Ast.expr) =
-  match e.Ast.ety with
-  | Some t -> t
-  | None -> invalid_arg "Typecheck.type_of: expression not checked"

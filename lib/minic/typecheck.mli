@@ -18,7 +18,3 @@ exception Type_error of { line : int; message : string }
 (** [check program] validates the program (including the presence of an
     [int main()] or [void main()] taking no parameters). *)
 val check : Ast.program -> unit
-
-(** [type_of e] is the annotation placed by {!check}.
-    Raises [Invalid_argument] if the expression was never checked. *)
-val type_of : Ast.expr -> Ast.etyp

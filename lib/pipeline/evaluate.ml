@@ -13,11 +13,7 @@ type encoded_run = {
 module Plan_cache = Plan_cache
 
 type selection = Plan_cache.selection
-type scheme = Scheme.t
-type region_choice = Scheme.region_choice
 type scheme_run = Scheme.run
-
-let scheme_of_string = Scheme.of_string
 
 type report = {
   name : string;
@@ -139,10 +135,21 @@ let trace_sink ~images ~blocks ~pc_block =
   in
   { fetch; finish = (fun _ _ -> ()) }
 
+(* The trace clock: one tick per fetch of the live run, the one run a
+   recording collector exports. *)
+let tick_sink =
+  {
+    fetch = (fun pc word -> Trace.Collector.fetch ~pc ~word);
+    finish = (fun _ _ -> ());
+  }
+
 (* One run of [program] through [sinks], each fetch to every sink in list
-   order.  The sinks are chained into one closure before the run:
-   iterating the list per fetch would allocate a closure per fetch. *)
-let run_live program = function
+   order, after the trace tick when a collector is recording, so every
+   sink's events carry their fetch's tick.  The sinks are chained into one
+   closure before the run: iterating the list per fetch would allocate a
+   closure per fetch. *)
+let run_live program sinks =
+  match if Trace.Collector.enabled () then tick_sink :: sinks else sinks with
   | [] -> ()
   | first :: rest ->
       let both a b =

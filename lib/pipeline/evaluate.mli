@@ -41,7 +41,10 @@
       A verified report equals the unverified one.  Its decoders' trace
       events precede each fetch's [Bus] event;
     - a recording {!Trace.Collector}, which gets [Bus] and [Block_entry]
-      events;
+      events.  While it records, the live run ticks its clock once per
+      fetch ahead of every sink, so its events carry their fetch's tick;
+      no other run ticks it, the recording run of a cold evaluate
+      included, so the timeline is this one run, warm or cold;
     - {!Scheme.mixed_bus}, when some region of a [scheme] left TT: those
       backends are stateful encoders, so only a live run can count their
       bus.  When every region stayed TT the mixed bus is the TT bus, and
@@ -55,12 +58,8 @@ type encoded_run = {
   blocks_encoded : int;
 }
 
-(** The per-region scheme selection, re-exported from {!Scheme}. *)
-type scheme = Scheme.t
-
-val scheme_of_string : string -> (scheme, string) result
-
-type region_choice = Scheme.region_choice
+(** One block size's per-region scheme selection, re-exported from
+    {!Scheme}. *)
 type scheme_run = Scheme.run
 
 type report = {
@@ -140,16 +139,17 @@ val prepare :
     accumulators from the recorded pairs and returns their summary in the
     report.  [ledger = model] books a {!Ledger.Meter} from the same pairs
     (TT reads, BBIT probes, gate toggles, bus transitions), charges each
-    plan's TT and BBIT writes, and returns the priced {!Ledger.Sheet}.  Independently of these flags, whenever
-    {!Trace.Collector} is recording, a live run emits [Bus] and
-    [Block_entry] events into it. *)
+    plan's TT and BBIT writes, and returns the priced {!Ledger.Sheet}.
+    Independently of these flags, whenever {!Trace.Collector} is
+    recording, a live run ticks its clock once per fetch and emits [Bus]
+    and [Block_entry] events into it. *)
 val evaluate :
   ?ks:int list ->
   ?tt_capacity:int ->
   ?subset_mask:int ->
   ?optimal_chain:bool ->
   ?selection:selection ->
-  ?scheme:scheme ->
+  ?scheme:Scheme.t ->
   ?verify:bool ->
   ?attribution:bool ->
   ?ledger:Ledger.Model.t ->
@@ -161,7 +161,7 @@ val evaluate :
     compiles and evaluates a benchmark. *)
 val evaluate_workload :
   ?ks:int list ->
-  ?scheme:scheme ->
+  ?scheme:Scheme.t ->
   ?verify:bool ->
   ?attribution:bool ->
   ?ledger:Ledger.Model.t ->

@@ -95,7 +95,6 @@ val parpool_busy_ns : Metrics.counter
     [test/test_parallel.ml]). *)
 
 val pool_slots : int
-val pool_slot_label : int -> string
 val parpool_worker_busy_ns : Metrics.gauge
 val parpool_worker_idle_ns : Metrics.gauge
 val parpool_worker_tasks : Metrics.gauge

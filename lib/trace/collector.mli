@@ -2,12 +2,13 @@
 
     Gated exactly like {!Telemetry.Metrics}: while {!enabled} is [false]
     (the default) every {!emit} and {!fetch} is a single load-and-branch —
-    instrumented hot paths (the CPU fetch loop, the cache, the decoder)
-    cost nothing in normal runs.  {!start} installs a fresh pre-sized ring
-    (events beyond its capacity displace the oldest, so a long run exports
-    its suffix window) and bridges {!Telemetry.Metrics} span exits into
-    [Span] events for the Perfetto exporter; {!stop} disables recording
-    but keeps the buffer for export.
+    instrumented hot paths (the fetch decoder, the TT) cost nothing in
+    normal runs.  The clock is ticked only by the run being exported:
+    [Pipeline.Evaluate]'s live run, or [simulate]'s fetch hook.  {!start}
+    installs a fresh pre-sized ring (events beyond its capacity displace
+    the oldest, so a long run exports its suffix window) and bridges
+    {!Telemetry.Metrics} span exits into [Span] events for the Perfetto
+    exporter; {!stop} disables recording but keeps the buffer for export.
 
     Recording is domain-safe: pushes serialise on one mutex.  Span events
     arrive from pool worker domains; everything else is emitted by the
@@ -30,7 +31,9 @@ val stop : unit -> unit
 val clear : unit -> unit
 
 (** [fetch ~pc ~word] records one dynamic instruction fetch and advances
-    the trace clock by one tick.  No-op when disabled. *)
+    the trace clock by one tick.  No-op when disabled.  Call it from the
+    exported run's fetch hook, before anything that stamps events with
+    {!now} for that fetch. *)
 val fetch : pc:int -> word:int -> unit
 
 (** [emit e] appends [e].  No-op when disabled.  Call sites should guard

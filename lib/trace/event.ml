@@ -5,10 +5,6 @@ type t =
   | Bbit_probe of { time : int; pc : int; hit : bool }
   | Decode of { time : int; pc : int; entry : int; taus : int array }
   | Tt_program of { time : int; index : int }
-  | Icache of { time : int; pc : int; hit : bool }
-  | Fault_inject of { time : int; target : string }
-  | Fault_detect of { time : int; where : string; index : int }
-  | Fault_fallback of { time : int; pc : int }
   | Span of { path : string; tid : int; start_ns : float; stop_ns : float }
 
 let time = function
@@ -17,10 +13,6 @@ let time = function
   | Block_entry { time; _ }
   | Bbit_probe { time; _ }
   | Decode { time; _ }
-  | Tt_program { time; _ }
-  | Icache { time; _ }
-  | Fault_inject { time; _ }
-  | Fault_detect { time; _ }
-  | Fault_fallback { time; _ } ->
+  | Tt_program { time; _ } ->
       Some time
   | Span _ -> None

@@ -1,9 +1,11 @@
 (** The typed events of the fetch/decode path.
 
     Times are in fetch ticks: the collector assigns one tick per dynamic
-    instruction fetch ({!Collector.fetch}); every other event is stamped
-    with the tick of the fetch it happened under, so the whole trace lives
-    on one discrete timeline — the x axis of the VCD export.  [Span] is the
+    instruction fetch of the one run being exported ({!Collector.fetch},
+    called by that run's fetch hook, never by the simulator); every other
+    event is stamped with the tick of the fetch it happened under, so the
+    whole trace lives on one discrete timeline — the x axis of the VCD
+    export.  [Span] is the
     exception: it carries wall-clock nanoseconds, bridged from
     {!Telemetry.Metrics} span exits for the Perfetto export. *)
 
@@ -24,17 +26,6 @@ type t =
           per-line transformation indices it gated the word through. *)
   | Tt_program of { time : int; index : int }
       (** A Transformation Table entry was (re)programmed. *)
-  | Icache of { time : int; pc : int; hit : bool }
-      (** An instruction-cache lookup resolved. *)
-  | Fault_inject of { time : int; target : string }
-      (** A fault campaign injected an upset ([target] is the injection's
-          stable slug, e.g. ["tt:3:tau"]). *)
-  | Fault_detect of { time : int; where : string; index : int }
-      (** The hardened fetch path detected corrupted table state ([where]
-          is ["tt"] or ["bbit"], [index] the entry/slot). *)
-  | Fault_fallback of { time : int; pc : int }
-      (** The fetch engine degraded a region to identity decode; [pc] is
-          the region's first instruction. *)
   | Span of { path : string; tid : int; start_ns : float; stop_ns : float }
       (** A completed telemetry span ([path] is the nested span path,
           [tid] the recording domain). *)

@@ -120,27 +120,15 @@ let to_string ?(max_counter_samples = default_max_counter_samples) ~encoded_name
             ("args", Printf.sprintf "{\"transitions\":%d}" encs.(i)) ]
       done)
     samples;
-  (* instants: TT reprogramming, icache misses and fault-path events *)
-  let instant name time args =
-    obj
-      [ ("ph", str "i"); ("pid", "2"); ("tid", "0"); ("name", str name);
-        ("s", str "t"); ("ts", string_of_int time); ("args", args) ]
-  in
+  (* instants: TT reprogramming *)
   List.iter
-    (fun e ->
-      match e with
+    (function
       | Event.Tt_program { time; index } ->
-          instant "tt.program" time (Printf.sprintf "{\"index\":%d}" index)
-      | Event.Icache { time; pc; hit = false } ->
-          instant "icache.miss" time (Printf.sprintf "{\"pc\":%d}" pc)
-      | Event.Fault_inject { time; target } ->
-          instant "fault.inject" time
-            (Printf.sprintf "{\"target\":%s}" (str target))
-      | Event.Fault_detect { time; where; index } ->
-          instant "fault.detect" time
-            (Printf.sprintf "{\"where\":%s,\"index\":%d}" (str where) index)
-      | Event.Fault_fallback { time; pc } ->
-          instant "fault.fallback" time (Printf.sprintf "{\"pc\":%d}" pc)
+          obj
+            [ ("ph", str "i"); ("pid", "2"); ("tid", "0");
+              ("name", str "tt.program"); ("s", str "t");
+              ("ts", string_of_int time);
+              ("args", Printf.sprintf "{\"index\":%d}" index) ]
       | _ -> ())
     events;
   Buffer.add_string b "\n]}\n";

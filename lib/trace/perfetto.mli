@@ -10,7 +10,7 @@
       transitions — [transitions.baseline] plus one per encoded image —
       sampled along the run (at most [max_counter_samples] points), with
       the fetch tick as the microsecond timestamp; plus instant ("i")
-      events for TT programming and I-cache misses.
+      events for TT programming.
 
     The two clocks are different by construction (ticks are not
     nanoseconds); Perfetto renders them as separate process groups. *)

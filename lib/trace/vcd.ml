@@ -34,12 +34,6 @@ let to_string ?(date = "powercode trace") ~encoded_names events =
   let has_bbit = has (function Event.Bbit_probe _ -> true | _ -> false) in
   let has_decode = has (function Event.Decode _ -> true | _ -> false) in
   let has_tt = has (function Event.Tt_program _ -> true | _ -> false) in
-  let has_icache = has (function Event.Icache _ -> true | _ -> false) in
-  let has_inject = has (function Event.Fault_inject _ -> true | _ -> false) in
-  let has_detect = has (function Event.Fault_detect _ -> true | _ -> false) in
-  let has_fallback =
-    has (function Event.Fault_fallback _ -> true | _ -> false)
-  in
   let vars = ref [] in
   let count = ref 0 in
   let add name width =
@@ -55,10 +49,6 @@ let to_string ?(date = "powercode trace") ~encoded_names events =
   let id_bbit = opt has_bbit "bbit_hit" in
   let id_decode = opt has_decode "decode" in
   let id_tt = opt has_tt "tt_program" in
-  let id_icache = opt has_icache "icache_hit" in
-  let id_inject = opt has_inject "fault_inject" in
-  let id_detect = opt has_detect "fault_detect" in
-  let id_fallback = opt has_fallback "fault_fallback" in
   let vars = List.rev !vars in
   let b = Buffer.create 4096 in
   let p fmt = Printf.bprintf b fmt in
@@ -73,11 +63,7 @@ let to_string ?(date = "powercode trace") ~encoded_names events =
      wire high iff its event fired at this tick.  Changes are elided
      against the last written value, so quiet wires stay quiet. *)
   let pulse_ids =
-    List.filter_map Fun.id
-      [
-        id_block; id_bbit; id_decode; id_tt; id_icache; id_inject; id_detect;
-        id_fallback;
-      ]
+    List.filter_map Fun.id [ id_block; id_bbit; id_decode; id_tt ]
   in
   let last : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let changed id v =
@@ -127,15 +113,6 @@ let to_string ?(date = "powercode trace") ~encoded_names events =
               Option.iter (fun id -> Hashtbl.replace fired id ()) id_decode
           | Event.Tt_program _ ->
               Option.iter (fun id -> Hashtbl.replace fired id ()) id_tt
-          | Event.Icache { hit; _ } ->
-              if hit then
-                Option.iter (fun id -> Hashtbl.replace fired id ()) id_icache
-          | Event.Fault_inject _ ->
-              Option.iter (fun id -> Hashtbl.replace fired id ()) id_inject
-          | Event.Fault_detect _ ->
-              Option.iter (fun id -> Hashtbl.replace fired id ()) id_detect
-          | Event.Fault_fallback _ ->
-              Option.iter (fun id -> Hashtbl.replace fired id ()) id_fallback
           | Event.Span _ -> ())
         evs;
       List.iter

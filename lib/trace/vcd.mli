@@ -1,7 +1,7 @@
 (** Value Change Dump export of a trace — the 32 bus lines of the baseline
     image and of each encoded image as waveforms, plus one-bit pulse wires
     for the discrete events (block entries, BBIT hits, decodes, TT
-    programming, I-cache hits), viewable in GTKWave or Surfer.
+    programming), viewable in GTKWave or Surfer.
 
     Time is the trace's fetch tick (declared as [1 ns] per tick, since VCD
     has no "instruction" unit).  Multi-bit wires hold their value until the

@@ -475,34 +475,6 @@ let test_bbit_from_fetch_zero () =
     (fun _ _ -> function Model.Bbit_field _ -> true | _ -> false)
     (fun _ _ _ -> 0)
 
-(* A trace records every fetch's decode, so a traced campaign runs every
-   injection through the decoder from fetch 0; its records are the
-   untraced ones, and the ring holds one [Fault_inject] per injection. *)
-let test_traced_campaign () =
-  with_metrics @@ fun () ->
-  let config =
-    { Campaign.seed = 5; injections = 6; ks = [ 4 ]; benches = [ bench "tri" ] }
-  in
-  let untraced = (Campaign.run config).Campaign.records in
-  let before = fast_forwarded () in
-  Trace.Collector.start ~capacity:(1 lsl 20) ();
-  let traced =
-    Fun.protect ~finally:Trace.Collector.stop (fun () ->
-        (Campaign.run config).Campaign.records)
-  in
-  let injects =
-    List.length
-      (List.filter
-         (function Trace.Event.Fault_inject _ -> true | _ -> false)
-         (Trace.Collector.events ()))
-  in
-  let dropped = Trace.Collector.dropped () in
-  Trace.Collector.clear ();
-  check_records "traced" untraced traced;
-  check_int "no event displaced" 0 dropped;
-  check_int "one Fault_inject per injection" config.Campaign.injections injects;
-  check_int "no fetch skipped the decoder" 0 (fast_forwarded () - before)
-
 (* A BBIT tag flipped onto another programmed slot's pc shadows that live
    slot: [Bbit.corrupt] re-points the associative match, the scrub
    degrades the flipped slot, and the shadowed block's head no longer
@@ -726,8 +698,6 @@ let () =
             test_tt_chain_tail;
           Alcotest.test_case "bbit upset starts at fetch 0" `Quick
             test_bbit_from_fetch_zero;
-          Alcotest.test_case "traced campaign skips nothing" `Quick
-            test_traced_campaign;
         ] );
       ( "model",
         [

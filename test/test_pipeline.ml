@@ -320,7 +320,7 @@ let test_fixed_scheme_forces_backend () =
   (match forced.Evaluate.schemes with
   | [ s ] ->
       List.iter
-        (fun (c : Evaluate.region_choice) ->
+        (fun (c : Scheme.region_choice) ->
           Alcotest.(check string) "every region forced" "businvert"
             c.Scheme.rc_scheme)
         s.Scheme.choices;

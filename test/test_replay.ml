@@ -42,10 +42,10 @@ let mixed_bus image (s : Evaluate.scheme_run) =
   let region =
     extent_map (Array.length image)
       (List.map
-         (fun (c : Evaluate.region_choice) -> (c.rc_start, c.rc_len))
+         (fun (c : Pipeline.Scheme.region_choice) -> (c.rc_start, c.rc_len))
          s.choices)
   in
-  let encoder (c : Evaluate.region_choice) =
+  let encoder (c : Pipeline.Scheme.region_choice) =
     if c.rc_scheme = "tt" then None
     else
       match Buspower.Encoder.find c.rc_scheme with
@@ -203,7 +203,7 @@ let test_fixed_businvert_runs_live () =
         (Printf.sprintf "k=%d every region forced" s.srun_k)
         true
         (List.for_all
-           (fun (c : Evaluate.region_choice) -> c.rc_scheme = "businvert")
+           (fun (c : Pipeline.Scheme.region_choice) -> c.rc_scheme = "businvert")
            s.choices);
       check_bool
         (Printf.sprintf "k=%d mixed bus counted live" s.srun_k)
@@ -226,7 +226,7 @@ let test_mixed_selection () =
       check_bool (name ^ ": some run mixes TT and other regions") true
         (List.exists
            (fun (s : Evaluate.scheme_run) ->
-             let tt (c : Evaluate.region_choice) = c.rc_scheme = "tt" in
+             let tt (c : Pipeline.Scheme.region_choice) = c.rc_scheme = "tt" in
              (not s.reverted)
              && List.exists tt s.choices
              && not (List.for_all tt s.choices))

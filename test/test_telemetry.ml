@@ -735,7 +735,8 @@ let parses s =
    no other exception escapes. *)
 let parsers_are_total s =
   (match parses s with Ok _ | Error _ -> true)
-  && match Log.of_json s with Ok _ | Error _ -> true
+  && (match Log.of_json s with Ok _ | Error _ -> true)
+  && match Telemetry.Openmetrics.validate s with Ok () | Error _ -> true
 
 let qcheck_escape_roundtrip =
   QCheck.Test.make ~count:1000 ~name:"escape then parse gives the bytes back"
@@ -745,6 +746,27 @@ let qcheck_escape_roundtrip =
 let qcheck_parsers_total =
   QCheck.Test.make ~count:1000 ~name:"parsers are total on arbitrary input"
     QCheck.string parsers_are_total
+
+(* A real exposition with up to three bytes set to arbitrary values, cut
+   at an arbitrary length: near-valid input reaches the validator's later
+   checks, which random strings never pass the first line of. *)
+let mutated_exposition =
+  let text = Telemetry.Openmetrics.to_string frozen_sample in
+  let n = String.length text in
+  let flip = QCheck.Gen.(pair (int_bound (n - 1)) (int_bound 255)) in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      map2
+        (fun flips cut ->
+          let b = Bytes.of_string text in
+          List.iter (fun (i, c) -> Bytes.set b i (Char.chr c)) flips;
+          Bytes.sub_string b 0 cut)
+        (list_size (int_bound 3) flip)
+        (int_bound n))
+
+let qcheck_parsers_total_on_expositions =
+  QCheck.Test.make ~count:1000 ~name:"parsers are total on mutated expositions"
+    mutated_exposition parsers_are_total
 
 (* One real log line, with every field kind and the escapes it writes. *)
 let sample_log_line () =
@@ -885,6 +907,7 @@ let () =
             test_parsers_total_on_mutations;
           QCheck_alcotest.to_alcotest qcheck_escape_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_parsers_total;
+          QCheck_alcotest.to_alcotest qcheck_parsers_total_on_expositions;
         ] );
       ( "report",
         [

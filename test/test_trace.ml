@@ -147,9 +147,8 @@ let test_vcd_from_real_run () =
     with_collector ~capacity:200_000 @@ fun () ->
     let r = Evaluate.evaluate_workload w in
     check_int "nothing dropped at this capacity" 0 (Collector.dropped ());
-    (* the recording run + the live run a recording collector asks for *)
-    check_int "fetch ticks = 2 runs of the program"
-      (2 * r.Evaluate.instructions)
+    (* only the live run ticks, whether or not the plan cache was warm *)
+    check_int "fetch ticks = 1 run of the program" r.Evaluate.instructions
       (Collector.fetches ());
     let events = Collector.events () in
     let dump =
@@ -195,8 +194,6 @@ let test_perfetto_shape () =
       fetch ~time:1 ~pc:1 ~word:7;
       Event.Bus { time = 1; pc = 1; encoded = [| 1 |] };
       Event.Tt_program { time = 1; index = 2 };
-      Event.Icache { time = 1; pc = 1; hit = false };
-      Event.Icache { time = 1; pc = 1; hit = true };
     ]
   in
   let doc = Trace.Perfetto.to_string ~encoded_names:[ "k5" ] events in
@@ -216,19 +213,9 @@ let test_perfetto_shape () =
       "\"name\":\"transitions.baseline\"";
       "\"name\":\"transitions.k5\"";
       "\"name\":\"tt.program\"";
-      "\"name\":\"icache.miss\"";
     ];
   (* cumulative counter: the k5 track ends at popcount(0 xor 1) = 1 *)
-  check_bool "counter value present" true (contains "{\"transitions\":1}");
-  (* hits are not instants — only misses are worth a marker *)
-  check_int "exactly one icache instant" 1
-    (let count = ref 0 and i = ref 0 in
-     let needle = "icache.miss" in
-     while !i + String.length needle <= String.length doc do
-       if String.sub doc !i (String.length needle) = needle then incr count;
-       incr i
-     done;
-     !count)
+  check_bool "counter value present" true (contains "{\"transitions\":1}")
 
 let count_occurrences doc needle =
   let count = ref 0 and i = ref 0 in
@@ -495,6 +482,26 @@ let test_evaluate_emits_events () =
       | Event.Bus { encoded; _ } -> check_int "4 images" 4 (Array.length encoded)
       | _ -> ())
     events;
+  (* the tick precedes every sink, so each event of a fetch (verify's
+     probes and decodes, its Bus, its block entry) carries that fetch's
+     tick, the tick of the Fetch event at the same pc *)
+  let fetch_pc = Hashtbl.create 8192 in
+  List.iter
+    (function
+      | Event.Fetch { time; pc; _ } -> Hashtbl.replace fetch_pc time pc
+      | _ -> ())
+    events;
+  check_int "every fetch's events carry its tick" 0
+    (List.length
+       (List.filter
+          (function
+            | Event.Bus { time; pc; _ }
+            | Event.Bbit_probe { time; pc; _ }
+            | Event.Decode { time; pc; _ }
+            | Event.Block_entry { time; pc; _ } ->
+                Hashtbl.find_opt fetch_pc time <> Some pc
+            | _ -> false)
+          events));
   (* times never decrease in buffer order (Span events carry no tick) *)
   let last = ref 0 in
   List.iter
@@ -505,6 +512,31 @@ let test_evaluate_emits_events () =
           last := t
       | None -> ())
     events
+
+(* The timeline belongs to the exported run alone: a cold evaluate, which
+   also records the program, and a warm one, served from the plan cache,
+   each tick once per fetch and record the same events. *)
+let test_one_tick_per_fetch_cold_or_warm () =
+  let w = scaled "tri" in
+  let traced () =
+    with_collector ~capacity:200_000 @@ fun () ->
+    let r = Evaluate.evaluate_workload w in
+    check_int "one tick per fetch" r.Evaluate.instructions
+      (Collector.fetches ());
+    check_int "nothing dropped" 0 (Collector.dropped ());
+    List.filter
+      (function Event.Span _ -> false | _ -> true)
+      (Collector.events ())
+  in
+  Evaluate.Plan_cache.clear ();
+  let cold = traced () in
+  let hits, misses = Evaluate.Plan_cache.stats () in
+  check_int "the first evaluate missed" 1 misses;
+  let warm = traced () in
+  check_int "the second evaluate hit" (hits + 1)
+    (fst (Evaluate.Plan_cache.stats ()));
+  check_int "same event count" (List.length cold) (List.length warm);
+  check_bool "same events, cold or warm" true (cold = warm)
 
 let test_evaluate_without_collector_is_clean () =
   (* tracing off: no events accumulate anywhere, and results are identical *)
@@ -568,6 +600,8 @@ let () =
         [
           Alcotest.test_case "emits events when recording" `Quick
             test_evaluate_emits_events;
+          Alcotest.test_case "one tick per fetch, cold or warm" `Quick
+            test_one_tick_per_fetch_cold_or_warm;
           Alcotest.test_case "clean when not recording" `Quick
             test_evaluate_without_collector_is_clean;
         ] );
