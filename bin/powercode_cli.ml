@@ -106,8 +106,8 @@ let with_metrics f =
 (* One collector session: record [f]'s window, hand the events to [export]
    (even when [f] raises), warn if the ring wrapped, and clear.  Progress
    goes to stderr so stdout stays machine-readable. *)
-let with_collector ?capacity ~export f =
-  Trace.Collector.start ?capacity ();
+let with_collector ?(capacity = Trace.Collector.default_capacity) ~export f =
+  Trace.Collector.start ~capacity ();
   Fun.protect
     ~finally:(fun () ->
       Trace.Collector.stop ();
@@ -115,8 +115,9 @@ let with_collector ?capacity ~export f =
       let dropped = Trace.Collector.dropped () in
       if dropped > 0 then
         Format.eprintf
-          "trace: ring wrapped, %d oldest events dropped (raise --capacity)@."
-          dropped;
+          "trace: ring wrapped, %d oldest events dropped; the VCD keeps the \
+           last %d events (trace --capacity raises it)@."
+          dropped capacity;
       Trace.Collector.clear ())
     (fun () -> with_metrics f)
 

@@ -297,10 +297,6 @@ let fetch t ~pc =
           | Some (slot, _) when t.degraded.(slot) -> None
           | probe -> probe
         in
-        if Trace.Collector.enabled () then
-          Trace.Collector.emit
-            (Trace.Event.Bbit_probe
-               { time = Trace.Collector.now (); pc; hit = probe <> None });
         match probe with
         | Some (slot, entry) ->
             (* Strict mode checks the matched slot's parity here; in
@@ -347,15 +343,6 @@ let fetch t ~pc =
                      });
               let c = tt_entry_checked t t.entry_idx in
               let decoded = decode_word t c stored in
-              if Trace.Collector.enabled () then
-                Trace.Collector.emit
-                  (Trace.Event.Decode
-                     {
-                       time = Trace.Collector.now ();
-                       pc;
-                       entry = t.entry_idx;
-                       taus = Array.copy c.entry.Tt.tau_indices;
-                     });
               t.expected_pc <- pc + 1;
               let prev_stored = stored and prev_decoded = decoded in
               advance_entry t c;

@@ -22,8 +22,8 @@ exception Does_not_fit of string
 
     Every figure of an evaluation that does not run decoders is a function
     of these two, so [Pipeline.Evaluate.evaluate] builds no system unless
-    it verifies (decoders on every fetch) or a trace collector records
-    (the TT writes' [Tt_program] events). *)
+    it verifies (decoders on every fetch); a trace reads the TT writes off
+    the plan too. *)
 val stored_image :
   ?tt_capacity:int ->
   ?bbit_capacity:int ->

@@ -69,10 +69,7 @@ let write t ~index entry =
   t.slots.(index) <- Some entry;
   t.parities.(index) <- entry_parity entry;
   t.writes <- t.writes + 1;
-  t.version <- t.version + 1;
-  if Trace.Collector.enabled () then
-    Trace.Collector.emit
-      (Trace.Event.Tt_program { time = Trace.Collector.now (); index })
+  t.version <- t.version + 1
 
 let read t index =
   if index < 0 || index >= t.capacity then

@@ -87,14 +87,13 @@ let check figure ~replay ~live =
    [ctx.profile], so every figure replayed from those pairs holds for it.
    [finish] also checks each built system's image and programming writes
    against the plan-derived [stored] ones, and the run's result. *)
-let verify_sink ~(ctx : Plan_cache.context) ~program ~systems ~stored
+let verify_sink ~(ctx : Plan_cache.context) ~program ~built ~stored
     ~k_of_image =
-  let decoders = Array.map Hardware.Reprogram.decoder systems in
   let record, recorded = Cfg.Profile.recorder program in
   let fetch pc w =
     record ~pc;
-    for v = 0 to Array.length decoders - 1 do
-      let _bus, decoded = Hardware.Fetch_decoder.fetch decoders.(v) ~pc in
+    for v = 0 to Array.length built - 1 do
+      let _bus, decoded = Hardware.Fetch_decoder.fetch (snd built.(v)) ~pc in
       if decoded <> w then
         raise (Verification_failed { pc; expected = w; got = decoded })
     done
@@ -102,13 +101,13 @@ let verify_sink ~(ctx : Plan_cache.context) ~program ~systems ~stored
   let finish (result : Machine.Cpu.result) state =
     Array.iteri
       (fun v (image, writes) ->
-        let k = k_of_image.(v) in
-        if image <> systems.(v).Hardware.Reprogram.image then
+        let k = k_of_image.(v) and system, _ = built.(v) in
+        if image <> system.Hardware.Reprogram.image then
           raise (Replay_mismatch (Printf.sprintf "k=%d stored image" k));
         check
           (Printf.sprintf "k=%d programming writes" k)
           ~replay:writes
-          ~live:(Hardware.Reprogram.programming_writes systems.(v)))
+          ~live:(Hardware.Reprogram.programming_writes system))
       stored;
     check "instructions" ~replay:ctx.run.Machine.Cpu.instructions
       ~live:result.instructions;
@@ -121,35 +120,51 @@ let verify_sink ~(ctx : Plan_cache.context) ~program ~systems ~stored
   in
   { fetch; finish }
 
-(* A recording trace collector: every fetch's word on each image's bus,
-   and the basic block the fetch enters, if any. *)
-let trace_sink ~images ~blocks ~pc_block =
-  let fetch pc _ =
+(* A recording collector's sink, ahead of every other.  Before the run: a
+   [Tt_program] per TT write of the plans, in {!Hardware.Reprogram.build}'s
+   order.  Per fetch: the tick; per decoder of [verify], its BBIT probe
+   and, when it decodes this fetch, a [Decode], both read before
+   [verify_sink] advances it; each image's bus word; the block entered. *)
+let trace_sink ~plans ~built ~images ~blocks ~pc_block =
+  let tt_write index =
+    Trace.Collector.emit
+      (Trace.Event.Tt_program { time = Trace.Collector.now (); index })
+  in
+  Powercode.Program_encoder.(
+    List.iter
+      (fun (_, plan) ->
+        List.iter
+          (fun p ->
+            Option.iter
+              (fun enc ->
+                Array.iteri (fun j _ -> tt_write (p.tt_base + j)) enc.entries)
+              p.encoding)
+          plan.placements)
+      plans);
+  let pc_block = Lazy.force pc_block in
+  let fetch pc word =
+    Trace.Collector.fetch ~pc ~word;
     let time = Trace.Collector.now () in
+    Array.iter
+      (fun ((system : Hardware.Reprogram.system), decoder) ->
+        let hit = Hardware.Bbit.lookup_slot system.bbit ~pc <> None in
+        Trace.Collector.emit (Trace.Event.Bbit_probe { time; pc; hit });
+        if (not hit) && Hardware.Fetch_decoder.active decoder then
+          Trace.Collector.emit (Trace.Event.Decode { time; pc }))
+      built;
     (* fresh every fetch: the collector's ring keeps it *)
     let encoded = Array.map (fun image -> image.(pc)) images in
-    Trace.Collector.emit (Trace.Event.Bus { time; pc; encoded });
+    Trace.Collector.bus ~pc ~encoded;
     let block = pc_block.(pc) in
     if blocks.(block).Cfg.Block.start = pc then
       Trace.Collector.emit (Trace.Event.Block_entry { time; pc; block })
   in
   { fetch; finish = (fun _ _ -> ()) }
 
-(* The trace clock: one tick per fetch of the live run, the one run a
-   recording collector exports. *)
-let tick_sink =
-  {
-    fetch = (fun pc word -> Trace.Collector.fetch ~pc ~word);
-    finish = (fun _ _ -> ());
-  }
-
 (* One run of [program] through [sinks], each fetch to every sink in list
-   order, after the trace tick when a collector is recording, so every
-   sink's events carry their fetch's tick.  The sinks are chained into one
-   closure before the run: iterating the list per fetch would allocate a
-   closure per fetch. *)
-let run_live program sinks =
-  match if Trace.Collector.enabled () then tick_sink :: sinks else sinks with
+   order.  The sinks are chained into one closure before the run:
+   iterating the list per fetch would allocate a closure per fetch. *)
+let run_live program = function
   | [] -> ()
   | first :: rest ->
       let both a b =
@@ -189,13 +204,15 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
   let images = Array.map fst stored in
   let nimg = Array.length images in
   let k_of_image = Array.of_list (List.map fst plans) in
-  (* Built systems only for the live paths that read them: [verify]'s
-     decoders, and a recording trace collector, which gets the TT writes'
-     [Tt_program] events. *)
-  let systems =
-    if verify || Trace.Collector.enabled () then
+  (* Decode systems, each with its decoder, only for [verify], whose sink
+     advances the decoders; a recording trace sink reads them first. *)
+  let built =
+    if verify then
       Array.of_list
-        (List.map (fun (_, plan) -> build_system ~tt_capacity ctx program plan)
+        (List.map
+           (fun (_, plan) ->
+             let system = build_system ~tt_capacity ctx program plan in
+             (system, Hardware.Reprogram.decoder system))
            plans)
     else [||]
   in
@@ -312,15 +329,14 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16)
                picks)
       | _ -> None
     in
-    (* verify first: its decoders' trace events precede each fetch's Bus *)
     run_live program
       (List.concat
          [
-           (if verify then
-              [ verify_sink ~ctx ~program ~systems ~stored ~k_of_image ]
-            else []);
            (if Trace.Collector.enabled () then
-              [ trace_sink ~images ~blocks ~pc_block:(Lazy.force pc_block) ]
+              [ trace_sink ~plans ~built ~images ~blocks ~pc_block ]
+            else []);
+           (if verify then
+              [ verify_sink ~ctx ~program ~built ~stored ~k_of_image ]
             else []);
            Option.to_list
              (Option.map

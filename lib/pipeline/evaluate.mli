@@ -18,16 +18,25 @@
     {!Ledger.Meter.record_pairs}).  The recording is cached with the plan
     in {!Plan_cache}, so a warm evaluate never executes the program.
 
-    Decode systems ({!Hardware.Reprogram.build}) are built only for the
-    two live paths that read them: [verify]'s decoders, and a recording
-    {!Trace.Collector}, which gets the table writes' [Tt_program] events.
-    {!prepare} builds none: its callers build through [rebuild].
+    Decode systems ({!Hardware.Reprogram.build}) are built only for
+    [verify]'s decoders.  {!prepare} builds none: its callers build
+    through [rebuild].
 
     A live run of the program remains only for the consumers that are
     truly per-fetch.  Each is a sink that sees every fetch in execution
     order and then the run's result.  The active sinks are chained, in
     this order, into one fetch hook before the run, so driving them
     allocates nothing per fetch:
+    - a recording {!Trace.Collector}: this one sink records every trace
+      event of the run.  Before the run it records a [Tt_program] per TT
+      write the plans make, in {!Hardware.Reprogram.build}'s order.  Per
+      fetch it ticks the collector's clock, so every event of the fetch
+      carries its tick; then, for each of [verify]'s decoders, it records
+      a [Bbit_probe] and, when the decoder is inside a block and the BBIT
+      does not match, a [Decode], both read before [verify] advances the
+      decoder; then the fetch's [Bus] and [Block_entry] events.  No other
+      run ticks the clock, the recording run of a cold evaluate
+      included, so the timeline is this one run, warm or cold;
     - [verify = true]: every fetch is pushed through the
       {!Hardware.Fetch_decoder} model for each block size and the restored
       word is compared against the true program — the full hardware
@@ -38,13 +47,7 @@
       It also checks each built system's image and programming writes
       against the ones read off the plan, and the run's instruction count,
       exit code and output, raising {!Replay_mismatch} on any difference.
-      A verified report equals the unverified one.  Its decoders' trace
-      events precede each fetch's [Bus] event;
-    - a recording {!Trace.Collector}, which gets [Bus] and [Block_entry]
-      events.  While it records, the live run ticks its clock once per
-      fetch ahead of every sink, so its events carry their fetch's tick;
-      no other run ticks it, the recording run of a cold evaluate
-      included, so the timeline is this one run, warm or cold;
+      A verified report equals the unverified one;
     - {!Scheme.mixed_bus}, when some region of a [scheme] left TT: those
       backends are stateful encoders, so only a live run can count their
       bus.  When every region stayed TT the mixed bus is the TT bus, and
@@ -141,8 +144,8 @@ val prepare :
     (TT reads, BBIT probes, gate toggles, bus transitions), charges each
     plan's TT and BBIT writes, and returns the priced {!Ledger.Sheet}.
     Independently of these flags, whenever {!Trace.Collector} is
-    recording, a live run ticks its clock once per fetch and emits [Bus]
-    and [Block_entry] events into it. *)
+    recording, a live run records the trace into it (see the trace sink
+    above). *)
 val evaluate :
   ?ks:int list ->
   ?tt_capacity:int ->

@@ -1,9 +1,14 @@
 type t =
-  | Fetch of { time : int; pc : int; word : int }
-  | Bus of { time : int; pc : int; encoded : int array }
+  | Fetch of { time : int; pc : int; word : int; transitions : int }
+  | Bus of {
+      time : int;
+      pc : int;
+      encoded : int array;
+      transitions : int array;
+    }
   | Block_entry of { time : int; pc : int; block : int }
   | Bbit_probe of { time : int; pc : int; hit : bool }
-  | Decode of { time : int; pc : int; entry : int; taus : int array }
+  | Decode of { time : int; pc : int }
   | Tt_program of { time : int; index : int }
   | Span of { path : string; tid : int; start_ns : float; stop_ns : float }
 

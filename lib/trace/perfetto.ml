@@ -1,53 +1,27 @@
 let default_max_counter_samples = 2000
 
-(* Cumulative transition counts along the fetch stream, downsampled to at
-   most [max] points (always keeping the final one so the end value of the
-   counter track is exact). *)
+(* Cumulative transition counts along the fetch stream, as the collector
+   recorded them on each Fetch and Bus event, downsampled to at most [max]
+   points (always keeping the final one so the end value of the counter
+   track is exact).  A wrapped ring may open mid-fetch: Bus events before
+   the first retained Fetch are skipped, as their baseline total went
+   with it. *)
 let counter_samples ~max events =
-  let ticks = ref [] and n = ref 0 in
-  let nimages = ref 0 in
-  let last_fetch = ref None in
-  let prev_base = ref None in
-  let prevs = ref [||] in
-  let base_total = ref 0 and enc_totals = ref [||] in
-  let ensure_images n =
-    if n > !nimages then begin
-      let grow a fill = Array.init n (fun i -> if i < Array.length a then a.(i) else fill) in
-      prevs := grow !prevs None;
-      enc_totals := grow !enc_totals 0;
-      nimages := n
-    end
-  in
-  let flush_tick t =
-    incr n;
-    ticks := (t, !base_total, Array.copy !enc_totals) :: !ticks
-  in
+  let ticks = ref [] and last_fetch = ref None and base_total = ref 0 in
   List.iter
-    (fun e ->
-      match e with
-      | Event.Fetch { time; word; _ } ->
-          (match !prev_base with
-          | Some p -> base_total := !base_total + Bitutil.Popcount.count32 (p lxor word)
-          | None -> ());
-          prev_base := Some word;
+    (function
+      | Event.Fetch { time; transitions; _ } ->
+          base_total := transitions;
           last_fetch := Some time
-      | Event.Bus { time; encoded; _ } ->
-          ensure_images (Array.length encoded);
-          let prevs = !prevs and enc_totals = !enc_totals in
-          Array.iteri
-            (fun i w ->
-              (match prevs.(i) with
-              | Some p ->
-                  enc_totals.(i) <- enc_totals.(i) + Bitutil.Popcount.count32 (p lxor w)
-              | None -> ());
-              prevs.(i) <- Some w)
-            encoded;
-          flush_tick time
+      | Event.Bus { time; transitions; _ } when !last_fetch <> None ->
+          ticks := (time, !base_total, transitions) :: !ticks
       | _ -> ())
     events;
   (* A pure-baseline trace (no Bus events) still gets a counter track. *)
-  (if !n = 0 then
-     match !last_fetch with Some t -> flush_tick t | None -> ());
+  (if !ticks = [] then
+     match !last_fetch with
+     | Some t -> ticks := [ (t, !base_total, [||]) ]
+     | None -> ());
   let samples = List.rev !ticks in
   let total = List.length samples in
   (* ceiling division: floor keeps stride 1 up to 2 * max - 1 ticks, which
@@ -58,7 +32,7 @@ let counter_samples ~max events =
   List.iteri
     (fun i s -> if i mod stride = 0 || i = total - 1 then kept := s :: !kept)
     samples;
-  (!nimages, List.rev !kept)
+  List.rev !kept
 
 let to_string ?(max_counter_samples = default_max_counter_samples) ~encoded_names
     events =
@@ -101,7 +75,7 @@ let to_string ?(max_counter_samples = default_max_counter_samples) ~encoded_name
       | _ -> ())
     events;
   (* counters: cumulative transitions along the fetch-tick axis *)
-  let nimages, samples = counter_samples ~max:max_counter_samples events in
+  let samples = counter_samples ~max:max_counter_samples events in
   let name_of i =
     match List.nth_opt encoded_names i with
     | Some n -> "transitions." ^ n
@@ -113,12 +87,13 @@ let to_string ?(max_counter_samples = default_max_counter_samples) ~encoded_name
         [ ("ph", str "C"); ("pid", "2"); ("tid", "0");
           ("name", str "transitions.baseline"); ("ts", string_of_int t);
           ("args", Printf.sprintf "{\"transitions\":%d}" base) ];
-      for i = 0 to nimages - 1 do
-        obj
-          [ ("ph", str "C"); ("pid", "2"); ("tid", "0");
-            ("name", str (name_of i)); ("ts", string_of_int t);
-            ("args", Printf.sprintf "{\"transitions\":%d}" encs.(i)) ]
-      done)
+      Array.iteri
+        (fun i enc ->
+          obj
+            [ ("ph", str "C"); ("pid", "2"); ("tid", "0");
+              ("name", str (name_of i)); ("ts", string_of_int t);
+              ("args", Printf.sprintf "{\"transitions\":%d}" enc) ])
+        encs)
     samples;
   (* instants: TT reprogramming *)
   List.iter

@@ -10,7 +10,11 @@
       transitions — [transitions.baseline] plus one per encoded image —
       sampled along the run (at most [max_counter_samples] points), with
       the fetch tick as the microsecond timestamp; plus instant ("i")
-      events for TT programming.
+      events for TT programming.  The counters are the running totals the
+      collector recorded on each [Fetch] and [Bus] event, not a recount
+      of the retained words, so they stay exact when the ring wrapped:
+      the final baseline sample is the whole session's baseline
+      transitions.
 
     The two clocks are different by construction (ticks are not
     nanoseconds); Perfetto renders them as separate process groups. *)

@@ -35,6 +35,44 @@ let test_verification_covers_every_fetch () =
   check_bool "verified report = plain report" true (r = plain);
   check_int "a probe per fetch per image" (2 * r.Evaluate.instructions) probes
 
+(* The trace sink reads each decoder's state before [verify] advances it,
+   so its decoder events add up only if the decoders really ran: a BBIT
+   hit or a Decode is one TT read, and the ledger counts the TT reads
+   from the replay.  The ring holds every event (at most eleven a fetch
+   at four block sizes). *)
+let test_decoder_events_match_ledger () =
+  List.iter
+    (fun name ->
+      let w = scaled name in
+      let fetches = (Evaluate.evaluate_workload w).Evaluate.instructions in
+      Trace.Collector.start ~capacity:((11 * fetches) + 4096) ();
+      let r, reads, dropped =
+        Fun.protect ~finally:Trace.Collector.clear (fun () ->
+            let r =
+              Evaluate.evaluate_workload ~verify:true
+                ~ledger:Ledger.Model.on_chip w
+            in
+            ( r,
+              List.length
+                (List.filter
+                   (function
+                     | Trace.Event.Decode _
+                     | Trace.Event.Bbit_probe { hit = true; _ } ->
+                         true
+                     | _ -> false)
+                   (Trace.Collector.events ())),
+              Trace.Collector.dropped () ))
+      in
+      check_int (name ^ ": nothing dropped") 0 dropped;
+      let sheet = Option.get r.Evaluate.ledger in
+      check_int
+        (name ^ ": decoder events = TT reads")
+        (List.fold_left
+           (fun acc (e : Ledger.Sheet.entry) -> acc + e.tt_reads.count)
+           0 sheet.Ledger.Sheet.entries)
+        reads)
+    [ "mmul"; "sor"; "ej"; "fft"; "tri"; "lu" ]
+
 let test_reduction_positive_on_loop_kernels () =
   List.iter
     (fun name ->
@@ -351,6 +389,8 @@ let () =
           Alcotest.test_case "report shape" `Quick test_report_shape;
           Alcotest.test_case "verification covers fetches" `Quick
             test_verification_covers_every_fetch;
+          Alcotest.test_case "decoder events = ledger" `Quick
+            test_decoder_events_match_ledger;
           Alcotest.test_case "reduces on all kernels" `Quick
             test_reduction_positive_on_loop_kernels;
           Alcotest.test_case "never worse" `Quick test_encoded_never_worse;

@@ -16,7 +16,8 @@ let check_bool = Alcotest.(check bool)
 
 let scaled name = Workloads.by_name Workloads.scaled name
 
-let fetch ~time ~pc ~word = Event.Fetch { time; pc; word }
+(* a Fetch whose running baseline total no test reads *)
+let fetch ~time ~pc ~word = Event.Fetch { time; pc; word; transitions = 0 }
 
 (* every trace test must leave the global collector clean *)
 let with_collector ?capacity f =
@@ -89,14 +90,17 @@ let test_collector_ring_wraps () =
 let test_vcd_round_trip_synthetic () =
   let events =
     [
-      fetch ~time:0 ~pc:0 ~word:5;
-      Event.Bus { time = 0; pc = 0; encoded = [| 3; 7 |] };
+      Event.Fetch { time = 0; pc = 0; word = 5; transitions = 0 };
+      Event.Bus
+        { time = 0; pc = 0; encoded = [| 3; 7 |]; transitions = [| 0; 0 |] };
       (* word unchanged at tick 1: the baseline change must be elided *)
-      fetch ~time:1 ~pc:1 ~word:5;
-      Event.Bus { time = 1; pc = 1; encoded = [| 3; 1 |] };
+      Event.Fetch { time = 1; pc = 1; word = 5; transitions = 0 };
+      Event.Bus
+        { time = 1; pc = 1; encoded = [| 3; 1 |]; transitions = [| 0; 2 |] };
       Event.Block_entry { time = 1; pc = 1; block = 0 };
-      fetch ~time:2 ~pc:2 ~word:9;
-      Event.Bus { time = 2; pc = 2; encoded = [| 2; 1 |] };
+      Event.Fetch { time = 2; pc = 2; word = 9; transitions = 2 };
+      Event.Bus
+        { time = 2; pc = 2; encoded = [| 2; 1 |]; transitions = [| 1; 2 |] };
       (* Span events never appear on the tick timeline *)
       Event.Span { path = "x"; tid = 0; start_ns = 0.; stop_ns = 1. };
     ]
@@ -189,10 +193,10 @@ let test_perfetto_shape () =
     [
       Event.Span
         { path = "pipeline.evaluate"; tid = 0; start_ns = 1000.; stop_ns = 9000. };
-      fetch ~time:0 ~pc:0 ~word:0;
-      Event.Bus { time = 0; pc = 0; encoded = [| 0 |] };
-      fetch ~time:1 ~pc:1 ~word:7;
-      Event.Bus { time = 1; pc = 1; encoded = [| 1 |] };
+      Event.Fetch { time = 0; pc = 0; word = 0; transitions = 0 };
+      Event.Bus { time = 0; pc = 0; encoded = [| 0 |]; transitions = [| 0 |] };
+      Event.Fetch { time = 1; pc = 1; word = 7; transitions = 3 };
+      Event.Bus { time = 1; pc = 1; encoded = [| 1 |]; transitions = [| 1 |] };
       Event.Tt_program { time = 1; index = 2 };
     ]
   in
@@ -230,11 +234,21 @@ let test_perfetto_downsampling_boundaries () =
   (* one Bus event per tick = one counter sample per tick, downsampled to
      at most max_counter_samples points with the final tick always kept *)
   let bus_ticks n =
+    let base = Array.make (max n 1) 0 in
+    for i = 1 to n - 1 do
+      base.(i) <- base.(i - 1) + Bitutil.Popcount.count32 ((i - 1) lxor i)
+    done;
     List.concat
       (List.init n (fun i ->
            [
-             fetch ~time:i ~pc:i ~word:i;
-             Event.Bus { time = i; pc = i; encoded = [| i land 1 |] };
+             Event.Fetch { time = i; pc = i; word = i; transitions = base.(i) };
+             Event.Bus
+               {
+                 time = i;
+                 pc = i;
+                 encoded = [| i land 1 |];
+                 transitions = [| i |];
+               };
            ]))
   in
   let baseline_samples events =
@@ -260,6 +274,82 @@ let test_perfetto_downsampling_boundaries () =
   check_int "no events, no counter samples" 0 (baseline_samples []);
   check_int "fetch-only trace gets one sample" 1
     (baseline_samples [ fetch ~time:4 ~pc:0 ~word:9 ])
+
+(* The last value of each counter track of a Perfetto document, by name. *)
+let final_counters doc =
+  let module J = Telemetry.Json in
+  let field k ev = Option.get (J.member k ev) in
+  let events =
+    match field "traceEvents" (J.of_string doc) with J.Arr l -> l | _ -> []
+  in
+  List.fold_left
+    (fun acc ev ->
+      match (field "ph" ev, field "name" ev) with
+      | J.Str "C", J.Str name -> (
+          match field "transitions" (field "args" ev) with
+          | J.Int v -> (name, v) :: List.remove_assoc name acc
+          | _ -> acc)
+      | _ -> acc)
+    [] events
+
+(* A verified sor records about nine events a fetch and wraps the default
+   ring, yet every counter track still ends at the report's total: the
+   counters are the collector's running totals, not a recount of the
+   retained words. *)
+let test_perfetto_exact_when_wrapped () =
+  let r, doc =
+    with_collector @@ fun () ->
+    let r = Evaluate.evaluate_workload ~verify:true (scaled "sor") in
+    check_bool "the ring wrapped" true (Collector.dropped () > 0);
+    ( r,
+      Trace.Perfetto.to_string ~encoded_names:[ "k4"; "k5"; "k6"; "k7" ]
+        (Collector.events ()) )
+  in
+  let finals = final_counters doc in
+  check_int "baseline ends at TR" r.Evaluate.baseline_transitions
+    (List.assoc "transitions.baseline" finals);
+  List.iter
+    (fun (run : Evaluate.encoded_run) ->
+      check_int
+        (Printf.sprintf "k%d ends at the report" run.k)
+        run.transitions
+        (List.assoc (Printf.sprintf "transitions.k%d" run.k) finals))
+    r.Evaluate.runs
+
+(* Over an unwrapped session of two evaluates (as [evaluate tri tri]) the
+   recorded totals equal a recount of the retained words, each bus
+   carrying on from its last word of the first run: an unwrapped export
+   reads the counters a recount would give. *)
+let test_totals_equal_recount () =
+  with_collector ~capacity:200_000 @@ fun () ->
+  ignore (Evaluate.evaluate_workload (scaled "tri"));
+  ignore (Evaluate.evaluate_workload (scaled "tri"));
+  check_int "nothing dropped" 0 (Collector.dropped ());
+  let step (last, total) w =
+    ( Some w,
+      match last with
+      | Some p -> total + Bitutil.Popcount.count32 (p lxor w)
+      | None -> total )
+  in
+  let base = ref (None, 0) and images = ref [||] in
+  let fetches = ref 0 and buses = ref 0 and mismatches = ref 0 in
+  List.iter
+    (function
+      | Event.Fetch { word; transitions; _ } ->
+          incr fetches;
+          base := step !base word;
+          if snd !base <> transitions then incr mismatches
+      | Event.Bus { encoded; transitions; _ } ->
+          incr buses;
+          if !images = [||] then
+            images := Array.map (fun _ -> (None, 0)) encoded;
+          Array.iteri (fun i w -> !images.(i) <- step !images.(i) w) encoded;
+          if Array.map snd !images <> transitions then incr mismatches
+      | _ -> ())
+    (Collector.events ());
+  check_int "two runs of fetches" (2 * 7046) !fetches;
+  check_int "a Bus per fetch" !fetches !buses;
+  check_int "events whose totals differ from the recount" 0 !mismatches
 
 let test_vcd_empty_trace () =
   let dump = Vcd.to_string ~encoded_names:[ "k4"; "k5" ] [] in
@@ -538,6 +628,43 @@ let test_one_tick_per_fetch_cold_or_warm () =
   check_int "same event count" (List.length cold) (List.length warm);
   check_bool "same events, cold or warm" true (cold = warm)
 
+(* The trace sink reads the TT writes off the plans; they must be the ones
+   Reprogram.build makes: image by image the programmed slots, one event
+   per write.  The writes are the run's first events, so the ring holds
+   all of them (a Fetch, a Bus and at most one Block_entry per fetch). *)
+let test_tt_program_events () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      let program = (Workloads.compile w).Minic.Compile.program in
+      let name = w.Workloads.name in
+      let fetches = (Evaluate.evaluate ~ks:[ 4 ] ~name program).instructions in
+      let written =
+        with_collector ~capacity:((3 * fetches) + 4096) @@ fun () ->
+        ignore (Evaluate.evaluate ~name program);
+        check_int (name ^ ": nothing dropped") 0 (Collector.dropped ());
+        List.filter_map
+          (function Event.Tt_program { index; _ } -> Some index | _ -> None)
+          (Collector.events ())
+      in
+      let rest =
+        List.fold_left
+          (fun written (p : Evaluate.prepared) ->
+            let tt = (p.rebuild ()).Hardware.Reprogram.tt in
+            let n = Hardware.Tt.writes_performed tt in
+            (* written in placement order, listed in slot order *)
+            let mine =
+              List.sort compare (List.filteri (fun i _ -> i < n) written)
+            in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s k=%d: programmed slots" name p.prep_k)
+              (List.map fst (Hardware.Tt.programmed tt))
+              mine;
+            List.filteri (fun i _ -> i >= n) written)
+          written (Evaluate.prepare program)
+      in
+      check_int (name ^ ": no write beyond the systems'") 0 (List.length rest))
+    (Workloads.scaled @ Workloads.extended)
+
 let test_evaluate_without_collector_is_clean () =
   (* tracing off: no events accumulate anywhere, and results are identical *)
   Collector.clear ();
@@ -577,6 +704,10 @@ let () =
           Alcotest.test_case "document shape" `Quick test_perfetto_shape;
           Alcotest.test_case "downsampling boundaries" `Quick
             test_perfetto_downsampling_boundaries;
+          Alcotest.test_case "exact when the ring wraps" `Quick
+            test_perfetto_exact_when_wrapped;
+          Alcotest.test_case "totals equal the recount" `Quick
+            test_totals_equal_recount;
         ] );
       ( "speedscope",
         [
@@ -602,6 +733,8 @@ let () =
             test_evaluate_emits_events;
           Alcotest.test_case "one tick per fetch, cold or warm" `Quick
             test_one_tick_per_fetch_cold_or_warm;
+          Alcotest.test_case "TT writes match the built tables" `Quick
+            test_tt_program_events;
           Alcotest.test_case "clean when not recording" `Quick
             test_evaluate_without_collector_is_clean;
         ] );
