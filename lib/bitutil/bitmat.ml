@@ -123,12 +123,7 @@ let of_column_words ~width ~rows:n src =
 let column_transitions m =
   let counts = Array.make m.width 0 in
   for i = 0 to rows m - 2 do
-    let diff = ref (m.words.(i) lxor m.words.(i + 1)) in
-    while !diff <> 0 do
-      let b = Popcount.lsb_index !diff in
-      counts.(b) <- counts.(b) + 1;
-      diff := !diff land (!diff - 1)
-    done
+    Popcount.add_at_set_bits counts ~by:1 (m.words.(i) lxor m.words.(i + 1))
   done;
   counts
 

@@ -15,7 +15,15 @@ val count32 : int -> int
     non-negative. *)
 val count : int -> int
 
-(** [lsb_index x] is the index of the lowest set bit of [x].  [x] must be
-    non-zero; used to iterate over sparse bit sets via
-    [x land (x - 1)] stripping. *)
+(** [lsb_index x] is the index of the lowest set bit of [x], in constant
+    time (a de Bruijn multiply and a 32-entry lookup).  [x] must be
+    non-zero (raises [Invalid_argument] otherwise); used to iterate over
+    sparse bit sets via [x land (x - 1)] stripping. *)
 val lsb_index : int -> int
+
+(** [add_at_set_bits counts ~by x] adds [by] to [counts.(j)] for every set
+    bit [j] of [x], lowest first, so it costs one step per set bit;
+    [counts] must have an entry for each (bounds-checked).  The per-bit
+    counters of a bus ([x] a 32-bit toggle mask) and of a bit matrix's
+    columns are built with it. *)
+val add_at_set_bits : int array -> by:int -> int -> unit

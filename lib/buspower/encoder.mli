@@ -118,5 +118,7 @@ val codeword_transitions : codeword array -> int
 val data_transitions : codeword array -> int
 
 (** [stream_transitions b ~width words] = [codeword_transitions] of
-    [encode_stream] — the number every scheme is judged by. *)
+    [encode_stream] — the number every scheme is judged by.  Cost: it
+    builds that codeword array (via a list) and walks it twice, data
+    lines then aux lines. *)
 val stream_transitions : backend -> width:int -> int array -> int

@@ -43,15 +43,14 @@ let create ~labels ~block_starts ~block_of_pc =
     fetches = 0;
   }
 
-(* [count] occurrences of the step [prev] -> [cur] *)
+(* [count] occurrences of the step [prev] -> [cur]: the block gains [count]
+   per toggled line, and only the lines that toggle are visited *)
 let account ~count ~lines ~blocks ~blk ~prev ~cur =
-  let d = prev lxor cur in
+  let d = (prev lxor cur) land 0xffffffff in
   if d <> 0 then begin
-    for bit = 0 to 31 do
-      if (d lsr bit) land 1 = 1 then lines.(bit) <- lines.(bit) + count
-    done;
     if blk >= 0 && blk < Array.length blocks then
-      blocks.(blk) <- blocks.(blk) + (count * Bitutil.Popcount.count32 d)
+      blocks.(blk) <- blocks.(blk) + (count * Bitutil.Popcount.count32 d);
+    Bitutil.Popcount.add_at_set_bits lines ~by:count d
   end
 
 let record (t : t) ~pc ~baseline ~encoded =
@@ -63,14 +62,14 @@ let record (t : t) ~pc ~baseline ~encoded =
       ~prev:t.prev_base ~cur:baseline;
   t.prev_base <- baseline;
   t.primed <- true;
-  Array.iteri
-    (fun i w ->
-      if t.enc_primed.(i) then
-        account ~count:1 ~lines:t.line_encoded.(i)
-          ~blocks:t.block_encoded.(i) ~blk ~prev:t.prev_enc.(i) ~cur:w;
-      t.prev_enc.(i) <- w;
-      t.enc_primed.(i) <- true)
-    encoded;
+  for i = 0 to Array.length encoded - 1 do
+    let w = encoded.(i) in
+    if t.enc_primed.(i) then
+      account ~count:1 ~lines:t.line_encoded.(i) ~blocks:t.block_encoded.(i)
+        ~blk ~prev:t.prev_enc.(i) ~cur:w;
+    t.prev_enc.(i) <- w;
+    t.enc_primed.(i) <- true
+  done;
   t.fetches <- t.fetches + 1
 
 let record_pairs (t : t) ~first_pc ~pairs ~baseline ~encoded =

@@ -11,7 +11,11 @@
     Transition convention matches [Buspower]: the first fetch primes the
     previous-word registers and counts nothing; thereafter each fetch adds
     [popcount (prev lxor cur)], attributed per set bit to that bus line and
-    in aggregate to the basic block of the {e destination} pc. *)
+    in aggregate to the basic block of the {e destination} pc.
+
+    Cost: each accounted step (a fetch, or a pc pair times its count)
+    touches one line counter per toggled bit, visited lowest first, plus
+    one block counter; steps between equal words cost a compare. *)
 
 type t
 

@@ -190,6 +190,55 @@ let prop_table_popcounts_vs_shift_loop =
       && Bitutil.Popcount.count32 y = ones (y land 0xffffffff) 0
       && Bitutil.Popcount.count16 y = ones (y land 0xffff) 0)
 
+(* The lowest set bit against the count of the ones below it, the
+   definition [lsb_index] used to compute; [x lsl s] moves the lowest set
+   bit across the whole word.  [add_at_set_bits] against a loop over all
+   63 bits. *)
+let lsb_reference x = Bitutil.Popcount.count ((x land -x) - 1)
+
+let set_bits_reference counts ~by x =
+  for j = 0 to 62 do
+    if (x lsr j) land 1 = 1 then counts.(j) <- counts.(j) + by
+  done
+
+let test_lsb_index_examples () =
+  let open Bitutil.Popcount in
+  for j = 0 to 62 do
+    let x = 1 lsl j in
+    check_int (Printf.sprintf "lsb_index 2^%d" j) j (lsb_index x);
+    check_int (Printf.sprintf "reference 2^%d" j) j (lsb_reference x)
+  done;
+  check_int "lsb_index max_int" (lsb_reference max_int) (lsb_index max_int);
+  check_int "lsb_index min_int" (lsb_reference min_int) (lsb_index min_int);
+  check_int "lsb_index -1 lsl 31" 31 (lsb_index (-1 lsl 31));
+  Alcotest.check_raises "lsb_index 0"
+    (Invalid_argument "Popcount.lsb_index: zero") (fun () ->
+      ignore (lsb_index 0))
+
+let test_add_at_set_bits_examples () =
+  List.iter
+    (fun x ->
+      let got = Array.make 63 0 and want = Array.make 63 0 in
+      Bitutil.Popcount.add_at_set_bits got ~by:3 x;
+      set_bits_reference want ~by:3 x;
+      Alcotest.(check (array int))
+        (Printf.sprintf "add_at_set_bits %x" x)
+        want got)
+    [ 0; 1; 1 lsl 31; 1 lsl 32; 0xffffffff; max_int; min_int; -1 ];
+  Alcotest.check_raises "a bit past the counters"
+    (Invalid_argument "index out of bounds") (fun () ->
+      Bitutil.Popcount.add_at_set_bits (Array.make 32 0) ~by:1 (1 lsl 32))
+
+let prop_lsb_index_vs_reference =
+  QCheck.Test.make ~name:"lsb_index, set bits = reference" ~count:1000
+    QCheck.(triple int (int_bound 62) small_nat)
+    (fun (x, s, by) ->
+      let y = x lsl s in
+      let got = Array.make 63 0 and want = Array.make 63 0 in
+      Bitutil.Popcount.add_at_set_bits got ~by y;
+      set_bits_reference want ~by y;
+      got = want && (y = 0 || Bitutil.Popcount.lsb_index y = lsb_reference y))
+
 let prop_hamming_vs_reference =
   QCheck.Test.make ~name:"word-level hamming = per-bit reference" ~count:300
     QCheck.(pair (bits_gen 125) (bits_gen 125))
@@ -336,6 +385,12 @@ let () =
           Alcotest.test_case "transitions" `Quick test_bitmat_transitions;
           Alcotest.test_case "width check" `Quick test_bitmat_width_check;
         ] );
+      ( "popcount",
+        [
+          Alcotest.test_case "lsb_index" `Quick test_lsb_index_examples;
+          Alcotest.test_case "add_at_set_bits" `Quick
+            test_add_at_set_bits_examples;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -346,6 +401,7 @@ let () =
             prop_transitions_vs_reference;
             prop_popcount_vs_reference;
             prop_table_popcounts_vs_shift_loop;
+            prop_lsb_index_vs_reference;
             prop_hamming_vs_reference;
             prop_map2_vs_reference;
             prop_builder_vs_set;

@@ -270,6 +270,32 @@ module Conformance (B : Buspower.Encoder.S) = struct
           whole stepped)
       widths
 
+  (* [stream_transitions] against [codeword_transitions] of the encoded
+     array, on the streams that priming and the flush tail decide alone:
+     0, 1 and 2 words (a buffering backend such as TT emits all of these
+     from [flush]).  A count that sums codewords as the encoder emits
+     them must keep this contract. *)
+  let test_short_stream_transitions () =
+    List.iter
+      (fun width ->
+        let mask = Width.mask width in
+        List.iter
+          (fun words ->
+            check_int
+              (Printf.sprintf "%s w=%d %d-word stream_transitions" B.scheme
+                 width (Array.length words))
+              (Encoder.codeword_transitions
+                 (Encoder.encode_stream backend ~width words))
+              (Encoder.stream_transitions backend ~width words))
+          [
+            [||];
+            [| mask |];
+            [| 0; mask |];
+            [| mask; mask |];
+            xorshift_stream (41 + width) 2 mask;
+          ])
+      widths
+
   (* The static cost descriptor must be consistent with behaviour. *)
   let test_cost_descriptor () =
     List.iter
@@ -365,6 +391,7 @@ module Conformance (B : Buspower.Encoder.S) = struct
       Alcotest.test_case "reset / flush-reuse laws" `Quick test_reset_laws;
       Alcotest.test_case "ledger-cost conservation" `Quick
         test_cost_conservation;
+      Alcotest.test_case "short streams" `Quick test_short_stream_transitions;
       Alcotest.test_case "cost descriptor" `Quick test_cost_descriptor;
       Alcotest.test_case "count-oracle agreement" `Quick test_count_oracle;
       Alcotest.test_case "sequential vs parallel" `Quick

@@ -548,6 +548,112 @@ let test_attribution_pairs_equal_stream () =
       Attribution.record_pairs replayed ~first_pc:0 ~pairs:(fun _ -> ())
         ~baseline ~encoded)
 
+(* An oracle that shares no code with [Attribution]: each step walks all 32
+   bus lines, and a block gains one count per toggled line.  Ten pcs in
+   four blocks, pc 8 outside every block; each pc drives one word per
+   image, drawn so that bits above 31 and equal words both occur. *)
+let attribution_pcs = 10
+let attribution_block_starts = [| 0; 3; 6; 9 |]
+let attribution_block_of_pc pc = if pc = 8 then -1 else pc / 3
+let attribution_labels = [| "a"; "b" |]
+
+let reference_summary ~fetches ~baseline ~encoded steps =
+  let n = Array.length attribution_labels in
+  let nb = Array.length attribution_block_starts in
+  let line_baseline = Array.make 32 0 in
+  let line_encoded = Array.init n (fun _ -> Array.make 32 0) in
+  let block_baseline = Array.make nb 0 in
+  let block_encoded = Array.init n (fun _ -> Array.make nb 0) in
+  let step lines blocks (src, dst, count) words =
+    let blk = attribution_block_of_pc dst in
+    for bit = 0 to 31 do
+      if ((words.(src) lxor words.(dst)) lsr bit) land 1 = 1 then begin
+        lines.(bit) <- lines.(bit) + count;
+        if blk >= 0 then blocks.(blk) <- blocks.(blk) + count
+      end
+    done
+  in
+  List.iter
+    (fun s ->
+      step line_baseline block_baseline s baseline;
+      Array.iteri
+        (fun i image -> step line_encoded.(i) block_encoded.(i) s image)
+        encoded)
+    steps;
+  let sum = Array.fold_left ( + ) 0 in
+  {
+    Attribution.labels = attribution_labels;
+    fetches;
+    line_baseline;
+    line_encoded;
+    total_baseline = sum line_baseline;
+    total_encoded = Array.map sum line_encoded;
+    block_starts = attribution_block_starts;
+    block_baseline;
+    block_encoded;
+  }
+
+let attribution_case =
+  let open QCheck.Gen in
+  let word =
+    oneof
+      [
+        int;
+        map (fun w -> w land 0xffffffff) int;
+        oneofl [ 0; 1; 0xffffffff; 1 lsl 32; 1 lsl 31; min_int; max_int; -1 ];
+      ]
+  in
+  let pc = int_bound (attribution_pcs - 1) in
+  let words = array_size (return attribution_pcs) word in
+  let gen =
+    quad words
+      (array_size (return (Array.length attribution_labels)) words)
+      (list_size (0 -- 30) (triple pc pc (1 -- 1000)))
+      (list_size (0 -- 40) pc)
+  in
+  QCheck.make gen ~print:(fun (_, _, pairs, stream) ->
+      Printf.sprintf "pairs [%s] stream [%s]"
+        (String.concat "; "
+           (List.map
+              (fun (s, d, c) -> Printf.sprintf "%d->%d x%d" s d c)
+              pairs))
+        (String.concat "; " (List.map string_of_int stream)))
+
+let prop_attribution_vs_reference =
+  QCheck.Test.make ~name:"equals a 32-line oracle" ~count:300
+    attribution_case (fun (baseline, encoded, pairs, stream) ->
+      let create () =
+        Attribution.create ~labels:attribution_labels
+          ~block_starts:attribution_block_starts
+          ~block_of_pc:attribution_block_of_pc
+      in
+      let replayed = create () in
+      let first_pc = match pairs with (src, _, _) :: _ -> src | [] -> -1 in
+      Attribution.record_pairs replayed ~first_pc
+        ~pairs:(fun f ->
+          List.iter (fun (src, dst, count) -> f ~src ~dst ~count) pairs)
+        ~baseline ~encoded;
+      let live = create () in
+      List.iter
+        (fun pc ->
+          Attribution.record live ~pc ~baseline:baseline.(pc)
+            ~encoded:(Array.map (fun image -> image.(pc)) encoded))
+        stream;
+      let rec steps = function
+        | src :: (dst :: _ as rest) -> (src, dst, 1) :: steps rest
+        | _ -> []
+      in
+      let pair_fetches =
+        List.fold_left (fun n (_, _, c) -> n + c)
+          (Bool.to_int (first_pc >= 0))
+          pairs
+      in
+      Attribution.summarize replayed
+      = reference_summary ~fetches:pair_fetches ~baseline ~encoded pairs
+      && Attribution.summarize live
+         = reference_summary ~fetches:(List.length stream) ~baseline ~encoded
+             (steps stream))
+
 (* ---- evaluate emits trace events ---------------------------------------- *)
 
 let test_evaluate_emits_events () =
@@ -726,6 +832,7 @@ let () =
           Alcotest.test_case "json embeds" `Quick test_attribution_json_embeds;
           Alcotest.test_case "pairs equal the stream" `Quick
             test_attribution_pairs_equal_stream;
+          QCheck_alcotest.to_alcotest prop_attribution_vs_reference;
         ] );
       ( "evaluate",
         [
