@@ -87,39 +87,81 @@ let resolve_model name sets =
                   | Some v -> Ledger.Model.override m field v)))
         (Ok model) sets
 
+(* ---- output files ---------------------------------------------------------- *)
+
+exception Output_error of string
+
+(* Every file the CLI writes goes through here.  [write_file path text]
+   replaces PATH's contents with [text]; [~append] adds to them instead;
+   [~atomic] writes a temporary file beside PATH and renames it over PATH,
+   so a reader sees the old contents or the new, never half.  A failure
+   raises [Output_error "PATH: reason"]. *)
+let write_file ?(append = false) ?(atomic = false) path text =
+  let target =
+    if atomic then Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) else path
+  in
+  let mode = if append then Open_append else Open_trunc in
+  try
+    let oc = open_out_gen [ Open_wronly; Open_creat; mode ] 0o644 target in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+        output_string oc text;
+        close_out oc);
+    if atomic then Sys.rename target path
+  with Sys_error msg ->
+    if atomic && Sys.file_exists target then Sys.remove target;
+    (* the reason follows the last colon (a failed open names the file) *)
+    let reason = List.hd (List.rev (String.split_on_char ':' msg)) in
+    raise (Output_error (path ^ ": " ^ String.trim reason))
+
+(* [with_outputs paths f] checks that each output path can be written
+   before the run, and turns a write that fails during it into a CLI
+   error (exit 124) instead of an uncaught exception. *)
+let with_outputs paths f =
+  let unwritable path =
+    let exists = Sys.file_exists path in
+    match
+      if exists && Sys.is_directory path then
+        raise (Unix.Unix_error (Unix.EISDIR, "", path));
+      Unix.access (if exists then path else Filename.dirname path) [ Unix.W_OK ]
+    with
+    | () -> None
+    | exception Unix.Unix_error (err, _, _) ->
+        Some (path ^ ": " ^ Unix.error_message err)
+  in
+  match List.find_map unwritable (List.filter_map Fun.id paths) with
+  | Some msg -> `Error (false, msg)
+  | None -> (
+      try f ()
+      with Output_error msg | Fun.Finally_raised (Output_error msg) ->
+        `Error (false, msg))
+
 (* ---- tracing helpers ------------------------------------------------------- *)
 
-let write_text_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
 (* Metrics collection on for [f]'s window, then back to what it was.
-   Spans only reach the trace collector and log lines only carry span
-   paths while collection is on. *)
+   Spans and the span paths of log lines record only while it is on. *)
 let with_metrics f =
   let had_stats = Telemetry.Metrics.enabled () in
   Telemetry.Metrics.set_enabled true;
   Fun.protect f ~finally:(fun () ->
       if not had_stats then Telemetry.Metrics.set_enabled false)
 
-(* One collector session: record [f]'s window, hand the events to [export]
-   (even when [f] raises), warn if the ring wrapped, and clear.  Progress
-   goes to stderr so stdout stays machine-readable. *)
+(* One collector session: record [f]'s window, hand its fetch-path events
+   and the spans that closed in it to [export] (even when [f] raises),
+   warn if the ring wrapped, and clear.  Progress goes to stderr so stdout
+   stays machine-readable. *)
 let with_collector ?(capacity = Trace.Collector.default_capacity) ~export f =
   Trace.Collector.start ~capacity ();
-  Fun.protect
-    ~finally:(fun () ->
+  with_metrics @@ fun () ->
+  Telemetry.Metrics.with_spans f ~export:(fun spans ->
       Trace.Collector.stop ();
-      export (Trace.Collector.events ());
+      export (Trace.Collector.events ()) spans;
       let dropped = Trace.Collector.dropped () in
       if dropped > 0 then
         Format.eprintf
-          "trace: ring wrapped, %d oldest events dropped; the VCD keeps the \
-           last %d events (trace --capacity raises it)@."
+          "trace: ring wrapped, %d oldest events dropped; the export keeps \
+           the last %d fetch-path events (trace --capacity raises it)@."
           dropped capacity;
       Trace.Collector.clear ())
-    (fun () -> with_metrics f)
 
 (* Record [f]'s window and export it to [trace_out] by suffix: .vcd -> VCD,
    anything else -> Chrome trace-event JSON. *)
@@ -127,11 +169,11 @@ let with_trace trace_out ~encoded_names f =
   match trace_out with
   | None -> f ()
   | Some path ->
-      let export events =
-        write_text_file path
+      let export events spans =
+        write_file path
           (if Filename.check_suffix path ".vcd" then
              Trace.Vcd.to_string ~encoded_names events
-           else Trace.Perfetto.to_string ~encoded_names events);
+           else Trace.Perfetto.to_string ~encoded_names ~spans events);
         Format.eprintf "trace: wrote %s@." path
       in
       with_collector ~export f
@@ -178,30 +220,21 @@ let series_interval_arg =
         ~doc:"Sampling interval for --series, in milliseconds (default 50).")
 
 (* Append-sink sampler over [f]'s window.  The sink runs on the sampler
-   domain, so writes are serialized through a mutex and flushed per line —
-   a tail -f on the series file sees whole JSON objects. *)
+   domain and appends one whole line per sample, so a tail -f on the
+   series file sees whole JSON objects. *)
 let with_series series ~interval_ms f =
   match series with
   | None -> f ()
   | Some path ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      let mutex = Mutex.create () in
-      let sink line =
-        Mutex.lock mutex;
-        output_string oc line;
-        output_char oc '\n';
-        flush oc;
-        Mutex.unlock mutex
-      in
       let sampler =
         Telemetry.Sampler.start
           ~interval_s:(float_of_int (max 1 interval_ms) /. 1000.)
-          ~sink ()
+          ~sink:(fun line -> write_file ~append:true path (line ^ "\n"))
+          ()
       in
       Fun.protect
         ~finally:(fun () ->
           Telemetry.Sampler.stop sampler;
-          close_out oc;
           Format.eprintf "metrics: series appended to %s@." path)
         f
 
@@ -230,13 +263,9 @@ let with_event_log ~log_out f =
         ~finally:(fun () ->
           if not had_log then Telemetry.Log.set_enabled false;
           let events = Telemetry.Log.events () in
-          let oc = open_out path in
-          List.iter
-            (fun e ->
-              output_string oc (Telemetry.Log.to_json e);
-              output_char oc '\n')
-            events;
-          close_out oc;
+          write_file path
+            (String.concat ""
+               (List.map (fun e -> Telemetry.Log.to_json e ^ "\n") events));
           Format.eprintf "log: wrote %s (%d events, run %s)@." path
             (List.length events) (Telemetry.Log.run_id ()))
         (fun () -> with_metrics f)
@@ -252,7 +281,7 @@ let with_live_metrics ~metrics_out ~series ~interval_ms f =
         match metrics_out with
         | None -> ()
         | Some path ->
-            write_text_file path
+            write_file path
               (Telemetry.Openmetrics.to_string (Telemetry.Metrics.freeze ()));
             Format.eprintf "metrics: wrote %s@." path)
       (fun () -> with_series series ~interval_ms f)
@@ -265,8 +294,10 @@ let man_observability =
        timing spans) and prints the report to stderr.  $(b,--trace-out) \
        $(i,FILE) records the structured fetch-path event trace and exports \
        it as a VCD waveform dump ($(i,.vcd) suffix) or Chrome trace-event \
-       JSON (any other suffix).  The $(b,trace) subcommand adds the \
-       per-bitline transition attribution tables.";
+       JSON (any other suffix), which adds the run's timing spans.  The \
+       event ring bounds fetch-path events only; spans are kept by the \
+       metrics store, so a wrapped ring drops none.  The $(b,trace) \
+       subcommand adds the per-bitline transition attribution tables.";
     `P
       "Live metrics: $(b,--metrics-out) $(i,FILE) writes the final \
        snapshot in OpenMetrics/Prometheus text format ($(b,powercode \
@@ -335,12 +366,7 @@ let subset_cmd =
 
 (* ---- file helpers ------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Bad input of either language is an [Error] with a readable message. *)
 let load_program path =
@@ -378,6 +404,7 @@ let run_errors f =
 
 let encode path k subset_mask firmware_out stats =
   with_stats stats @@ fun () ->
+  with_outputs [ firmware_out ] @@ fun () ->
   run_errors @@ fun () ->
   match load_program path with
   | Error msg -> `Error (false, msg)
@@ -394,10 +421,8 @@ let encode path k subset_mask firmware_out stats =
           let prepared =
             List.hd (Pipeline.Evaluate.prepare ~ks:[ k ] ~subset_mask program)
           in
-          let oc = open_out out in
-          output_string oc
+          write_file out
             (Hardware.Firmware.to_string (prepared.Pipeline.Evaluate.rebuild ()));
-          close_out oc;
           Format.printf "firmware bundle written to %s@." out);
       `Ok ()
 
@@ -452,6 +477,7 @@ let restore_cmd =
 
 let simulate path max_instructions trace_out stats =
   with_stats stats @@ fun () ->
+  with_outputs [ trace_out ] @@ fun () ->
   run_errors @@ fun () ->
   match load_program path with
   | Error msg -> `Error (false, msg)
@@ -505,6 +531,7 @@ let resolve_benchmarks set names =
 let evaluate names scaled verify trace_out csv energy sets stats scheme_name
     metrics_out series series_interval log_out =
   with_stats stats @@ fun () ->
+  with_outputs [ trace_out; metrics_out; series; log_out ] @@ fun () ->
   with_live_metrics ~metrics_out ~series ~interval_ms:series_interval
   @@ fun () ->
   with_event_log ~log_out @@ fun () ->
@@ -616,6 +643,7 @@ let paper_bench_names = [ "mmul"; "sor"; "ej"; "fft"; "tri"; "lu" ]
 
 let report names scaled format out energy sets stats scheme_name =
   with_stats stats @@ fun () ->
+  with_outputs [ out ] @@ fun () ->
   let names = if names = [] then paper_bench_names else names in
   match
     (resolve_model energy sets, Pipeline.Scheme.of_string scheme_name)
@@ -660,7 +688,7 @@ let report names scaled format out energy sets stats scheme_name =
           (match out with
           | None -> print_string doc
           | Some path ->
-              write_text_file path doc;
+              write_file path doc;
               Format.eprintf "report: wrote %s@." path);
           `Ok ())
 
@@ -729,17 +757,18 @@ let report_cmd =
 
 let trace name scaled verify vcd_out perfetto_out capacity stats =
   with_stats stats @@ fun () ->
+  with_outputs [ vcd_out; perfetto_out ] @@ fun () ->
   match resolve_benchmarks (workload_set scaled) [ name ] with
   | Error msg -> `Error (false, msg)
   | Ok [ w ] | Ok (w :: _) ->
-      let export evs =
+      let export evs spans =
         let write render path =
-          write_text_file path (render evs);
+          write_file path (render evs);
           Format.eprintf "trace: wrote %s@." path
         in
         let encoded_names = default_encoded_names in
         Option.iter (write (Trace.Vcd.to_string ~encoded_names)) vcd_out;
-        Option.iter (write (Trace.Perfetto.to_string ~encoded_names))
+        Option.iter (write (Trace.Perfetto.to_string ~encoded_names ~spans))
           perfetto_out
       in
       with_collector ~capacity ~export @@ fun () ->
@@ -782,8 +811,9 @@ let trace_cmd =
       & opt int Trace.Collector.default_capacity
       & info [ "capacity" ] ~docv:"N"
           ~doc:
-            "Event ring capacity; a long run keeps its last $(docv) events \
-             (exports are the suffix window; attribution is always exact).")
+            "Fetch-path event ring capacity; a long run keeps its last \
+             $(docv) of them (exports are the suffix window; attribution \
+             and spans are always whole).")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -798,17 +828,19 @@ let trace_cmd =
 (* ---- profile ------------------------------------------------------------------- *)
 
 let profile name scaled out =
+  with_outputs [ Some out ] @@ fun () ->
   match resolve_benchmarks (workload_set scaled) [ name ] with
   | Error msg -> `Error (false, msg)
   | Ok [] -> assert false
   | Ok (w :: _) ->
-      let export events =
-        write_text_file out
-          (Trace.Speedscope.to_string ~name:w.Workloads.name events);
+      let export spans =
+        write_file out
+          (Trace.Speedscope.to_string ~name:w.Workloads.name spans);
         Format.eprintf "profile: wrote %s@." out
       in
       let window =
-        with_collector ~export @@ fun () ->
+        with_metrics @@ fun () ->
+        Telemetry.Metrics.with_spans ~export @@ fun () ->
         let before = Telemetry.Metrics.freeze () in
         ignore (Pipeline.Evaluate.evaluate_workload w);
         Telemetry.Metrics.diff ~before ~after:(Telemetry.Metrics.freeze ())
@@ -873,6 +905,7 @@ let stats_serve names scaled watch interval_ms out series series_interval =
     match resolve_benchmarks (workload_set scaled) names with
     | Error msg -> `Error (false, msg)
     | Ok ws ->
+        with_outputs [ out; series ] @@ fun () ->
         with_metrics @@ fun () ->
         with_series series ~interval_ms:series_interval @@ fun () ->
         for round = 1 to watch do
@@ -885,7 +918,7 @@ let stats_serve names scaled watch interval_ms out series series_interval =
           (match out with
           | None -> print_string text
           | Some path ->
-              write_text_file path text;
+              write_file ~atomic:true path text;
               Format.eprintf "stats: refreshed %s (round %d/%d)@." path round
                 watch);
           if round < watch then
@@ -973,6 +1006,7 @@ let all_bench_names = paper_bench_names @ [ "fir"; "iir"; "dct" ]
 
 let fault seed injections ks names format out stats =
   with_stats stats @@ fun () ->
+  with_outputs [ out ] @@ fun () ->
   if injections < 0 then `Error (false, "--injections must be non-negative")
   else if List.exists (fun k -> k < 2 || k > 10) ks then
     `Error (false, "--ks values must be in 2..10")
@@ -993,7 +1027,7 @@ let fault seed injections ks names format out stats =
         (match out with
         | None -> print_string doc
         | Some path ->
-            write_text_file path doc;
+            write_file path doc;
             Format.eprintf "fault: wrote %s@." path);
         `Ok ()
   end
@@ -1080,10 +1114,6 @@ let logs path min_level event_prefix span_prefix tail =
   match min_rank with
   | Error msg -> `Error (false, msg)
   | Ok min_rank ->
-      let starts_with ~prefix s =
-        String.length s >= String.length prefix
-        && String.sub s 0 (String.length prefix) = prefix
-      in
       let ic = open_in path in
       let keep = ref [] and bad = ref 0 and total = ref 0 in
       (try
@@ -1098,13 +1128,13 @@ let logs path min_level event_prefix span_prefix tail =
                    Telemetry.Log.level_rank e.Telemetry.Log.level >= min_rank
                    && (match event_prefix with
                       | None -> true
-                      | Some p -> starts_with ~prefix:p e.Telemetry.Log.event)
+                      | Some p -> String.starts_with ~prefix:p e.Telemetry.Log.event)
                    &&
                    match span_prefix with
                    | None -> true
                    | Some p -> (
                        match e.Telemetry.Log.span with
-                       | Some s -> starts_with ~prefix:p s
+                       | Some s -> String.starts_with ~prefix:p s
                        | None -> false)
                  in
                  if matches then keep := line :: !keep

@@ -43,16 +43,6 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-let min_level_rank = Atomic.make 0
-let set_level l = Atomic.set min_level_rank (level_rank l)
-
-let min_level () =
-  match Atomic.get min_level_rank with
-  | 0 -> Debug
-  | 1 -> Info
-  | 2 -> Warn
-  | _ -> Error
-
 let shard_count = 16
 let shard_index () = (Domain.self () :> int) land (shard_count - 1)
 let default_capacity = 8192
@@ -131,10 +121,7 @@ let set_run_id id =
 (* ---- emission --------------------------------------------------------- *)
 
 let emit ?(stability = Metrics.Stable) level slug fields =
-  if
-    Atomic.get enabled_flag
-    && level_rank level >= Atomic.get min_level_rank
-  then begin
+  if Atomic.get enabled_flag then begin
     let t_ns = Metrics.now_ns () and span = Metrics.current_span_path () in
     let s = shards.(shard_index ()) in
     with_shard s (fun () ->

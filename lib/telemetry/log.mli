@@ -23,9 +23,8 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
-
-(** [level_of_name s] inverts {!level_name}; [None] for unknown names. *)
+(** [level_of_name s] is the level serialized as [s] (["debug"],
+    ["info"], ["warn"] or ["error"]); [None] for unknown names. *)
 val level_of_name : string -> level option
 
 (** [level_rank l] orders levels by severity: [Debug] is 0, [Error] 3. *)
@@ -53,12 +52,6 @@ type event = {
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-(** Minimum severity retained; events below it are dropped at emission.
-    Default [Debug] (keep everything). *)
-val set_level : level -> unit
-
-val min_level : unit -> level
-
 (** The run-scoped correlation id every serialized line carries.
     Initialised once per process from the pid and the clock; {!set_run_id}
     pins it (tests, or a caller threading an external request id). *)
@@ -67,7 +60,8 @@ val run_id : unit -> string
 val set_run_id : string -> unit
 
 (** [emit ?stability lvl slug fields] records one event (default
-    stability [Stable]).  No-op while disabled or below {!min_level}. *)
+    stability [Stable]).  No-op while disabled.  Every level is kept;
+    readers filter ([powercode logs --level]). *)
 val emit :
   ?stability:Metrics.stability ->
   level ->

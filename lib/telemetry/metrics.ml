@@ -175,15 +175,6 @@ let log2_bucket v =
 let span_table : (string, span_stat) Hashtbl.t = Hashtbl.create 32
 let span_mutex = Mutex.create ()
 
-(* Optional per-exit observer (the trace collector's Perfetto bridge).
-   Called outside the span mutex, from whichever domain ran the span, and
-   only while collection is enabled. *)
-let span_hook :
-    (path:string -> start_ns:float -> stop_ns:float -> unit) option Atomic.t =
-  Atomic.make None
-
-let set_span_hook h = Atomic.set span_hook h
-
 (* Each domain tracks its open-span path; the stack stores full paths so
    entering a child is one concatenation. *)
 let stack_key : string list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
@@ -197,7 +188,15 @@ let now_ns () = Unix.gettimeofday () *. 1e9
 let current_span_path () =
   match Domain.DLS.get stack_key with [] -> None | path :: _ -> Some path
 
-let record_span path elapsed =
+type span_interval =
+  { path : string; tid : int; start_ns : float; stop_ns : float }
+
+(* The intervals closed inside the open [with_spans] window, newest
+   first, or [None] outside any window.  Guarded by [span_mutex]. *)
+let window : span_interval list option ref = ref None
+
+let record_span path start_ns stop_ns =
+  let elapsed = stop_ns -. start_ns in
   Mutex.lock span_mutex;
   (match Hashtbl.find_opt span_table path with
   | Some st ->
@@ -207,6 +206,11 @@ let record_span path elapsed =
   | None ->
       Hashtbl.add span_table path
         { st_count = 1; st_total_ns = elapsed; st_max_ns = elapsed });
+  (match !window with
+  | Some l ->
+      let tid = (Domain.self () :> int) in
+      window := Some ({ path; tid; start_ns; stop_ns } :: l)
+  | None -> ());
   Mutex.unlock span_mutex
 
 let with_span sp f =
@@ -222,14 +226,23 @@ let with_span sp f =
     let t0 = now_ns () in
     Fun.protect
       ~finally:(fun () ->
-        let elapsed = Float.max 0.0 (now_ns () -. t0) in
+        let t1 = Float.max t0 (now_ns ()) in
         Domain.DLS.set stack_key stack;
-        record_span path elapsed;
-        match Atomic.get span_hook with
-        | Some hook -> hook ~path ~start_ns:t0 ~stop_ns:(t0 +. elapsed)
-        | None -> ())
+        record_span path t0 t1)
       f
   end
+
+let swap_window w =
+  Mutex.lock span_mutex;
+  let old = !window in
+  window := w;
+  Mutex.unlock span_mutex;
+  old
+
+let with_spans ~export f =
+  ignore (swap_window (Some []));
+  Fun.protect f ~finally:(fun () ->
+      export (List.rev (Option.value (swap_window None) ~default:[])))
 
 (* ---- freeze / reset -------------------------------------------------- *)
 

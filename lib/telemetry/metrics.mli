@@ -112,7 +112,8 @@ val gauge_slots : gauge -> int
     Spans nest: each domain keeps a stack, and a span's recorded key is its
     full path ([parent/child]), so the report shows where time went inside
     what.  Stats (count, total, max) accumulate per path under a mutex —
-    span exits are rare next to counter bumps, so the lock is not hot. *)
+    span exits are rare next to counter bumps, so the lock is not hot.
+    Inside a {!with_spans} window each exit also keeps its interval. *)
 
 type span
 
@@ -121,6 +122,17 @@ val span : doc:string -> string -> span
 (** [with_span sp f] runs [f] inside [sp].  When disabled it is exactly
     [f ()].  The span records even when [f] raises. *)
 val with_span : span -> (unit -> 'a) -> 'a
+
+(** One closed span: its full path, the recording domain and its
+    wall-clock endpoints ({!now_ns}). *)
+type span_interval =
+  { path : string; tid : int; start_ns : float; stop_ns : float }
+
+(** [with_spans ~export f] runs [f] and hands [export] every span that
+    closed during it, on any domain, in closing order, even when [f]
+    raises.  Spans record only while collection is {!enabled}.  Windows
+    do not nest. *)
+val with_spans : export:(span_interval list -> unit) -> (unit -> 'a) -> 'a
 
 (** [now_ns ()] is the clock spans use, exposed for instrumentation that
     must time non-lexical extents (e.g. pool idle waits). *)
@@ -162,16 +174,6 @@ val reset : unit -> unit
     not recoverable per window).  Gauges are levels, not flows, so the
     window keeps [after]'s readings verbatim. *)
 val diff : before:frozen -> after:frozen -> frozen
-
-(** {1 Span hook}
-
-    [set_span_hook (Some f)] invokes [f ~path ~start_ns ~stop_ns] at every
-    span exit (after the aggregate is recorded, from the recording domain,
-    only while collection is enabled).  The trace collector uses this to
-    turn aggregate-only spans into individual intervals for the Perfetto
-    exporter.  [set_span_hook None] unhooks. *)
-val set_span_hook :
-  (path:string -> start_ns:float -> stop_ns:float -> unit) option -> unit
 
 (** [registered ()] lists every registered metric as
     [(name, kind, stability, doc)], sorted by name — the schema surface the

@@ -5,9 +5,8 @@ let enabled () = Atomic.get enabled_flag
 
 let default_capacity = 65536
 
-(* One mutex covers the ring and the fetch clock: fetch events are emitted
-   by the single simulating domain, span events by pool workers; recording
-   is opt-in, so the lock is never on a default-configuration hot path. *)
+(* One mutex covers the ring and the fetch clock; recording is opt-in, so
+   the lock is never on a default-configuration hot path. *)
 let mutex = Mutex.create ()
 let dummy = Event.Tt_program { time = 0; index = -1 }
 let ring : Event.t Ring.t option ref = ref None
@@ -58,22 +57,14 @@ let start ?(capacity = default_capacity) () =
   locked (fun () ->
       ring := Some (Ring.create ~capacity ~dummy);
       fetch_count := 0;
-      Hashtbl.reset buses);
-  Telemetry.Metrics.set_span_hook
-    (Some
-       (fun ~path ~start_ns ~stop_ns ->
-         emit
-           (Event.Span
-              { path; tid = (Domain.self () :> int); start_ns; stop_ns })));
-  Atomic.set enabled_flag true
+      Hashtbl.reset buses;
+      Atomic.set enabled_flag true)
 
-let stop () =
-  Atomic.set enabled_flag false;
-  Telemetry.Metrics.set_span_hook None
+let stop () = Atomic.set enabled_flag false
 
 let clear () =
-  stop ();
   locked (fun () ->
+      stop ();
       ring := None;
       fetch_count := 0)
 

@@ -7,16 +7,14 @@
     runs.  The clock is ticked only by the run being exported:
     [Pipeline.Evaluate]'s live run, or [simulate]'s fetch hook.  {!start}
     installs a fresh pre-sized ring (events beyond its capacity displace
-    the oldest, so a long run exports its suffix window) and bridges
-    {!Telemetry.Metrics} span exits into [Span] events for the Perfetto
-    exporter; {!stop} disables recording but keeps the buffer for export.
-    The session keeps each bus's running transition count and stamps it
-    on every [Fetch] and [Bus] event, so totals stay exact when the ring
+    the oldest, so a long run exports its suffix window); {!stop} disables
+    recording but keeps the buffer for export.  The ring holds fetch-path
+    events only (spans stay in {!Telemetry.Metrics.with_spans}).  The
+    session keeps each bus's running transition count and stamps it on
+    every [Fetch] and [Bus] event, so totals stay exact when the ring
     wraps.
 
-    Recording is domain-safe: pushes serialise on one mutex.  Span events
-    arrive from pool worker domains; everything else is emitted by the
-    simulating domain. *)
+    Recording is domain-safe: pushes serialise on one mutex. *)
 
 val enabled : unit -> bool
 
@@ -24,12 +22,10 @@ val enabled : unit -> bool
 val default_capacity : int
 
 (** [start ?capacity ()] resets the fetch clock and the running bus
-    totals, installs a fresh ring and the telemetry span hook, and enables
-    recording. *)
+    totals, installs a fresh ring and enables recording. *)
 val start : ?capacity:int -> unit -> unit
 
-(** Disable recording (and unhook telemetry).  The buffer survives for
-    {!events}. *)
+(** Disable recording.  The buffer survives for {!events}. *)
 val stop : unit -> unit
 
 (** [stop] plus drop the buffer and reset the fetch clock. *)

@@ -10,7 +10,6 @@ type t =
   | Bbit_probe of { time : int; pc : int; hit : bool }
   | Decode of { time : int; pc : int }
   | Tt_program of { time : int; index : int }
-  | Span of { path : string; tid : int; start_ns : float; stop_ns : float }
 
 let time = function
   | Fetch { time; _ }
@@ -19,5 +18,4 @@ let time = function
   | Bbit_probe { time; _ }
   | Decode { time; _ }
   | Tt_program { time; _ } ->
-      Some time
-  | Span _ -> None
+      time

@@ -10,8 +10,9 @@
     instruction fetch of that run ({!Collector.fetch}); every other event
     is stamped with the tick of the fetch it happened under, so the whole
     trace lives on one discrete timeline — the x axis of the VCD export.
-    [Span] is the exception: it carries wall-clock nanoseconds, bridged
-    from {!Telemetry.Metrics} span exits for the Perfetto export. *)
+    Wall-clock spans are not events: {!Telemetry.Metrics.with_spans} keeps
+    their intervals, and the Perfetto and speedscope exporters take them
+    from there. *)
 
 type t =
   | Fetch of { time : int; pc : int; word : int; transitions : int }
@@ -37,10 +38,6 @@ type t =
       (** The fetch decoder gated this fetch's word through a TT entry. *)
   | Tt_program of { time : int; index : int }
       (** A Transformation Table entry was (re)programmed. *)
-  | Span of { path : string; tid : int; start_ns : float; stop_ns : float }
-      (** A completed telemetry span ([path] is the nested span path,
-          [tid] the recording domain). *)
 
-(** [time e] is the fetch tick of [e], or [None] for wall-clock events
-    ([Span]). *)
-val time : t -> int option
+(** [time e] is the fetch tick of [e]. *)
+val time : t -> int

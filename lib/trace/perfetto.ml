@@ -35,7 +35,7 @@ let counter_samples ~max events =
   List.rev !kept
 
 let to_string ?(max_counter_samples = default_max_counter_samples) ~encoded_names
-    events =
+    ~spans events =
   let b = Buffer.create 8192 in
   let first = ref true in
   let obj fields =
@@ -64,16 +64,13 @@ let to_string ?(max_counter_samples = default_max_counter_samples) ~encoded_name
       ("args", "{\"name\":" ^ str "fetch stream" ^ "}") ];
   (* spans: wall-clock, one track per recording domain *)
   List.iter
-    (fun e ->
-      match e with
-      | Event.Span { path; tid; start_ns; stop_ns } ->
-          obj
-            [ ("ph", str "X"); ("pid", "1"); ("tid", string_of_int tid);
-              ("name", str path); ("cat", str "telemetry");
-              ("ts", num (start_ns /. 1e3));
-              ("dur", num ((stop_ns -. start_ns) /. 1e3)) ]
-      | _ -> ())
-    events;
+    (fun { Telemetry.Metrics.path; tid; start_ns; stop_ns } ->
+      obj
+        [ ("ph", str "X"); ("pid", "1"); ("tid", string_of_int tid);
+          ("name", str path); ("cat", str "telemetry");
+          ("ts", num (start_ns /. 1e3));
+          ("dur", num ((stop_ns -. start_ns) /. 1e3)) ])
+    spans;
   (* counters: cumulative transitions along the fetch-tick axis *)
   let samples = counter_samples ~max:max_counter_samples events in
   let name_of i =

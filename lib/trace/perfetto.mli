@@ -3,9 +3,10 @@
 
     Two timelines share the document:
 
-    - {b Spans} (pid 1): every completed {!Telemetry.Metrics} span becomes a
-      complete ("X") event named by its nested span path, on a track per
-      recording domain (tid), with wall-clock microsecond timestamps.
+    - {b Spans} (pid 1): every interval in [~spans] (from
+      {!Telemetry.Metrics.with_spans}) becomes a complete ("X") event
+      named by its nested span path, on a track per recording domain
+      (tid), with wall-clock microsecond timestamps.
     - {b The fetch stream} (pid 2): counter ("C") tracks of cumulative bus
       transitions — [transitions.baseline] plus one per encoded image —
       sampled along the run (at most [max_counter_samples] points), with
@@ -19,7 +20,8 @@
     The two clocks are different by construction (ticks are not
     nanoseconds); Perfetto renders them as separate process groups. *)
 
-(** [to_string ~encoded_names events] — [encoded_names] label the counter
-    tracks of the encoded images, in [Bus] word-array order. *)
+(** [to_string ~encoded_names ~spans events] — [encoded_names] label the
+    counter tracks of the encoded images, in [Bus] word-array order. *)
 val to_string :
-  ?max_counter_samples:int -> encoded_names:string list -> Event.t list -> string
+  ?max_counter_samples:int -> encoded_names:string list ->
+  spans:Telemetry.Metrics.span_interval list -> Event.t list -> string

@@ -1,9 +1,9 @@
 (* Speedscope flamegraph export over the span tree.
 
-   The collector's span hook records every Metrics span exit as an
-   [Event.Span] interval (full path, recording domain, wall-clock
-   endpoints).  Speedscope's "evented" profile format wants a per-thread
-   stream of open/close events whose frames nest like a call stack; spans
+   [Telemetry.Metrics.with_spans] hands over every span exit as an
+   interval (full path, recording domain, wall-clock endpoints).
+   Speedscope's "evented" profile format wants a per-thread stream of
+   open/close events whose frames nest like a call stack; spans
    nest lexically per domain, so sorting each domain's intervals by start
    time (ties: longer first, i.e. parents before children) and sweeping
    with a stack reconstructs exactly that stream.  Clock jitter between a
@@ -69,15 +69,7 @@ let sweep intervals =
   done;
   List.rev !out
 
-let to_string ?(name = "powercode profile") events =
-  let spans =
-    List.filter_map
-      (function
-        | Event.Span { path; tid; start_ns; stop_ns } ->
-            Some (path, tid, start_ns, stop_ns)
-        | _ -> None)
-      events
-  in
+let to_string ?(name = "powercode profile") spans =
   let frames = Hashtbl.create 32 in
   let frame_names = ref [] in
   let nframes = ref 0 in
@@ -94,13 +86,13 @@ let to_string ?(name = "powercode profile") events =
   in
   let t0 =
     List.fold_left
-      (fun acc (_, _, start_ns, _) -> Float.min acc start_ns)
+      (fun acc { Telemetry.Metrics.start_ns; _ } -> Float.min acc start_ns)
       infinity spans
   in
   let by_tid : (int, interval list ref) Hashtbl.t = Hashtbl.create 8 in
   let tids = ref [] in
   List.iter
-    (fun (path, tid, start_ns, stop_ns) ->
+    (fun { Telemetry.Metrics.path; tid; start_ns; stop_ns } ->
       let iv =
         {
           frame = frame_of path;

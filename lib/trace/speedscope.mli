@@ -1,21 +1,20 @@
 (** Speedscope flamegraph export over the span tree.
 
-    Renders the [Span] events of a trace (the {!Collector}'s bridge from
-    the Metrics span hook) as a speedscope JSON document: one "evented"
-    profile per recording domain, frames named by span leaf segment and
-    deduplicated into the shared frame table, times in nanoseconds
-    normalized to the earliest span start.  Open the result at
+    Renders span intervals (from {!Telemetry.Metrics.with_spans}) as a
+    speedscope JSON document: one "evented" profile per recording
+    domain, frames named by span leaf segment and deduplicated into the
+    shared frame table, times in nanoseconds normalized to the earliest
+    span start.  Open the result at
     {:https://www.speedscope.app} or with [speedscope profile.json].
 
     Children that overhang their parent by clock jitter are clamped to the
     enclosing interval, so emitted open/close events always nest and [at]
     values are non-decreasing — the invariants speedscope's importer
-    checks.  A trace with no span events renders an empty but
-    schema-conforming document. *)
+    checks.  No spans render an empty but schema-conforming document. *)
 
 (** The [$schema] URL stamped into every document. *)
 val schema_url : string
 
-(** [to_string ?name events] renders the speedscope JSON document.
-    Non-span events are ignored. *)
-val to_string : ?name:string -> Event.t list -> string
+(** [to_string ?name spans] renders the speedscope JSON document. *)
+val to_string :
+  ?name:string -> Telemetry.Metrics.span_interval list -> string

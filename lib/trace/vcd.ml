@@ -28,8 +28,7 @@ let binary v =
   end
 
 let to_string ?(date = "powercode trace") ~encoded_names events =
-  let timed = List.filter (fun e -> Event.time e <> None) events in
-  let has p = List.exists p timed in
+  let has p = List.exists p events in
   let has_block = has (function Event.Block_entry _ -> true | _ -> false) in
   let has_bbit = has (function Event.Bbit_probe _ -> true | _ -> false) in
   let has_decode = has (function Event.Decode _ -> true | _ -> false) in
@@ -80,15 +79,13 @@ let to_string ?(date = "powercode trace") ~encoded_names events =
   let times = ref [] in
   List.iter
     (fun e ->
-      match Event.time e with
-      | None -> ()
-      | Some t ->
-          (match Hashtbl.find_opt by_time t with
-          | Some l -> l := e :: !l
-          | None ->
-              Hashtbl.add by_time t (ref [ e ]);
-              times := t :: !times))
-    timed;
+      let t = Event.time e in
+      match Hashtbl.find_opt by_time t with
+      | Some l -> l := e :: !l
+      | None ->
+          Hashtbl.add by_time t (ref [ e ]);
+          times := t :: !times)
+    events;
   let times = List.sort compare !times in
   List.iter
     (fun t ->
@@ -112,8 +109,7 @@ let to_string ?(date = "powercode trace") ~encoded_names events =
           | Event.Decode _ ->
               Option.iter (fun id -> Hashtbl.replace fired id ()) id_decode
           | Event.Tt_program _ ->
-              Option.iter (fun id -> Hashtbl.replace fired id ()) id_tt
-          | Event.Span _ -> ())
+              Option.iter (fun id -> Hashtbl.replace fired id ()) id_tt)
         evs;
       List.iter
         (fun id -> write_value id 1 (if Hashtbl.mem fired id then 1 else 0))

@@ -13,8 +13,7 @@
 (** [to_string ~encoded_names events] renders a VCD document.
     [encoded_names] label the per-image wires, in the order of the [Bus]
     events' word arrays (e.g. [["k4"; "k5"; "k6"; "k7"]]); images beyond
-    the list are dropped.  [Span] events do not appear (wall-clock does not
-    fit the tick timeline; use {!Perfetto}). *)
+    the list are dropped. *)
 val to_string : ?date:string -> encoded_names:string list -> Event.t list -> string
 
 (** {1 Round-trip parser}

@@ -251,22 +251,77 @@ let test_diff_empty_window () =
   Alcotest.(check int) "no counter movement" 0 (total_of d "cpu.instructions");
   Alcotest.(check int) "no spans" 0 (List.length d.Metrics.spans)
 
-let test_span_hook_fires () =
+(* The intervals one [with_spans] window exports; [Exit] from [f] is
+   swallowed after the export. *)
+let window_of f =
+  let got = ref [] in
+  (try Metrics.with_spans ~export:(fun spans -> got := spans) f
+   with Exit -> ());
+  !got
+
+let paths spans = List.map (fun (s : Metrics.span_interval) -> s.path) spans
+
+let test_span_window () =
   with_clean_telemetry @@ fun () ->
-  let seen = ref [] in
-  Metrics.set_span_hook
-    (Some
-       (fun ~path ~start_ns ~stop_ns ->
-         seen := (path, stop_ns >= start_ns) :: !seen));
-  Fun.protect ~finally:(fun () -> Metrics.set_span_hook None) @@ fun () ->
-  Metrics.with_span Tel.span_evaluate (fun () ->
-      Metrics.with_span Tel.span_profile (fun () -> ()));
-  Alcotest.(check (list (pair string bool)))
-    "hook saw both span exits, innermost first, with ordered timestamps"
-    [
-      ("pipeline.evaluate/pipeline.profile", true); ("pipeline.evaluate", true);
-    ]
-    (List.rev !seen)
+  Metrics.with_span Tel.span_count ignore;
+  let spans =
+    window_of (fun () ->
+        Metrics.with_span Tel.span_evaluate (fun () ->
+            Metrics.with_span Tel.span_profile ignore))
+  in
+  Metrics.with_span Tel.span_count ignore;
+  Alcotest.(check (list string))
+    "both exits in closing order, none outside the window"
+    [ "pipeline.evaluate/pipeline.profile"; "pipeline.evaluate" ]
+    (paths spans);
+  List.iter
+    (fun (s : Metrics.span_interval) ->
+      Alcotest.(check bool) (s.path ^ " ordered endpoints") true
+        (s.stop_ns >= s.start_ns);
+      Alcotest.(check int) (s.path ^ " on this domain")
+        (Domain.self () :> int) s.tid)
+    spans;
+  Alcotest.(check (list string))
+    "exported when f raises" [ "pipeline.plan" ]
+    (paths
+       (window_of (fun () ->
+            Metrics.with_span Tel.span_plan (fun () -> raise Exit))));
+  Metrics.set_enabled false;
+  Alcotest.(check (list string))
+    "none while metrics are off" []
+    (paths (window_of (fun () -> Metrics.with_span Tel.span_plan ignore)))
+
+let with_env key value f =
+  let saved = Sys.getenv_opt key in
+  Unix.putenv key value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv key (Option.value saved ~default:""))
+    f
+
+(* Two items on a two-domain pool: each holds until both are in flight,
+   so one of them closes its span on the pool worker. *)
+let test_span_window_pool_workers () =
+  with_clean_telemetry @@ fun () ->
+  with_env "POWERCODE_SEQ" "0" @@ fun () ->
+  with_env "POWERCODE_DOMAINS" "2" @@ fun () ->
+  let started = Atomic.make 0 in
+  let item _ =
+    Metrics.with_span Tel.span_encode_block (fun () ->
+        Atomic.incr started;
+        let deadline = Unix.gettimeofday () +. 5. in
+        while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done)
+  in
+  let spans =
+    window_of (fun () -> ignore (Powercode.Parpool.parallel_init 2 item))
+  in
+  Alcotest.(check (list string))
+    "one interval per item" [ "encode.block"; "encode.block" ] (paths spans);
+  Alcotest.(check bool) "one closed on a pool worker" true
+    (List.exists
+       (fun (s : Metrics.span_interval) -> s.tid <> (Domain.self () :> int))
+       spans)
 
 (* ---- gauges ----------------------------------------------------------- *)
 
@@ -561,11 +616,9 @@ module Log = Telemetry.Log
 let with_clean_log f =
   Log.clear ();
   Log.set_enabled true;
-  Log.set_level Log.Debug;
   Fun.protect
     ~finally:(fun () ->
       Log.set_enabled false;
-      Log.set_level Log.Debug;
       Log.clear ())
     f
 
@@ -575,21 +628,6 @@ let test_log_disabled_is_noop () =
   Log.info "test.event" [ ("x", Log.Int 1) ];
   Alcotest.(check int) "nothing emitted" 0 (Log.emitted ());
   Alcotest.(check int) "nothing retained" 0 (List.length (Log.events ()))
-
-let test_log_level_filter () =
-  with_clean_log @@ fun () ->
-  Log.set_level Log.Warn;
-  Log.debug "test.d" [];
-  Log.info "test.i" [];
-  Log.warn "test.w" [];
-  Log.error "test.e" [];
-  Alcotest.(check int) "only warn+error pass" 2 (Log.emitted ());
-  Alcotest.(check (list (pair string int)))
-    "per-level counts"
-    [ ("debug", 0); ("error", 1); ("info", 0); ("warn", 1) ]
-    (Log.by_level ());
-  Alcotest.(check (list (pair string int)))
-    "per-slug counts" [ ("test.e", 1); ("test.w", 1) ] (Log.by_event ())
 
 let test_log_ring_bound_and_drop () =
   with_clean_log @@ fun () ->
@@ -602,6 +640,12 @@ let test_log_ring_bound_and_drop () =
     (List.length (Log.events ()));
   Alcotest.(check int) "overwrites counted as drops" 2 (Log.dropped ());
   Alcotest.(check int) "cumulative count survives eviction" 6 (Log.emitted ());
+  Alcotest.(check (list (pair string int)))
+    "per-level counts survive eviction"
+    [ ("debug", 0); ("error", 0); ("info", 6); ("warn", 0) ]
+    (Log.by_level ());
+  Alcotest.(check (list (pair string int)))
+    "per-slug counts survive eviction" [ ("test.tick", 6) ] (Log.by_event ());
   let kept =
     List.filter_map
       (fun e ->
@@ -859,8 +903,10 @@ let () =
           Alcotest.test_case "diff isolates a window" `Quick test_diff_window;
           Alcotest.test_case "diff of identical snapshots is empty" `Quick
             test_diff_empty_window;
-          Alcotest.test_case "span hook fires at exit" `Quick
-            test_span_hook_fires;
+          Alcotest.test_case "span window exports closed intervals" `Quick
+            test_span_window;
+          Alcotest.test_case "span window sees pool workers" `Quick
+            test_span_window_pool_workers;
           Alcotest.test_case "multi-domain sum" `Quick test_multi_domain_sum;
         ] );
       ( "gauges",
@@ -888,7 +934,6 @@ let () =
         [
           Alcotest.test_case "disabled is a no-op" `Quick
             test_log_disabled_is_noop;
-          Alcotest.test_case "level filter" `Quick test_log_level_filter;
           Alcotest.test_case "ring bound and drop accounting" `Quick
             test_log_ring_bound_and_drop;
           Alcotest.test_case "span correlation" `Quick

@@ -101,8 +101,6 @@ let test_vcd_round_trip_synthetic () =
       Event.Fetch { time = 2; pc = 2; word = 9; transitions = 2 };
       Event.Bus
         { time = 2; pc = 2; encoded = [| 2; 1 |]; transitions = [| 1; 2 |] };
-      (* Span events never appear on the tick timeline *)
-      Event.Span { path = "x"; tid = 0; start_ns = 0.; stop_ns = 1. };
     ]
   in
   let dump = Vcd.to_string ~encoded_names:[ "k4"; "k5" ] events in
@@ -189,10 +187,18 @@ let test_vcd_from_real_run () =
 (* ---- Perfetto ----------------------------------------------------------- *)
 
 let test_perfetto_shape () =
+  let spans =
+    [
+      {
+        Telemetry.Metrics.path = "pipeline.evaluate";
+        tid = 0;
+        start_ns = 1000.;
+        stop_ns = 9000.;
+      };
+    ]
+  in
   let events =
     [
-      Event.Span
-        { path = "pipeline.evaluate"; tid = 0; start_ns = 1000.; stop_ns = 9000. };
       Event.Fetch { time = 0; pc = 0; word = 0; transitions = 0 };
       Event.Bus { time = 0; pc = 0; encoded = [| 0 |]; transitions = [| 0 |] };
       Event.Fetch { time = 1; pc = 1; word = 7; transitions = 3 };
@@ -200,7 +206,7 @@ let test_perfetto_shape () =
       Event.Tt_program { time = 1; index = 2 };
     ]
   in
-  let doc = Trace.Perfetto.to_string ~encoded_names:[ "k5" ] events in
+  let doc = Trace.Perfetto.to_string ~encoded_names:[ "k5" ] ~spans events in
   let contains needle =
     let nl = String.length needle and dl = String.length doc in
     let rec go i = i + nl <= dl && (String.sub doc i nl = needle || go (i + 1)) in
@@ -253,7 +259,7 @@ let test_perfetto_downsampling_boundaries () =
   in
   let baseline_samples events =
     count_occurrences
-      (Trace.Perfetto.to_string ~encoded_names:[ "k5" ] events)
+      (Trace.Perfetto.to_string ~encoded_names:[ "k5" ] ~spans:[] events)
       "\"name\":\"transitions.baseline\""
   in
   (* exactly at the cap: stride stays 1 and nothing is dropped *)
@@ -264,7 +270,8 @@ let test_perfetto_downsampling_boundaries () =
   check_int "2001 ticks downsample to 1001" 1001
     (baseline_samples (bus_ticks 2001));
   let doc_2001 =
-    Trace.Perfetto.to_string ~encoded_names:[ "k5" ] (bus_ticks 2001)
+    Trace.Perfetto.to_string ~encoded_names:[ "k5" ] ~spans:[]
+      (bus_ticks 2001)
   in
   (* both counter tracks (baseline and k5) sample the final tick *)
   check_int "final tick survives downsampling" 2
@@ -303,7 +310,7 @@ let test_perfetto_exact_when_wrapped () =
     check_bool "the ring wrapped" true (Collector.dropped () > 0);
     ( r,
       Trace.Perfetto.to_string ~encoded_names:[ "k4"; "k5"; "k6"; "k7" ]
-        (Collector.events ()) )
+        ~spans:[] (Collector.events ()) )
   in
   let finals = final_counters doc in
   check_int "baseline ends at TR" r.Evaluate.baseline_transitions
@@ -368,7 +375,7 @@ let test_vcd_empty_trace () =
 
 let test_speedscope_structure () =
   let span path tid start_ns stop_ns =
-    Event.Span { path; tid; start_ns; stop_ns }
+    { Telemetry.Metrics.path; tid; start_ns; stop_ns }
   in
   let doc =
     Trace.Speedscope.to_string ~name:"unit"
@@ -409,11 +416,7 @@ let test_speedscope_empty_trace () =
   check_bool "schema url" true (contains Trace.Speedscope.schema_url);
   check_bool "empty frame table" true (contains "\"frames\": []");
   check_bool "empty profile list" true (contains "\"profiles\": []");
-  check_bool "no active profile index" false (contains "activeProfileIndex");
-  (* non-span events alone are still an empty document *)
-  let doc2 = Trace.Speedscope.to_string [ fetch ~time:0 ~pc:0 ~word:1 ] in
-  check_bool "non-span events ignored" true
-    (count_occurrences doc2 "\"profiles\": []" > 0)
+  check_bool "no active profile index" false (contains "activeProfileIndex")
 
 (* ---- attribution -------------------------------------------------------- *)
 
@@ -698,15 +701,13 @@ let test_evaluate_emits_events () =
                 Hashtbl.find_opt fetch_pc time <> Some pc
             | _ -> false)
           events));
-  (* times never decrease in buffer order (Span events carry no tick) *)
+  (* times never decrease in buffer order *)
   let last = ref 0 in
   List.iter
     (fun e ->
-      match Event.time e with
-      | Some t ->
-          check_bool "monotonic ticks" true (t >= !last);
-          last := t
-      | None -> ())
+      let t = Event.time e in
+      check_bool "monotonic ticks" true (t >= !last);
+      last := t)
     events
 
 (* The timeline belongs to the exported run alone: a cold evaluate, which
@@ -720,9 +721,7 @@ let test_one_tick_per_fetch_cold_or_warm () =
     check_int "one tick per fetch" r.Evaluate.instructions
       (Collector.fetches ());
     check_int "nothing dropped" 0 (Collector.dropped ());
-    List.filter
-      (function Event.Span _ -> false | _ -> true)
-      (Collector.events ())
+    Collector.events ()
   in
   Evaluate.Plan_cache.clear ();
   let cold = traced () in
